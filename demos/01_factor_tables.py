@@ -2,9 +2,9 @@
 Bulk arithmetic tables from a segmented factor sieve
 ====================================================
 
-Build smallest-prime-factor tables over a window, then derive the
-distinct-prime-factor count, the divisor count, and the totient for
-every integer in the window at once.
+Build a factor sieve over a window, then compute the distinct-prime-factor
+count, the divisor count, and the totient for every integer in the window
+at once.
 """
 
 import numpy as np

@@ -1,5 +1,5 @@
-"""Exact multiplicative backbone: segmented smallest-prime-factor sieves,
-range evaluation of omega/tau/phi, and certified scalar factorization.
+"""Exact multiplicative backbone: one blocked multiplicative sieve for the
+omega/tau/phi range tables, and certified scalar factorization.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -36,12 +36,13 @@ __all__ = [
 ]
 
 #: Largest supported sieve endpoint.  Base primes up to sqrt(2**50) = 2**25
-#: keep the auxiliary sieve tiny, and every spf value fits in uint32.
+#: keep the auxiliary sieve tiny, and every n and phi(n) fits in int64.
 MAX_SIEVE_HI = 1 << 50
 
 _BUDGET_ENV = "OMEGALAB_MEMORY_BUDGET"
 _DEFAULT_BUDGET = 2_000_000_000  # bytes
-_DEFAULT_BLOCK = 1 << 20  # uint32 block ~ 4 MiB, near L2/L3 boundary
+_DEFAULT_BLOCK = 1 << 20  # int64 cofactors ~ 8 MiB per block
+_BLOCK_SCRATCH = 9  # bytes per n of one block: int64 cofactor + leftover mask
 
 
 def _memory_budget(explicit: int | None) -> int:
@@ -59,15 +60,8 @@ def _check_budget(needed: int, budget: int, what: str) -> None:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (classic Eratosthenes)."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    """All primes <= n as an int64 array."""
+    return np.flatnonzero(prime_mask(n)).astype(np.int64, copy=False)
 
 
 def prime_mask(n: int) -> np.ndarray:
@@ -83,23 +77,23 @@ def prime_mask(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# segmented smallest-prime-factor table
+# the factor sieve window and its blocked multiplicative kernel
 
 
 @dataclass(eq=False)
 class FactorSieve:
-    """Smallest-prime-factor table for the window [lo, hi].
+    """The window [lo, hi] with the base primes <= sqrt(hi) that factor it.
 
-    ``spf[i]`` holds the smallest prime factor of n = lo + i, with the
-    sentinel 0 meaning "no prime <= sqrt(hi) divides n", i.e. n is 1 or
-    prime.  ``spf_of`` resolves the sentinel.
+    The range functions sieve the window block by block against
+    ``base_primes``; ``memory_budget`` is the byte budget resolved by
+    ``build_factor_sieve`` and bounds every table they allocate.
     """
 
     lo: int
     hi: int
     block_size: int
-    spf: np.ndarray = field(repr=False)
     base_primes: np.ndarray = field(repr=False)
+    memory_budget: int = field(repr=False)
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -108,20 +102,12 @@ class FactorSieve:
         """Smallest prime factor of n (returns n itself for primes, 1 for 1)."""
         if not self.lo <= n <= self.hi:
             raise DomainError(f"n={n} outside sieve window [{self.lo}, {self.hi}]")
-        v = int(self.spf[n - self.lo])
-        return v if v else max(n, 1)
+        ps = self.base_primes[: np.searchsorted(self.base_primes, math.isqrt(n), side="right")]
+        hits = np.flatnonzero(n % ps == 0)
+        return int(ps[hits[0]]) if hits.size else max(n, 1)
 
     def is_prime_in_window(self, n: int) -> bool:
         return n >= 2 and self.spf_of(n) == n
-
-
-def _fill_spf_block(spf: np.ndarray, lo: int, a: int, b: int, base: np.ndarray) -> None:
-    # Write strides for base primes in decreasing order so the smallest
-    # prime lands last and wins without any masking.
-    view = spf[a - lo : b - lo]
-    for p in base[::-1]:
-        p = int(p)
-        view[(-a) % p :: p] = p
 
 
 def build_factor_sieve(
@@ -129,22 +115,21 @@ def build_factor_sieve(
     hi: int,
     block_size: int = _DEFAULT_BLOCK,
     memory_budget: int | None = None,
-    threads: int | None = None,
 ) -> FactorSieve:
-    """Build a smallest-prime-factor table for the inclusive window [lo, hi].
+    """Prepare the inclusive window [lo, hi] for the range functions.
 
     Parameters
     ----------
     lo, hi : int
         Window endpoints, 1 <= lo <= hi <= 2**50.
     block_size : int
-        Segment length used while filling (and by the range functions).
-        The result is independent of this value.
+        Segment length used by the range functions.  Their results are
+        independent of this value.
     memory_budget : int, optional
         Byte budget; defaults to the OMEGALAB_MEMORY_BUDGET environment
-        variable or 2e9.  Exceeding it raises ResourceError up front.
-    threads : int, optional
-        Worker threads for the fill.  Output is identical for any value.
+        variable or 2e9.  A window whose smallest table (one byte per n)
+        cannot fit raises ResourceError here; each range function checks
+        its own table against the same budget before allocating it.
 
     Returns
     -------
@@ -156,126 +141,104 @@ def build_factor_sieve(
         raise DomainError(f"hi={hi} exceeds supported limit 2**50")
     if block_size < 1:
         raise DomainError("block_size must be positive")
-    size = hi - lo + 1
     budget = _memory_budget(memory_budget)
-    _check_budget(4 * size + math.isqrt(hi) + 1, budget, f"spf table for [{lo}, {hi}]")
-
-    base = primes_up_to(math.isqrt(hi))
-    spf = np.zeros(size, dtype=np.uint32)
-    blocks = [(a, min(a + block_size - 1, hi)) for a in range(lo, hi + 1, block_size)]
-    nthreads = max(1, threads or 1)
-    if nthreads == 1 or len(blocks) == 1:
-        for a, b in blocks:
-            _fill_spf_block(spf, lo, a, b + 1, base)
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            futs = [ex.submit(_fill_spf_block, spf, lo, a, b + 1, base) for a, b in blocks]
-            for f in futs:
-                f.result()
-    return FactorSieve(lo=lo, hi=hi, block_size=block_size, spf=spf, base_primes=base)
+    _check_budget(hi - lo + 1 + math.isqrt(hi) + 1, budget, f"factor sieve for [{lo}, {hi}]")
+    return FactorSieve(
+        lo=lo, hi=hi, block_size=block_size,
+        base_primes=primes_up_to(math.isqrt(hi)), memory_budget=budget,
+    )
 
 
-# ---------------------------------------------------------------------------
-# range evaluation of omega / tau / phi
+def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None = 1) -> np.ndarray:
+    """The multiplicative (or additive) function f over the sieve window.
 
-
-def _omega_block(a: int, b: int, base: np.ndarray) -> np.ndarray:
-    """omega(n) for n in [a, b) via slice-adds per base prime.
-
-    For each base prime p we add 1 along the stride of p and divide the
-    residual cofactor by p along the strides of p, p**2, ...; whatever is
-    left > 1 at the end is a single prime factor > sqrt(b).
+    The table starts at f(1) = ``one``.  Per block, each base prime
+    p <= sqrt(block end) is divided out of an int64 cofactor along the
+    strides of p, p**2, ..., and ``step(v, k, p)`` updates in place the
+    table slice ``v`` at the multiples of p**k from the contribution of
+    p**(k-1) to that of p**k.  What is left of the cofactor is 1 or a
+    single prime, stepped in last with k = 1.  Blocks touch disjoint
+    slices of the table, so the result is invariant under block size and
+    thread count.
     """
-    om = np.zeros(b - a, dtype=np.uint8)
-    rem = np.arange(a, b, dtype=np.int64)
-    for p in base:
-        p = int(p)
-        if p * p >= b:
-            break
-        om[(-a) % p :: p] += 1
-        pk = p
-        while pk < b:
-            rem[(-a) % pk :: pk] //= p
-            pk *= p
-    om[rem > 1] += 1
-    return om
+    lo, hi, bs, base = sieve.lo, sieve.hi, sieve.block_size, sieve.base_primes
+    size = hi - lo + 1
+    workers = min(max(1, threads or 1), -(-size // bs))
+    dtype = np.dtype(dtype)
+    _check_budget(
+        dtype.itemsize * size + _BLOCK_SCRATCH * min(bs, size) * workers,
+        sieve.memory_budget,
+        f"{dtype.name} table for [{lo}, {hi}]",
+    )
+    out = np.full(size, one, dtype=dtype)
+
+    def block(a: int) -> None:
+        b = min(a + bs, hi + 1)
+        view = out[a - lo : b - lo]
+        rem = np.arange(a, b, dtype=np.int64)
+        for p in base[: np.searchsorted(base, math.isqrt(b - 1), side="right")].tolist():
+            pk, k = p, 1
+            while (s := (-a) % pk) < b - a:
+                rem[s::pk] //= p
+                step(view[s::pk], k, p)
+                pk, k = pk * p, k + 1
+        big = rem > 1
+        v = view[big]
+        step(v, 1, rem[big])
+        view[big] = v
+
+    if workers == 1:
+        for a in range(lo, hi + 1, bs):
+            block(a)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            list(ex.map(block, range(lo, hi + 1, bs)))
+    return out
+
+
+def _omega_step(v: np.ndarray, k: int, p) -> None:
+    if k == 1:
+        v += 1
+
+
+def _tau_step(v: np.ndarray, k: int, p) -> None:
+    # tau gains the factor e + 1 for p**e || n, one ratio (k + 1) / k at a time
+    if k > 1:
+        v //= k
+    v *= k + 1
+
+
+def _phi_step(v: np.ndarray, k: int, p) -> None:
+    # phi gains (p - 1) * p**(e - 1) for p**e || n
+    v *= p - 1 if k == 1 else p
 
 
 def omega_range(sieve: FactorSieve, threads: int | None = None) -> np.ndarray:
     """Number of distinct prime factors for every n in the sieve window.
 
     Returns a uint8 array where index i corresponds to n = sieve.lo + i.
-    The blockwise computation touches each n independently, so the result
-    is invariant under block partition and thread count.
+    The result is invariant under block size and thread count.
     """
-    lo, hi, base = sieve.lo, sieve.hi, sieve.base_primes
-    out = np.empty(hi - lo + 1, dtype=np.uint8)
-    blocks = [(a, min(a + sieve.block_size - 1, hi)) for a in range(lo, hi + 1, sieve.block_size)]
-
-    def work(ab: tuple[int, int]) -> None:
-        a, b = ab
-        out[a - lo : b + 1 - lo] = _omega_block(a, b + 1, base)
-
-    nthreads = max(1, threads or 1)
-    if nthreads == 1 or len(blocks) == 1:
-        for ab in blocks:
-            work(ab)
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            for f in [ex.submit(work, ab) for ab in blocks]:
-                f.result()
-    return out
+    return _sieve_table(sieve, np.uint8, 0, _omega_step, threads)
 
 
 def tau_range(sieve: FactorSieve) -> np.ndarray:
-    """Divisor counts tau(n) over the window, by paired divisor enumeration.
-
-    Every divisor pair (d, n/d) with d*d <= n contributes 2, and perfect
-    squares give back the double-counted root.  Cost is ~(hi-lo) log hi
-    plus sqrt(hi) stride writes, so windows far from the origin stay cheap.
-    """
-    lo, hi = sieve.lo, sieve.hi
-    tau = np.zeros(hi - lo + 1, dtype=np.int32)
-    for d in range(1, math.isqrt(hi) + 1):
-        start = max(d * d, lo + (-lo) % d)
-        if start <= hi:
-            tau[start - lo :: d] += 2
-    r0 = math.isqrt(lo - 1) + 1
-    for r in range(r0, math.isqrt(hi) + 1):
-        tau[r * r - lo] -= 1
-    return tau
+    """Divisor counts tau(n) over the window as an int32 array."""
+    return _sieve_table(sieve, np.int32, 1, _tau_step)
 
 
 def phi_range(sieve: FactorSieve) -> np.ndarray:
-    """Euler phi(n) over the window via the product formula.
-
-    Starts from phi = n and applies the factor (1 - 1/p) exactly, dividing
-    before multiplying so all intermediates stay integral; the cofactor
-    left after the base primes is a lone prime > sqrt(hi).
-    """
-    lo, hi, base = sieve.lo, sieve.hi, sieve.base_primes
-    phi_arr = np.arange(lo, hi + 1, dtype=np.int64)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in base:
-        p = int(p)
-        sl = slice((-lo) % p, None, p)
-        phi_arr[sl] //= p
-        phi_arr[sl] *= p - 1
-        pk = p
-        while pk <= hi:
-            rem[(-lo) % pk :: pk] //= p
-            pk *= p
-    big = rem > 1
-    phi_arr[big] //= rem[big]
-    phi_arr[big] *= rem[big] - 1
-    return phi_arr
+    """Euler phi(n) over the window as an int64 array."""
+    return _sieve_table(sieve, np.int64, 1, _phi_step)
 
 
 # ---------------------------------------------------------------------------
 # scalar primality and factorization
 
-# Deterministic Miller-Rabin witness set, complete for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the first 13 primes are complete
+# below psi_13, the least strong pseudoprime to all of them (Sorenson &
+# Webster, Math. Comp. 86 (2017)).  The first 12 are not: psi_12 < psi_13.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .linforms import LinearFormSystem, SingularSeriesValue, singular_series
-from .sieve import factorize, is_prime, prime_mask
+from .sieve import _check_budget, _memory_budget, factorize, is_prime, prime_mask
 
 __all__ = [
     "HLComparison",
@@ -25,9 +25,6 @@ __all__ = [
     "search_n0",
     "verify_witness",
 ]
-
-_BUDGET_ENV_DEFAULT = 2_000_000_000
-
 
 def count_prime_tuples(
     system: LinearFormSystem, n_max: int, memory_budget: int | None = None
@@ -40,12 +37,11 @@ def count_prime_tuples(
     if n_max <= 0:
         return 0
     top = max(f(n_max) for f in system.forms)
-    budget = memory_budget if memory_budget is not None else _BUDGET_ENV_DEFAULT
-    if top + 1 + 9 * n_max > budget:
-        raise ResourceError(
-            f"primality table up to {top} plus index arrays exceeds the "
-            f"memory budget {budget} bytes"
-        )
+    _check_budget(
+        top + 1 + 9 * n_max,
+        _memory_budget(memory_budget),
+        f"primality table up to {top} plus index arrays",
+    )
     mask = prime_mask(top)
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     acc = np.ones(n_max, dtype=bool)

@@ -1,7 +1,8 @@
-"""Sieve backbone: spf tables, omega/tau/phi ranges, scalar factorization.
+"""Sieve backbone: factor sieve windows, the omega/tau/phi range tables,
+scalar primality and factorization.
 
-Oracles here are deliberately different algorithms: per-n trial division
-and a vectorised modulo pass over a self-built prime list, never the
+Oracles here are deliberately different algorithms: per-n trial division,
+a vectorised modulo pass over a self-built prime list and sympy, never the
 stride-sieve code under test.
 """
 
@@ -10,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, ResourceError
@@ -65,16 +68,6 @@ class TestSpfTable:
             fac = _trial_factor(n)
             assert p == min(fac)
 
-    def test_partition_invariance(self):
-        whole = ol.build_factor_sieve(1, 30000, block_size=1 << 22).spf
-        for bs in (1000, 7777, 30000):
-            assert np.array_equal(whole, ol.build_factor_sieve(1, 30000, block_size=bs).spf)
-
-    def test_thread_invariance(self):
-        a = ol.build_factor_sieve(1, 200000, threads=1).spf
-        b = ol.build_factor_sieve(1, 200000, threads=4).spf
-        assert np.array_equal(a, b)
-
     def test_window_bounds_checked(self):
         sv = ol.build_factor_sieve(10, 20)
         with pytest.raises(DomainError):
@@ -87,6 +80,12 @@ class TestSpfTable:
     def test_memory_budget_refusal(self):
         with pytest.raises(ResourceError):
             ol.build_factor_sieve(1, 10**9, memory_budget=10**6)
+
+    def test_each_table_checked_against_budget(self):
+        sv = ol.build_factor_sieve(1, 10**5, block_size=1000, memory_budget=2 * 10**5)
+        assert len(ol.omega_range(sv)) == 10**5  # 1 byte per n fits
+        with pytest.raises(ResourceError):
+            ol.phi_range(sv)  # 8 bytes per n does not
 
 
 class TestOmegaRange:
@@ -175,6 +174,36 @@ class TestTauPhiRanges:
         assert tau[0] == 1 and om[0] == 0
 
 
+@st.composite
+def _windows(draw):
+    lo = draw(st.integers(1, 10**8 - 1))
+    return lo, draw(st.integers(lo, min(lo + 3000, 10**8 - 1)))
+
+
+class TestRangeProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        window=_windows(),
+        block_size=st.integers(64, 4096),
+        threads=st.sampled_from([1, 2]),
+        data=st.data(),
+    )
+    def test_block_and_thread_invariance_against_factorint(self, window, block_size, threads, data):
+        lo, hi = window
+        whole = ol.build_factor_sieve(lo, hi)
+        ref = (ol.omega_range(whole), ol.tau_range(whole), ol.phi_range(whole))
+        assert [t.dtype for t in ref] == [np.uint8, np.int32, np.int64]
+        sv = ol.build_factor_sieve(lo, hi, block_size=block_size)
+        got = (ol.omega_range(sv, threads=threads), ol.tau_range(sv), ol.phi_range(sv))
+        for r, g in zip(ref, got):
+            assert r.dtype == g.dtype and np.array_equal(r, g)
+        for n in data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=8)):
+            fac = sympy.factorint(n)
+            assert ref[0][n - lo] == len(fac)
+            assert ref[1][n - lo] == math.prod(e + 1 for e in fac.values())
+            assert ref[2][n - lo] == math.prod((p - 1) * p ** (e - 1) for p, e in fac.items())
+
+
 class TestScalarFactorization:
     @pytest.mark.parametrize(
         "n,factors",
@@ -213,6 +242,11 @@ class TestScalarFactorization:
         with pytest.raises(DomainError):
             ol.factorize(-6)
 
+    def test_twelve_base_pseudoprime_split(self):
+        fac = ol.factorize(318_665_857_834_031_151_167_461)
+        assert fac.factors == ((399_165_290_221, 1), (798_330_580_441, 1))
+        assert fac.omega == 2
+
     def test_scalar_helpers_consistent(self, omega_1e6):
         for n in (1, 2, 97, 5040, 123456):
             assert ol.omega(n) == omega_1e6[n - 1]
@@ -233,9 +267,21 @@ class TestPrimality:
         (341, False),          # 11 * 31, base-2 Fermat pseudoprime
         (3215031751, False),   # strong pseudoprime to bases 2,3,5,7
         (2**61 - 1, True),     # Mersenne prime
+        # psi_t, the least strong pseudoprime to the first t prime bases
+        # (Sorenson & Webster, Math. Comp. 86 (2017)); psi_4 is pinned above,
+        # psi_8 = psi_7 and psi_11 = psi_10 = psi_9.
+        (2047, False),                          # psi_1
+        (1373653, False),                       # psi_2
+        (25326001, False),                      # psi_3
+        (2152302898747, False),                 # psi_5
+        (3474749660383, False),                 # psi_6
+        (341550071728321, False),               # psi_7
+        (3825123056546413051, False),           # psi_9
+        (318665857834031151167461, False),      # psi_12
     ])
     def test_pinned_cases(self, n, expect):
         assert ol.is_prime(n) is expect
+        assert sympy.isprime(n) is expect
 
     def test_prime_mask_agrees(self):
         mask = ol.prime_mask(5000)

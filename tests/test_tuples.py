@@ -47,6 +47,11 @@ class TestCountPrimeTuples:
         with pytest.raises(ResourceError):
             ol.count_prime_tuples(TWINS, 10**7, memory_budget=10**4)
 
+    def test_budget_environment_variable_honoured(self, monkeypatch):
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
+        with pytest.raises(ResourceError):
+            ol.count_prime_tuples(TWINS, 10**6)
+
 
 class TestHLCompare:
     def test_single_form_tracks_prime_counts(self):
