@@ -44,8 +44,19 @@ def _omega_prefix(N: int) -> list[int]:
     """omega(n) for n = 1..N as plain ints."""
     if N < 1:
         return []
-    sieve = build_factor_sieve(1, N)
-    return [int(w) for w in omega_range(sieve)]
+    return omega_range(build_factor_sieve(1, N)).tolist()
+
+
+def _horner(ws: list[int], t: int) -> int:
+    """sum_i ws[i] * t^(len(ws)-1-i) by binary splitting (Haible & Papanikolaou,
+    ANTS-III, 1998): balanced products cost O(M(n) log n), not Horner's O(n^2)."""
+    if len(ws) <= 64:
+        num = 0
+        for w in ws:
+            num = num * t + w
+        return num
+    mid = len(ws) // 2
+    return _horner(ws[:mid], t) * t ** (len(ws) - mid) + _horner(ws[mid:], t)
 
 
 def partial_sum(t: int, N: int) -> Fraction:
@@ -53,10 +64,14 @@ def partial_sum(t: int, N: int) -> Fraction:
     t = _validate_t(t)
     if N < 0:
         raise DomainError("N must be >= 0")
-    num = 0
-    for w in _omega_prefix(N):  # Horner: num = sum omega(n) t^(N-n)
-        num = num * t + w
-    return Fraction(num, t**N)
+    return Fraction(_horner(_omega_prefix(N), t), t**N)
+
+
+def _tangent_tail(t: int, n: int, e: int) -> Fraction:
+    """Bound for sum_{i>=0} omega(n+i)/t^(e+i) by the tangent of log2 at n (see tail_bound)."""
+    c = n.bit_length()
+    s = Fraction(2, n)
+    return (Fraction(c * t, t - 1) + s * Fraction(t, (t - 1) ** 2)) / t**e
 
 
 def tail_bound(t: int, N: int) -> Fraction:
@@ -74,10 +89,7 @@ def tail_bound(t: int, N: int) -> Fraction:
     t = _validate_t(t)
     if N < 2:
         raise DomainError("tail_bound needs N >= 2")
-    c = (N + 1).bit_length()
-    s = Fraction(2, N + 1)
-    geo = Fraction(c * t, t - 1) + s * Fraction(t, (t - 1) ** 2)
-    return geo / t ** (N + 1)
+    return _tangent_tail(t, N + 1, N + 1)
 
 
 @dataclass(frozen=True)
@@ -176,10 +188,8 @@ class TailDecomposition:
 
 def _block_sum(t: int, N: int, b: int, lo_k: int, hi_k: int) -> Fraction:
     """b * sum_{k=lo_k}^{hi_k} omega(N+k)/t^k, omega via certified factorize."""
-    num = 0
-    for k in range(lo_k, hi_k + 1):  # Horner in t over the block
-        num = num * t + factorize(N + k).omega
-    return Fraction(b * num, t**hi_k)
+    ws = [factorize(N + k).omega for k in range(lo_k, hi_k + 1)]
+    return Fraction(b * _horner(ws, t), t**hi_k)
 
 
 def decompose_tail(
@@ -209,20 +219,14 @@ def decompose_tail(
     S2 = _block_sum(t, N, b, K + 1, L)
     S3_trunc = _block_sum(t, N, b, L + 1, M)
 
-    # Tail k > M: omega(N+k) <= c + s*(k - M - 1) with the tangent at N+M+1.
-    c = (N + M + 1).bit_length()
-    s = Fraction(2, N + M + 1)
-    geo = Fraction(c * t, t - 1) + s * Fraction(t, (t - 1) ** 2)
-    S3_tail = Fraction(b, 1) * geo / t ** (M + 1)
+    S3_tail = b * _tangent_tail(t, N + M + 1, M + 1)
 
     applicable = all(is_prime((Q // k) * n0 + 1) for k in range(1, K + 1))
     rhs = None
     holds = None
     if applicable:
-        num = 0
-        for k in range(1, K + 1):
-            num = num * t + factorize(k).omega + 1
-        rhs = Fraction(b * num, t**K)
+        ws = [factorize(k).omega + 1 for k in range(1, K + 1)]
+        rhs = Fraction(b * _horner(ws, t), t**K)
         holds = rhs == S1
     return TailDecomposition(
         t=t,
@@ -252,13 +256,11 @@ def integrality_probe(a: int, b: int, t: int, N: int) -> dict:
     if b < 1:
         raise DomainError("b must be >= 1")
     t = _validate_t(t)
-    ps = partial_sum(t, N)
-    probe = a * t**N - b * (ps * t**N)
-    if probe.denominator != 1:
-        raise RuntimeError("t^N * partial_sum must be integral")
-    window_hi = Fraction(b, 1) * tail_bound(t, N) * t**N
+    window_hi = b * tail_bound(t, N) * t**N
+    # t^N * partial_sum(t, N) is the unreduced numerator sum omega(n) t^(N-n)
+    probe = a * t**N - b * _horner(_omega_prefix(N), t)
     return {
-        "probe_integer": int(probe),
+        "probe_integer": probe,
         "window_lo": Fraction(0),
         "window_hi": window_hi,
         "consistent": 0 < probe <= window_hi,

@@ -6,9 +6,10 @@ exp(-1/u) bump calculus:
 
 so W = 0 off [1/4, 4], W = 1 on [1/2, 2], and W is C^infinity with all
 derivatives vanishing to infinite order at the joins.  Derivatives come
-from sympy on the open rise/fall regions; within 1e-6 of a join the
-true values are below exp(-1e5), so they are returned as exact zeros
-rather than risking 0 * inf in the lambdified expressions.
+from Taylor-jet recurrences for exp and division (Griewank & Walther,
+Evaluating Derivatives, ch. 13) on the open rise/fall regions; within
+1e-6 of a join the true values are below exp(-1e5), so they are returned
+as exact zeros rather than risking 0 * inf in the recurrences.
 
 The Mellin transform W~(s) = int W(x) x^(s-1) dx is evaluated by an
 adaptive Gauss-Legendre scheme with panels split at the structural
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 from scipy.integrate import quad
 
 from .errors import DomainError, PrecisionError
@@ -41,28 +41,36 @@ __all__ = [
 _EPS_JOIN = 1e-6
 _MAX_RE_S = 256.0  # beyond this, x**(s-1) overflows double on [1/4, 4]
 
-_X = sp.symbols("x")
+def _step_deriv(u: np.ndarray, c: float, j: int) -> np.ndarray:
+    """j-th x-derivative of step(u + c*(x - x0)) at x0, elementwise in u.
 
+    step = a/(a + b) with a = exp(-1/v) on v = u + c*h and b the same on
+    v = 1 - u - c*h.  The jet of -1/v is geometric, exp follows k e_k =
+    sum_i i g_i e_(k-i), and the quotient recurrence puts the smaller of a
+    and b on top (step = 1 - b/(a + b)), so that no coefficient is a
+    difference of near-equal terms.  Order 0 is the closed form, op for op.
+    """
 
-def _step(u):
-    return sp.exp(-1 / u) / (sp.exp(-1 / u) + sp.exp(-1 / (1 - u)))
+    def exp_neg_recip(v: np.ndarray, dv: float) -> list[np.ndarray]:
+        g = [-1 / v]
+        for _ in range(j):
+            g.append(g[-1] * (-dv / v))
+        e = [np.exp(g[0])]
+        for k in range(1, j + 1):
+            e.append(sum(i * g[i] * e[k - i] for i in range(1, k + 1)) / k)
+        return e
 
-
-_RISE_EXPR = _step(4 * _X - 1)  # valid on the open region (1/4, 1/2)
-_FALL_EXPR = _step((4 - _X) / 2)  # valid on the open region (2, 4)
-
-_deriv_cache: dict[int, tuple] = {}
-
-
-def _deriv_funcs(j: int):
-    if j not in _deriv_cache:
-        rise = sp.diff(_RISE_EXPR, _X, j)
-        fall = sp.diff(_FALL_EXPR, _X, j)
-        _deriv_cache[j] = (
-            sp.lambdify(_X, rise, modules="numpy"),
-            sp.lambdify(_X, fall, modules="numpy"),
-        )
-    return _deriv_cache[j]
+    a = exp_neg_recip(u, c)
+    b = exp_neg_recip(1 - u, -c)
+    if j == 0:
+        return a[0] / (b[0] + a[0])
+    d = [x + y for x, y in zip(a, b)]
+    low = u < 0.5
+    n = [np.where(low, x, y) for x, y in zip(a, b)]
+    q: list[np.ndarray] = []
+    for k in range(j + 1):
+        q.append((n[k] - sum(d[i] * q[k - i] for i in range(1, k + 1))) / d[0])
+    return math.factorial(j) * np.where(low, q[j], -q[j])
 
 
 class WindowFn:
@@ -84,15 +92,13 @@ class WindowFn:
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
         out = np.zeros_like(xs)
-        rise_fn, fall_fn = _deriv_funcs(j)
-        rise_mask = (xs > 0.25 + _EPS_JOIN) & (xs < 0.5 - _EPS_JOIN)
-        fall_mask = (xs > 2.0 + _EPS_JOIN) & (xs < 4.0 - _EPS_JOIN)
         if j == 0:
             out[(xs >= 0.5 - _EPS_JOIN) & (xs <= 2.0 + _EPS_JOIN)] = 1.0
-        if rise_mask.any():
-            out[rise_mask] = rise_fn(xs[rise_mask])
-        if fall_mask.any():
-            out[fall_mask] = fall_fn(xs[fall_mask])
+        # W = step(c (x - z)), z the outer join: step(4x - 1) rising, step((4 - x)/2) falling
+        for lo, hi, z, c in ((0.25, 0.5, 0.25, 4.0), (2.0, 4.0, 4.0, -0.5)):
+            mask = (xs > lo + _EPS_JOIN) & (xs < hi - _EPS_JOIN)
+            if mask.any():
+                out[mask] = _step_deriv(c * (xs[mask] - z), c, j)
         return float(out[0]) if scalar else out
 
     def __call__(self, x):
@@ -117,7 +123,7 @@ class WindowFn:
 
 
 def build_window(j_max: int = 8) -> WindowFn:
-    """Construct the plateau window; derivative machinery is lazy."""
+    """Construct the plateau window; derivatives are evaluated per call, nothing is cached."""
     return WindowFn(j_max=j_max)
 
 
@@ -173,6 +179,17 @@ def _mellin_panels(s: complex) -> list[float]:
     return out
 
 
+def _moment(w: WindowFn, k: int, s: complex, tol: float, max_depth: int) -> complex:
+    """int W^(k)(x) x^(s+k-1) dx, panel by panel over _mellin_panels(s)."""
+
+    def f(xs: np.ndarray) -> np.ndarray:
+        return w.deriv(k, xs) * np.power(xs.astype(complex), s + k - 1)
+
+    pts = _mellin_panels(s)
+    per_panel = tol / (len(pts) - 1)
+    return sum(_adaptive(f, a, b, per_panel, max_depth)[0] for a, b in zip(pts, pts[1:]))
+
+
 def mellin_transform(w: WindowFn, s: complex, tol: float = 1e-10, max_depth: int = 14) -> complex:
     """int_0^inf W(x) x^(s-1) dx by adaptive panel Gauss-Legendre.
 
@@ -185,17 +202,7 @@ def mellin_transform(w: WindowFn, s: complex, tol: float = 1e-10, max_depth: int
     s = complex(s)
     if abs(s.real) > _MAX_RE_S:
         raise DomainError(f"|Re s| = {abs(s.real)} too large; magnitudes overflow double")
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        return w(xs) * np.power(xs.astype(complex), s - 1)
-
-    pts = _mellin_panels(s)
-    per_panel = tol / (len(pts) - 1)
-    total = 0j
-    for a, b in zip(pts, pts[1:]):
-        val, _ = _adaptive(f, a, b, per_panel, max_depth)
-        total += val
-    return total
+    return _moment(w, 0, s, tol, max_depth)
 
 
 def mellin_transform_quad(w: WindowFn, s: complex) -> complex:
@@ -230,17 +237,7 @@ def mellin_via_parts(w: WindowFn, s: complex, k: int, tol: float = 1e-10) -> com
         denom *= s + i
     if k == 0:
         return mellin_transform(w, s, tol)
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        return w.deriv(k, xs) * np.power(xs.astype(complex), s + k - 1)
-
-    pts = _mellin_panels(s)
-    per_panel = tol / (len(pts) - 1)
-    total = 0j
-    for a, b in zip(pts, pts[1:]):
-        val, _ = _adaptive(f, a, b, per_panel, 14)
-        total += val
-    return (-1) ** k * total / denom
+    return (-1) ** k * _moment(w, k, s, tol, 14) / denom
 
 
 @dataclass(frozen=True)

@@ -281,3 +281,13 @@ def test_module_entry_point_smoke():
     doc = json.loads(proc.stdout)
     assert doc["result"]["K"] == 4
     assert doc["result"]["Q"] == 1296
+
+
+def test_import_leaves_sympy_unloaded():
+    # sympy is a test oracle only; the library and the CLI must not pull it in
+    code = "import sys, omegalab, omegalab.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

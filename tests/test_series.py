@@ -4,9 +4,22 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError
+
+
+def _trial_omega(n: int) -> int:
+    count, p = 0, 2
+    while p * p <= n:
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 1
+    return count + (n > 1)
 
 
 class TestPartialSum:
@@ -27,6 +40,12 @@ class TestPartialSum:
         v = ol.partial_sum(2, 10)
         assert math.gcd(v.numerator, v.denominator) == 1
         assert v == Fraction(33, 64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(2, 40), N=st.integers(0, 400))
+    def test_literal_sum_property(self, t, N):
+        literal = sum(Fraction(_trial_omega(n), t**n) for n in range(1, N + 1))
+        assert ol.partial_sum(t, N) == literal
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -71,6 +90,11 @@ class TestTailBound:
                 assert cur.nested_in(prev)
                 prev = cur
 
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(2, 40), N=st.integers(2, 2000))
+    def test_nesting_property(self, t, N):
+        assert ol.alpha_enclosure(t, N + 1).nested_in(ol.alpha_enclosure(t, N))
+
     def test_nesting_requires_n_at_least_two(self):
         with pytest.raises(DomainError):
             ol.tail_bound(2, 1)
@@ -108,6 +132,32 @@ class TestDecomposeTail:
             direct = sum(Fraction(b * ol.omega(N + k), t**k) for k in range(1, M + 1))
             assert dec.S1 + dec.S2 + dec.S3_truncated == direct
             assert dec.S3_tail_hi > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=st.integers(2, 20),
+        b=st.integers(1, 5),
+        n0=st.integers(1, 10**6),
+        K=st.integers(1, 4),
+        q_mult=st.integers(1, 30),
+        gaps=st.tuples(st.integers(1, 20), st.integers(0, 60)),
+    )
+    def test_blocks_match_factorint_loops(self, t, b, n0, K, q_mult, gaps):
+        Q = math.lcm(*range(1, K + 1)) ** 2 * q_mult
+        L = K + gaps[0]
+        M = L + gaps[1]
+        dec = ol.decompose_tail(t, b, n0, K, Q, L, M)
+        N = n0 * Q
+
+        def block(lo, hi):
+            return sum(Fraction(b * len(sympy.factorint(N + k)), t**k) for k in range(lo, hi + 1))
+
+        assert dec.S1 == block(1, K)
+        assert dec.S2 == block(K + 1, L)
+        assert dec.S3_truncated == block(L + 1, M)
+        if dec.identity_applicable:
+            rhs = sum(Fraction(b * (len(sympy.factorint(k)) + 1), t**k) for k in range(1, K + 1))
+            assert dec.identity_rhs == rhs and dec.identity_holds
 
     def test_tail_bound_covers_extension(self):
         dec = ol.decompose_tail(2, 1, 3, 2, 4, 4, M=20)

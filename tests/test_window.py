@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,6 +56,39 @@ class TestWindowGeometry:
         for a, b in zip(consts, consts[1:]):
             assert b <= a  # fitted C in |W^(j)| <= C j^(3j) does not grow
 
+    def test_derivatives_against_mpmath(self, window):
+        # oracle: mpmath's numerical differentiation of the literal
+        # exp(-1/u) formula at 50 digits; x = 0.375 and x = 3 are skipped
+        # because every even derivative vanishes there
+        def f(u):
+            return mpmath.exp(-1 / u) if u > 0 else mpmath.mpf(0)
+
+        def literal(x):
+            def step(u):
+                return f(u) / (f(u) + f(1 - u))
+
+            return step(4 * x - 1) * step((4 - x) / 2)
+
+        xs = (0.27, 0.29, 0.31, 0.34, 0.36, 0.39, 0.42, 0.44, 0.46, 0.475,
+              2.15, 2.3, 2.45, 2.7, 2.85, 3.15, 3.4, 3.6, 3.75, 3.85)
+        with mpmath.workdps(50):
+            for j in range(0, 9):
+                got = window.deriv(j, np.array(xs))
+                for x, v in zip(xs, got):
+                    ref = float(mpmath.diff(literal, mpmath.mpf(x), j))
+                    assert abs(v - ref) <= 1e-9 * abs(ref), (j, x, v, ref)
+
+    def test_value_is_literal_closed_form(self, window):
+        def step(u):
+            with np.errstate(divide="ignore", over="ignore"):
+                fu = np.where(u > 0, np.exp(-1 / u), 0.0)
+                fv = np.where(1 - u > 0, np.exp(-1 / (1 - u)), 0.0)
+            return fu / (fu + fv)
+
+        xs = np.concatenate([np.linspace(0.0, 4.5, 200_001), [0.25, 0.5, 2.0, 4.0]])
+        literal = step(4 * xs - 1) * step((4 - xs) / 2)
+        assert np.array_equal(window.deriv(0, xs), literal)
+
     def test_order_cap_enforced(self, window):
         with pytest.raises(DomainError):
             window.deriv(9, 1.0)
@@ -79,7 +113,7 @@ class TestMellinTransform:
         rhs = ol.mellin_via_parts(window, s, 1) * s
         assert abs(lhs - rhs) < 1e-8
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("s", [1 + 0j, 2 + 3j, 0.5 + 40j, 1 + 99j])
     def test_parts_identity_higher_orders(self, window, k, s):
         assert abs(s) <= 100
