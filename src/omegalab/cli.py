@@ -19,10 +19,9 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -53,11 +52,6 @@ class RunConfig:
     output_format: str = "json"
     output_path: str | None = None
     no_timing: bool = False
-    threads: int | None = field(default=None)
-
-
-def _forms_from_flag(text: str) -> LinearFormSystem:
-    return LinearFormSystem.from_json(text)
 
 
 # --- subcommand implementations -------------------------------------------
@@ -68,33 +62,33 @@ def _cmd_params(cfg: RunConfig) -> dict:
 
 
 def _cmd_admissible(cfg: RunConfig) -> dict:
-    system = _forms_from_flag(cfg.flags["forms"])
+    system = LinearFormSystem.from_json(cfg.flags["forms"])
     adm = is_admissible(system)
     return {
-        "forms": [{"a": f.a, "b": f.b} for f in system.forms],
+        "forms": system.to_dicts(),
         "admissible": adm.admissible,
         "witness_prime": adm.witness,
     }
 
 
 def _cmd_singular_series(cfg: RunConfig) -> dict:
-    system = _forms_from_flag(cfg.flags["forms"])
+    system = LinearFormSystem.from_json(cfg.flags["forms"])
     ss = singular_series(system, cfg.flags["truncation_prime"])
-    return {"forms": [{"a": f.a, "b": f.b} for f in system.forms], **ss.to_dict()}
+    return {"forms": system.to_dicts(), **ss.to_dict()}
 
 
 def _cmd_tuple_count(cfg: RunConfig) -> dict:
-    system = _forms_from_flag(cfg.flags["forms"])
+    system = LinearFormSystem.from_json(cfg.flags["forms"])
     n_max = cfg.flags["n_max"]
     return {
-        "forms": [{"a": f.a, "b": f.b} for f in system.forms],
+        "forms": system.to_dicts(),
         "n_max": n_max,
         "count": count_prime_tuples(system, n_max),
     }
 
 
 def _cmd_hl_compare(cfg: RunConfig) -> dict:
-    system = _forms_from_flag(cfg.flags["forms"])
+    system = LinearFormSystem.from_json(cfg.flags["forms"])
     return hl_compare(
         system, cfg.flags["n_max"], truncation_prime=cfg.flags["truncation_prime"]
     ).to_dict()
@@ -105,7 +99,7 @@ def _cmd_search_n0(cfg: RunConfig) -> dict:
     spec = SearchSpec(
         K=f["K"], Q=f["Q"], L=f["L"], theta2=f["theta2"], theta3=f["theta3"], n_max=f["n_max"]
     )
-    witness = search_n0(spec, threads=cfg.threads)
+    witness = search_n0(spec)
     out = {
         "spec": spec.to_dict(),
         "thresholds_note": "theta2/theta3 are free parameters (scaled mode), not derived from a scale x",
@@ -217,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--output", default=None, metavar="PATH")
     common.add_argument("--no-timing", action="store_true")
-    common.add_argument("--threads", type=int, default=None, help="default: all cores")
 
     p = argparse.ArgumentParser(prog="omegalab", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="subcommand", required=True)
@@ -280,7 +273,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     flags = {
         k: v
         for k, v in vars(ns).items()
-        if k not in ("subcommand", "format", "output", "no_timing", "threads")
+        if k not in ("subcommand", "format", "output", "no_timing")
     }
     if ns.subcommand == "window":
         key, _, val = flags.pop("profile").partition("=")
@@ -293,7 +286,6 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         output_format=ns.format,
         output_path=ns.output,
         no_timing=ns.no_timing,
-        threads=ns.threads if ns.threads is not None else os.cpu_count(),
     )
 
 
@@ -351,7 +343,6 @@ def run(config: RunConfig) -> int:
         "command": config.subcommand,
         "config": {
             "format": config.output_format,
-            "threads": config.threads,
             **{k: v for k, v in sorted(config.flags.items())},
         },
     }
@@ -366,27 +357,15 @@ def run(config: RunConfig) -> int:
 
 
 def _emit_error(config: RunConfig, code: str, exc: Exception, status: int = 1) -> int:
-    payload = {
-        "error": {
-            "code": code,
-            "message": str(exc),
-            "context": {"subcommand": config.subcommand, "flags": _jsonable(config.flags)},
-        }
-    }
-    _write_out(config, json.dumps(payload, indent=2) + "\n")
+    context = {"subcommand": config.subcommand, "flags": config.flags}
+    _write_out(config, _error_body(code, exc, context))
     return status
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
+def _error_body(code: str, exc: Exception, context: dict) -> str:
+    """The structured error report shared by run and argument parsing."""
+    payload = {"error": {"code": code, "message": str(exc), "context": context}}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _write_out(config: RunConfig, body: str) -> None:
@@ -402,6 +381,6 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(ns)
     except (DomainError, ValueError) as exc:
-        sys.stdout.write(json.dumps({"error": {"code": "domain", "message": str(exc), "context": {}}}, indent=2) + "\n")
+        sys.stdout.write(_error_body("domain", exc, {}))
         return 1
     return run(config)

@@ -70,15 +70,15 @@ class LinearFormSystem:
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise DomainError(f"malformed form-system JSON: {exc}") from exc
 
+    def to_dicts(self) -> list[dict]:
+        return [{"a": f.a, "b": f.b} for f in self.forms]
+
     def to_json(self) -> str:
-        return json.dumps([{"a": f.a, "b": f.b} for f in self.forms])
+        return json.dumps(self.to_dicts())
 
     @property
     def K(self) -> int:
         return len(self.forms)
-
-    def values_at(self, n: int) -> list[int]:
-        return [f(n) for f in self.forms]
 
     def pairwise_resultants(self) -> list[int]:
         """a_i b_j - a_j b_i over i < j; zero iff two forms are proportional."""
@@ -177,6 +177,17 @@ def _local_factor_exact(p: int, nroots: int, K: int) -> Fraction:
     return Fraction((p - nroots) * p ** (K - 1), (p - 1) ** K)
 
 
+def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
+    """prod (1 - K/p)(1 - 1/p)^(-K) over the primes p <= P outside
+    exceptional, and the tail bound for the primes beyond P (see
+    singular_series)."""
+    ps = primes_up_to(P).astype(np.float64)
+    if exceptional:
+        ps = ps[~np.isin(ps, np.array(exceptional, dtype=np.float64))]
+    logs = np.log1p(-K / ps) - K * np.log1p(-1.0 / ps)
+    return math.exp(math.fsum(logs.tolist())), (0.0 if K == 1 else 2.0 * K * K / P)
+
+
 def singular_series(system: LinearFormSystem, truncation_prime: int) -> SingularSeriesValue:
     """Evaluate prod_{p <= P} (1 - omega_L(p)/p)(1 - 1/p)^(-K) with a tail bound.
 
@@ -217,11 +228,8 @@ def singular_series(system: LinearFormSystem, truncation_prime: int) -> Singular
     for p in exceptional:
         exact *= _local_factor_exact(p, roots_mod_p(system, p), K)
 
-    ps = primes_up_to(P).astype(np.float64)
-    if exceptional:
-        ps = ps[~np.isin(ps, np.array(exceptional, dtype=np.float64))]
     # Generic factor: omega_L(p) = K exactly (K distinct roots, none merged).
-    logs = np.log1p(-K / ps) - K * np.log1p(-1.0 / ps)
-    value = float(exact) * math.exp(math.fsum(logs.tolist()))
-    error_bound = 0.0 if K == 1 else 2.0 * K * K / P
-    return SingularSeriesValue(value=value, truncation_prime=P, error_bound=error_bound)
+    generic, error_bound = _generic_product(K, P, exceptional)
+    return SingularSeriesValue(
+        value=float(exact) * generic, truncation_prime=P, error_bound=error_bound
+    )

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, PrecisionError, PreconditionError
-from .linforms import LinearFormSystem
+from .linforms import LinearFormSystem, _generic_product, _local_factor_exact
 from .sieve import primes_up_to
 
 __all__ = [
@@ -217,15 +216,9 @@ def family_singular_series(K: int, truncation_prime: int = 10**7) -> FamilySingu
     if K > 1 and P < 2 * K * K:
         raise PreconditionError(f"truncation_prime={P} below required minimum {2 * K * K}")
 
-    small = Fraction(1)
-    for p in primes_up_to(K):
-        p = int(p)
-        small *= Fraction(p, p - 1) ** K
-    mid = Fraction(1)
-    for p in primes_up_to(2 * K):
-        p = int(p)
-        if p > K:
-            mid *= Fraction(p - K, p) * Fraction(p, p - 1) ** K
+    below_2k = [int(p) for p in primes_up_to(2 * K)]
+    small = math.prod((_local_factor_exact(p, 0, K) for p in below_2k if p <= K), start=Fraction(1))
+    mid = math.prod((_local_factor_exact(p, K, K) for p in below_2k if p > K), start=Fraction(1))
 
     if K == 1:
         return FamilySingularSeries(
@@ -238,11 +231,7 @@ def family_singular_series(K: int, truncation_prime: int = 10**7) -> FamilySingu
             error_bound=0.0,
         )
 
-    ps = primes_up_to(P).astype(np.float64)
-    ps = ps[ps > 2 * K]
-    logs = np.log1p(-K / ps) - K * np.log1p(-1.0 / ps)
-    large = math.exp(math.fsum(logs.tolist()))
-    error_bound = 2.0 * K * K / P
+    large, error_bound = _generic_product(K, P, below_2k)
     return FamilySingularSeries(
         K=K,
         truncation_prime=P,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
+from .params import form_family
 from .sieve import build_factor_sieve, factorize, is_prime, omega_range
 
 __all__ = [
@@ -208,9 +209,7 @@ def decompose_tail(
         raise DomainError("need b >= 1, n0 >= 1, K >= 1")
     if not K < L <= (M if M is not None else L + 32):
         raise DomainError(f"need K < L <= M, got K={K}, L={L}, M={M}")
-    for k in range(1, K + 1):
-        if Q % (k * k) != 0:
-            raise DomainError(f"k^2 | Q fails at k={k} (Q={Q})")
+    form_family(K, Q)  # raises unless k^2 | Q for every k <= K
     if M is None:
         M = L + 32
     N = n0 * Q

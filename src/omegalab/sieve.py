@@ -106,9 +106,6 @@ class FactorSieve:
         hits = np.flatnonzero(n % ps == 0)
         return int(ps[hits[0]]) if hits.size else max(n, 1)
 
-    def is_prime_in_window(self, n: int) -> bool:
-        return n >= 2 and self.spf_of(n) == n
-
 
 def build_factor_sieve(
     lo: int,

@@ -6,7 +6,6 @@ omega values just past the prime block stay controlled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +13,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError
 from .linforms import LinearFormSystem, SingularSeriesValue, singular_series
+from .params import form_family
 from .sieve import _check_budget, _memory_budget, factorize, is_prime, prime_mask
 
 __all__ = [
@@ -72,7 +72,7 @@ class HLComparison:
 
     def to_dict(self) -> dict:
         return {
-            "system": [{"a": f.a, "b": f.b} for f in self.system.forms],
+            "system": self.system.to_dicts(),
             "n_max": self.n_max,
             "empirical": self.empirical,
             "singular_series": self.singular_series.to_dict(),
@@ -146,9 +146,7 @@ class SearchSpec:
             raise DomainError("n_max must be >= 1")
         if self.theta3 < 0:
             raise DomainError("theta3 must be nonnegative")
-        for k in range(1, self.K + 1):
-            if self.Q % (k * k) != 0:
-                raise DomainError(f"k^2 | Q fails at k={k} (Q={self.Q})")
+        form_family(self.K, self.Q)  # raises unless k^2 | Q for every k <= K
 
     def to_dict(self) -> dict:
         return {
@@ -203,40 +201,19 @@ def _check_candidate(spec: SearchSpec, n: int) -> SearchWitness | None:
     )
 
 
-def search_n0(
-    spec: SearchSpec, threads: int | None = None, block: int = 1024
-) -> SearchWitness | None:
+def search_n0(spec: SearchSpec, threads: int | None = None) -> SearchWitness | None:
     """Least n in [1, n_max] meeting all three conditions, or None.
 
-    The scan is blockwise; with threads > 1 the blocks run concurrently
-    but are consumed in index order, so the returned witness is the same
-    for every thread count.
+    One serial scan over n = 1..n_max.  Each candidate is pure-Python
+    bigint primality and factoring work under the interpreter lock, so
+    a thread pool does not pay; threads is accepted and ignored so that
+    existing callers that pass it keep working.
     """
-
-    def scan(a: int, b: int) -> SearchWitness | None:
-        for n in range(a, b):
-            w = _check_candidate(spec, n)
-            if w is not None:
-                return w
-        return None
-
-    blocks = [(a, min(a + block, spec.n_max + 1)) for a in range(1, spec.n_max + 1, block)]
-    nthreads = max(1, threads or 1)
-    if nthreads == 1 or len(blocks) == 1:
-        for a, b in blocks:
-            w = scan(a, b)
-            if w is not None:
-                return w
-        return None
-    with ThreadPoolExecutor(max_workers=nthreads) as ex:
-        futs = [ex.submit(scan, a, b) for a, b in blocks]
-        hit = None
-        for f in futs:
-            if hit is None:
-                hit = f.result()
-            else:
-                f.cancel()
-        return hit
+    for n in range(1, spec.n_max + 1):
+        w = _check_candidate(spec, n)
+        if w is not None:
+            return w
+    return None
 
 
 def verify_witness(spec: SearchSpec, witness: SearchWitness) -> bool:

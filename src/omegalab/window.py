@@ -40,6 +40,7 @@ __all__ = [
 
 _EPS_JOIN = 1e-6
 _MAX_RE_S = 256.0  # beyond this, x**(s-1) overflows double on [1/4, 4]
+_MAX_DEPTH = 14  # halvings of a panel before the quadrature gives up
 
 def _step_deriv(u: np.ndarray, c: float, j: int) -> np.ndarray:
     """j-th x-derivative of step(u + c*(x - x0)) at x0, elementwise in u.
@@ -74,15 +75,11 @@ def _step_deriv(u: np.ndarray, c: float, j: int) -> np.ndarray:
 
 
 class WindowFn:
-    """The window W and its derivatives up to order j_max (default 8)."""
+    """The window W and its derivatives up to order j_max = 8."""
 
     support = (0.25, 4.0)
     plateau = (0.5, 2.0)
-
-    def __init__(self, j_max: int = 8) -> None:
-        if j_max < 0:
-            raise DomainError("j_max must be >= 0")
-        self.j_max = j_max
+    j_max = 8
 
     def deriv(self, j: int, x):
         """j-th derivative of W at x (scalar or array)."""
@@ -122,9 +119,10 @@ class WindowFn:
         return rows
 
 
-def build_window(j_max: int = 8) -> WindowFn:
-    """Construct the plateau window; derivatives are evaluated per call, nothing is cached."""
-    return WindowFn(j_max=j_max)
+def build_window() -> WindowFn:
+    """Construct the plateau window (derivative orders 0..8); derivatives
+    are evaluated per call, nothing is cached."""
+    return WindowFn()
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +138,14 @@ def _panel(f, a: float, b: float) -> complex:
     return complex(xr * np.sum(f(xs) * _GL_W))
 
 
-def _adaptive(f, a: float, b: float, tol: float, depth: int) -> tuple[complex, float]:
-    whole = _panel(f, a, b)
+def _adaptive(
+    f, a: float, b: float, whole: complex, tol: float, depth: int
+) -> tuple[complex, float]:
+    # whole is _panel(f, a, b), already evaluated by the caller; each half
+    # is evaluated once here and handed down as its child's whole
     m = 0.5 * (a + b)
-    refined = _panel(f, a, m) + _panel(f, m, b)
+    left, right = _panel(f, a, m), _panel(f, m, b)
+    refined = left + right
     err = abs(whole - refined)
     # tol acts absolutely for order-one integrals and relatively for the
     # huge magnitudes that large real parts of s produce on this support;
@@ -159,8 +161,8 @@ def _adaptive(f, a: float, b: float, tol: float, depth: int) -> tuple[complex, f
             f"adaptive quadrature on [{a}, {b}] cannot reach tolerance {tol} "
             f"at the configured refinement depth"
         )
-    vl, el = _adaptive(f, a, m, tol / 2, depth - 1)
-    vr, er = _adaptive(f, m, b, tol / 2, depth - 1)
+    vl, el = _adaptive(f, a, m, left, tol / 2, depth - 1)
+    vr, er = _adaptive(f, m, b, right, tol / 2, depth - 1)
     return vl + vr, el + er
 
 
@@ -179,7 +181,7 @@ def _mellin_panels(s: complex) -> list[float]:
     return out
 
 
-def _moment(w: WindowFn, k: int, s: complex, tol: float, max_depth: int) -> complex:
+def _moment(w: WindowFn, k: int, s: complex, tol: float) -> complex:
     """int W^(k)(x) x^(s+k-1) dx, panel by panel over _mellin_panels(s)."""
 
     def f(xs: np.ndarray) -> np.ndarray:
@@ -187,22 +189,25 @@ def _moment(w: WindowFn, k: int, s: complex, tol: float, max_depth: int) -> comp
 
     pts = _mellin_panels(s)
     per_panel = tol / (len(pts) - 1)
-    return sum(_adaptive(f, a, b, per_panel, max_depth)[0] for a, b in zip(pts, pts[1:]))
+    return sum(
+        _adaptive(f, a, b, _panel(f, a, b), per_panel, _MAX_DEPTH)[0] for a, b in zip(pts, pts[1:])
+    )
 
 
-def mellin_transform(w: WindowFn, s: complex, tol: float = 1e-10, max_depth: int = 14) -> complex:
+def mellin_transform(w: WindowFn, s: complex, tol: float = 1e-10) -> complex:
     """int_0^inf W(x) x^(s-1) dx by adaptive panel Gauss-Legendre.
 
     Panels start at the structural points {1/4, 1/2, 2, 4} and are
     pre-split to the oscillation scale 2*pi/|Im s|; each panel is then
     refined until the 16-point estimate is stable to its share of tol.
-    Raises PrecisionError if the refinement depth runs out, DomainError
-    when |Re s| is large enough to overflow doubles on the support.
+    Raises PrecisionError if a panel still misses its share after
+    _MAX_DEPTH = 14 halvings, DomainError when |Re s| is large enough to
+    overflow doubles on the support.
     """
     s = complex(s)
     if abs(s.real) > _MAX_RE_S:
         raise DomainError(f"|Re s| = {abs(s.real)} too large; magnitudes overflow double")
-    return _moment(w, 0, s, tol, max_depth)
+    return _moment(w, 0, s, tol)
 
 
 def mellin_transform_quad(w: WindowFn, s: complex) -> complex:
@@ -237,7 +242,7 @@ def mellin_via_parts(w: WindowFn, s: complex, k: int, tol: float = 1e-10) -> com
         denom *= s + i
     if k == 0:
         return mellin_transform(w, s, tol)
-    return (-1) ** k * _moment(w, k, s, tol, 14) / denom
+    return (-1) ** k * _moment(w, k, s, tol) / denom
 
 
 @dataclass(frozen=True)

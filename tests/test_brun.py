@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError
@@ -77,6 +79,25 @@ class TestBrunTruncatedSum:
                         assert s >= ind
                     else:
                         assert s <= ind
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # at most 7 primes below 2000 keep m under is_prime's certified limit
+        primes=st.lists(st.sampled_from(list(sympy.primerange(2, 2000))), max_size=7, unique=True),
+        V=st.integers(0, 12),
+    )
+    def test_literal_divisor_loop_property(self, primes, V):
+        # the divisors of a squarefree m are the products of subsets of its
+        # primes, and a subset of size r has omega = r and mu = (-1)^r
+        m = math.prod(primes)
+        literal = 0
+        for r in range(min(V, len(primes)) + 1):
+            for _divisor in combinations(primes, r):
+                literal += (-1) ** r
+        got = ol.brun_truncated_divisor_sum(m, V)
+        assert got == literal
+        full = 1 if m == 1 else 0
+        assert got >= full if V % 2 == 0 else got <= full
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(DomainError):

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from omegalab.cli import main
+from omegalab.cli import _DISPATCH, main
 
 
 def run_cli(argv, capsys):
@@ -291,3 +293,45 @@ def test_import_leaves_sympy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+#: header.config keys besides "format": exactly the subcommand's own flags
+CONFIG_KEYS = {
+    "params": {"x"},
+    "admissible": {"forms"},
+    "singular-series": {"forms", "truncation_prime"},
+    "tuple-count": {"forms", "n_max"},
+    "hl-compare": {"forms", "n_max", "truncation_prime"},
+    "search-n0": {"K", "Q", "L", "theta2", "theta3", "n_max"},
+    "alpha": {"t", "N", "probe_a", "probe_b"},
+    "decompose": {"t", "b", "n0", "Q", "K", "L", "M"},
+    "brun-check": {"m", "V"},
+    "euler-identity": {"K", "lo", "hi", "excluded", "V"},
+    "shiu-mean": {"lam", "n_max"},
+    "window": {"sigma", "tmax", "points", "tol"},
+    "optimum": {"weight"},
+}
+
+
+def _readme_command_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+class TestReadmeCommandLines:
+    def test_every_subcommand_listed(self):
+        lines = _readme_command_lines()
+        assert all(line.startswith("omegalab ") for line in lines)
+        assert sorted(line.split()[1] for line in lines) == sorted(CONFIG_KEYS) == sorted(_DISPATCH)
+
+    @pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split()[1])
+    def test_line_runs_and_header_echoes_own_flags(self, line, capsys):
+        argv = shlex.split(line)[1:] + ["--no-timing"]
+        rc, out = run_cli(argv, capsys)
+        assert rc == 0 and out
+        if not out.startswith("{"):  # CSV reports carry no header
+            rc, out = run_cli(argv + ["--format", "json"], capsys)
+            assert rc == 0
+        config = json.loads(out)["header"]["config"]
+        assert set(config) == {"format"} | CONFIG_KEYS[argv[0]]

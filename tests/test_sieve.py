@@ -204,6 +204,26 @@ class TestRangeProperties:
             assert ref[2][n - lo] == math.prod((p - 1) * p ** (e - 1) for p, e in fac.items())
 
 
+@st.composite
+def _below_2_64(draw):
+    """n < 2**64: uniform draws, prime powers, and products of two ~32-bit primes."""
+    kind = draw(st.sampled_from(["uniform", "prime_power", "semiprime"]))
+    if kind == "uniform":
+        return draw(st.integers(1, 2**64 - 1))
+    if kind == "prime_power":
+        p = sympy.prevprime(draw(st.integers(3, 2**32)))
+        return p ** draw(st.integers(1, 63 // p.bit_length()))
+    p, q = (sympy.prevprime(draw(st.integers(2**31, 2**32))) for _ in range(2))
+    return p * q
+
+
+class TestFactorizeProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(n=_below_2_64())
+    def test_agrees_with_factorint(self, n):
+        assert dict(ol.factorize(n).factors) == sympy.factorint(n)
+
+
 class TestScalarFactorization:
     @pytest.mark.parametrize(
         "n,factors",

@@ -158,8 +158,6 @@ class TestSearchN0:
     def test_partition_and_thread_invariance(self):
         spec = ol.SearchSpec(K=2, Q=4, L=4, theta2=2, theta3=1, n_max=100)
         ref = ol.search_n0(spec)
-        for blk in (1, 7, 1000):
-            assert ol.search_n0(spec, block=blk) == ref
         for th in (2, 4):
             assert ol.search_n0(spec, threads=th) == ref
 

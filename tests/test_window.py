@@ -134,10 +134,29 @@ class TestMellinTransform:
         with pytest.raises(DomainError):
             ol.mellin_transform(window, 300.0)
 
-    def test_precision_error_when_depth_exhausted(self, window):
+    def test_precision_error_when_depth_exhausted(self, window, monkeypatch):
         # x^199 concentrates near x=4; a single split cannot resolve it
+        monkeypatch.setattr("omegalab.window._MAX_DEPTH", 1)
         with pytest.raises(PrecisionError):
-            ol.mellin_transform(window, 200, tol=1e-10, max_depth=1)
+            ol.mellin_transform(window, 200, tol=1e-10)
+
+    def test_each_panel_evaluated_once(self):
+        # a refined panel's halves are its children's whole estimates, so
+        # within one transform no node array reaches the integrand twice
+        w = ol.build_window()
+        deriv, seen = w.deriv, []
+
+        def recording(j, x):
+            seen.append((j, np.asarray(x).tobytes()))
+            return deriv(j, x)
+
+        w.deriv = recording
+        calls = [lambda s=s: ol.mellin_transform(w, s) for s in (1, 0.5 + 40j, 200)]
+        calls += [lambda k=k: ol.mellin_via_parts(w, 2 + 3j, k) for k in (1, 8)]
+        for call in calls:
+            seen.clear()
+            call()
+            assert len(seen) > 3 and len(set(seen)) == len(seen)
 
     def test_large_real_part_matches_quad_route(self, window):
         a = ol.mellin_transform(window, 200)
