@@ -8,6 +8,7 @@ where omega_L(p) counts residues v mod p at which some form vanishes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -177,15 +178,25 @@ def _local_factor_exact(p: int, nroots: int, K: int) -> Fraction:
     return Fraction((p - nroots) * p ** (K - 1), (p - 1) ** K)
 
 
+_LOG_CHUNK = 1 << 16  # primes per chunk of Euler-product log terms
+
+
 def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
     """prod (1 - K/p)(1 - 1/p)^(-K) over the primes p <= P outside
     exceptional, and the tail bound for the primes beyond P (see
     singular_series)."""
-    ps = primes_up_to(P).astype(np.float64)
+    ps = primes_up_to(P)
     if exceptional:
-        ps = ps[~np.isin(ps, np.array(exceptional, dtype=np.float64))]
-    logs = np.log1p(-K / ps) - K * np.log1p(-1.0 / ps)
-    return math.exp(math.fsum(logs.tolist())), (0.0 if K == 1 else 2.0 * K * K / P)
+        ps = ps[~np.isin(ps, exceptional)]
+
+    def logs():  # chunked, so the float terms never exist all at once
+        for i in range(0, ps.size, _LOG_CHUNK):
+            q = ps[i : i + _LOG_CHUNK].astype(np.float64)
+            yield (np.log1p(-K / q) - K * np.log1p(-1.0 / q)).tolist()
+
+    # fsum rounds the exact sum of the terms, so chunking leaves it unchanged
+    total = math.fsum(itertools.chain.from_iterable(logs()))
+    return math.exp(total), (0.0 if K == 1 else 2.0 * K * K / P)
 
 
 def singular_series(system: LinearFormSystem, truncation_prime: int) -> SingularSeriesValue:

@@ -1,5 +1,6 @@
 """Exact multiplicative backbone: one blocked multiplicative sieve for the
-omega/tau/phi range tables, and certified scalar factorization.
+omega/tau/phi range tables, a block sieve over n for the values of a
+linear form a*n + b, and certified scalar factorization.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -73,6 +74,71 @@ def prime_mask(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if mask[p]:
             mask[p * p :: p] = False
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# sieving the values of one linear form over a block of n
+
+
+def _residues(x: int, ps: np.ndarray) -> np.ndarray:
+    """x mod p for every p in ps, exact for any x >= 0 and every p < 2**32:
+    Horner over the 31-bit limbs of x keeps each step below 2**63."""
+    r = np.zeros(ps.size, dtype=np.int64)
+    for shift in range(31 * (x.bit_length() // 31), -1, -31):
+        r = ((r << 31) + ((x >> shift) & 0x7FFF_FFFF)) % ps
+    return r
+
+
+def _form_sieve(a: int, b: int, base: np.ndarray):
+    """Block sieve for the values a*n + b (a >= 1, b >= 0) by the base primes.
+
+    Returns ``mask(lo, hi)``: a boolean array over n in [lo, hi) (lo >= 1)
+    that is True exactly where a*n + b >= 2 has no prime factor in
+    ``base`` other than itself.  When ``base`` holds every prime up to the
+    square root of the largest value, that is exactly where a*n + b is
+    prime.  Base primes must be below 2**32.
+
+    p divides a*n + b exactly when n = -b * a^-1 (mod p); these roots are
+    found once for all base primes.  A prime dividing a but not b never
+    divides a value, and one dividing both divides every value.  Per
+    block, primes below the block length strike their residue class by
+    strided slices, and all larger primes (at most one hit each) by one
+    fancy-index assignment.
+    """
+    if base.size and base[-1] >> 32:
+        raise DomainError(f"base prime {base[-1]} is not below 2**32")
+    ps = base.astype(np.uint64)
+    ar, br = _residues(a, base).astype(np.uint64), _residues(b, base).astype(np.uint64)
+    covers = bool(np.any((ar == 0) & (br == 0)))
+    keep = ar != 0
+    ps, ar, br = ps[keep], ar[keep], br[keep]
+    # a^-1 = a^(p-2) mod p; every product stays below p**2 < 2**64
+    inv, e = np.ones_like(ps), ps - 2
+    while e.any():
+        inv = np.where(e & 1, inv * ar % ps, inv)
+        ar = ar * ar % ps
+        e >>= 1
+    roots = ((ps - br) % ps * inv % ps).astype(np.int64)
+    ps = ps.astype(np.int64)
+    top_base = int(base[-1]) if base.size else 0
+
+    def mask(lo: int, hi: int) -> np.ndarray:
+        out = np.full(hi - lo, not covers)
+        if not covers:
+            starts = (roots - lo % ps) % ps
+            small = np.searchsorted(ps, hi - lo)
+            for p, s in zip(ps[:small].tolist(), starts[:small].tolist()):
+                out[s::p] = False
+            big = starts[small:]
+            out[big[big < hi - lo]] = False
+        if a * lo + b <= top_base:  # a value may be a base prime itself
+            own = base[(base >= a * lo + b) & (base <= min(a * (hi - 1) + b, top_base))]
+            own = own[(own - b) % a == 0]
+            out[(own - b) // a - lo] = True
+        out[: max(0, -(-(2 - b) // a) - lo)] = False
+        return out
+
     return mask
 
 
@@ -244,6 +310,12 @@ def is_prime(n: int) -> bool:
     n = int(n)
     if n < 0 or n >= _MR_LIMIT:
         raise DomainError(f"n={n} outside supported primality range [0, {_MR_LIMIT})")
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """False when one of the bases proves n >= 0 composite.  True proves n
+    prime only below _MR_LIMIT; any n it rejects is certainly composite."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -349,7 +421,9 @@ def factorize(n: int) -> Factorization:
     """Full factorization of n >= 1; every prime is certified by is_prime.
 
     Trial division below 1000, then perfect-power detection and Brent's
-    cycle method on what remains.  Deterministic.
+    cycle method on what remains.  A cofactor that the Miller-Rabin rounds
+    prove composite is split at any size; one that passes them at or above
+    the certified primality range raises DomainError.  Deterministic.
     """
     n = int(n)
     if n < 1:
@@ -367,7 +441,12 @@ def factorize(n: int) -> Factorization:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        if _miller_rabin(m):
+            if m >= _MR_LIMIT:
+                raise DomainError(
+                    f"cofactor {m} of {n} passes Miller-Rabin but lies outside the "
+                    f"certified primality range [0, {_MR_LIMIT})"
+                )
             powers[m] = powers.get(m, 0) + 1
             continue
         split = None

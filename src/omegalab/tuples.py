@@ -14,7 +14,15 @@ from scipy.integrate import quad
 from .errors import DomainError
 from .linforms import LinearFormSystem, SingularSeriesValue, singular_series
 from .params import form_family
-from .sieve import _check_budget, _memory_budget, factorize, is_prime, prime_mask
+from .sieve import (
+    _DEFAULT_BLOCK,
+    _check_budget,
+    _form_sieve,
+    _memory_budget,
+    factorize,
+    is_prime,
+    primes_up_to,
+)
 
 __all__ = [
     "HLComparison",
@@ -26,28 +34,51 @@ __all__ = [
     "verify_witness",
 ]
 
+#: Search pre-sieve: the forms (Q/k) n + 1 are sieved by the primes up to
+#: this bound (or the square root of the largest value, if smaller) before
+#: the survivors are certified one by one; see CHANGES.md for the timing
+#: that chose it.
+_PRESIEVE_BOUND = 1 << 12
+
+
+def _survivor_blocks(forms, base: np.ndarray, n_max: int):
+    """(lo, mask) over ascending blocks [lo, lo + len(mask)) of [1, n_max];
+    mask is True where no form value a n + b is below 2 or has a base
+    prime factor other than itself."""
+    sieves = [_form_sieve(f.a, f.b, base) for f in forms]
+    for lo in range(1, n_max + 1, _DEFAULT_BLOCK):
+        hi = min(lo + _DEFAULT_BLOCK, n_max + 1)
+        acc = sieves[0](lo, hi)
+        for s in sieves[1:]:
+            acc &= s(lo, hi)
+        yield lo, acc
+
+
 def count_prime_tuples(
     system: LinearFormSystem, n_max: int, memory_budget: int | None = None
 ) -> int:
     """#{1 <= n <= n_max : a_k n + b_k is prime for every k}.
 
-    One boolean primality table up to the largest form value serves every
-    form; returns 0 for n_max <= 0 without building anything.
+    Every form is sieved over n itself, block by block, by the primes up
+    to the square root of the largest form value, and the forms' masks
+    are ANDed per block; memory is O(block + sqrt(largest value)).
+    Returns 0 for n_max <= 0 without building anything.
     """
     if n_max <= 0:
         return 0
-    top = max(f(n_max) for f in system.forms)
+    root = math.isqrt(max(f(n_max) for f in system.forms))
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser & Schoenfeld, 1962)
+    n_base = int(1.25506 * root / math.log(root)) + 1 if root > 1 else 0
+    # the base-prime sieve; int64 entries per base prime: the base, each
+    # form's primes and roots, and the transient root arithmetic; then the
+    # two block masks
     _check_budget(
-        top + 1 + 9 * n_max,
+        root + 1 + 8 * n_base * (2 * system.K + 6) + 2 * min(n_max, _DEFAULT_BLOCK),
         _memory_budget(memory_budget),
-        f"primality table up to {top} plus index arrays",
+        f"block sieve of {system.K} forms by the primes up to {root}",
     )
-    mask = prime_mask(top)
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    acc = np.ones(n_max, dtype=bool)
-    for f in system.forms:
-        acc &= mask[f.a * ns + f.b]
-    return int(np.count_nonzero(acc))
+    blocks = _survivor_blocks(system.forms, primes_up_to(root), n_max)
+    return sum(int(np.count_nonzero(acc)) for _, acc in blocks)
 
 
 @dataclass(frozen=True)
@@ -204,15 +235,21 @@ def _check_candidate(spec: SearchSpec, n: int) -> SearchWitness | None:
 def search_n0(spec: SearchSpec, threads: int | None = None) -> SearchWitness | None:
     """Least n in [1, n_max] meeting all three conditions, or None.
 
-    One serial scan over n = 1..n_max.  Each candidate is pure-Python
-    bigint primality and factoring work under the interpreter lock, so
-    a thread pool does not pay; threads is accepted and ignored so that
-    existing callers that pass it keep working.
+    Ascending blocks of n are pre-sieved: an n where some (Q/k) n + 1 has
+    a prime factor up to a fixed bound other than itself cannot qualify.
+    The survivors, in order, are certified one by one with is_prime and
+    factorize, so the least index is the one a plain scan finds.  That
+    per-candidate work is pure-Python bigint arithmetic under the
+    interpreter lock, so a thread pool does not pay; threads is accepted
+    and ignored so that existing callers that pass it keep working.
     """
-    for n in range(1, spec.n_max + 1):
-        w = _check_candidate(spec, n)
-        if w is not None:
-            return w
+    top = spec.Q * spec.n_max + 1
+    base = primes_up_to(min(math.isqrt(top), _PRESIEVE_BOUND))
+    for lo, acc in _survivor_blocks(form_family(spec.K, spec.Q).forms, base, spec.n_max):
+        for i in np.flatnonzero(acc).tolist():
+            w = _check_candidate(spec, lo + i)
+            if w is not None:
+                return w
     return None
 
 

@@ -82,8 +82,7 @@ class TestBrunTruncatedSum:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        # at most 7 primes below 2000 keep m under is_prime's certified limit
-        primes=st.lists(st.sampled_from(list(sympy.primerange(2, 2000))), max_size=7, unique=True),
+        primes=st.lists(st.sampled_from(list(sympy.primerange(2, 2000))), max_size=10, unique=True),
         V=st.integers(0, 12),
     )
     def test_literal_divisor_loop_property(self, primes, V):

@@ -239,8 +239,9 @@ class TestErrorReports:
 
     def test_memory_budget_exits_two(self, capsys):
         rc, out = run_cli(
+            # the block sieve needs a base-prime table of sqrt(1e19) > 2e9 bytes
             ["tuple-count", "--forms", '[{"a":1,"b":2}]',
-             "--n-max", "1000000000", "--no-timing"],
+             "--n-max", "10000000000000000000", "--no-timing"],
             capsys,
         )
         assert rc == 2

@@ -267,6 +267,17 @@ class TestScalarFactorization:
         assert fac.factors == ((399_165_290_221, 1), (798_330_580_441, 1))
         assert fac.omega == 2
 
+    def test_composite_past_primality_range_split(self):
+        # every cofactor here is proved composite by the Miller-Rabin rounds
+        n = 1061 * 1063 * 1069 * 1087 * 1091 * 1151 * 1361 * 1481
+        assert n > 3_317_044_064_679_887_385_961_981
+        assert dict(ol.factorize(n).factors) == sympy.factorint(n)
+
+    def test_probable_prime_past_primality_range_refused(self):
+        p = sympy.nextprime(3_317_044_064_679_887_385_961_981)
+        with pytest.raises(DomainError):
+            ol.factorize(3 * p)
+
     def test_scalar_helpers_consistent(self, omega_1e6):
         for n in (1, 2, 97, 5040, 123456):
             assert ol.omega(n) == omega_1e6[n - 1]

@@ -2,10 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, ResourceError
+from omegalab.sieve import _form_sieve
 
 
 def _is_prime_slow(n: int) -> bool:
@@ -51,6 +55,31 @@ class TestCountPrimeTuples:
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
         with pytest.raises(ResourceError):
             ol.count_prime_tuples(TWINS, 10**6)
+
+    def test_block_sieve_fits_small_budget(self):
+        # memory is O(block + sqrt(largest value)), not one byte per value
+        assert ol.count_prime_tuples(ol.form_family(4, 144), 5 * 10**5, memory_budget=10**7) == 174
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.sets(st.tuples(st.integers(1, 30), st.integers(0, 30)), min_size=1, max_size=3),
+        n_max=st.integers(0, 3000),
+        block=st.integers(1, 48),
+    )
+    def test_literal_loop_property(self, pairs, n_max, block):
+        # b = 0 and values equal to a base prime occur among these systems;
+        # a block of a few dozen makes the sieve cross many block edges
+        system = ol.LinearFormSystem.from_pairs(pairs)
+        literal = sum(
+            1 for n in range(1, n_max + 1) if all(sympy.isprime(a * n + b) for a, b in pairs)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.tuples._DEFAULT_BLOCK", block)
+            assert ol.count_prime_tuples(system, n_max) == literal
+
+    def test_kernel_refuses_base_primes_past_2_32(self):
+        with pytest.raises(DomainError):
+            _form_sieve(3, 1, np.array([2, 3, (1 << 32) + 15], dtype=np.int64))
 
 
 class TestHLCompare:
@@ -168,6 +197,32 @@ class TestSearchN0:
             ol.SearchSpec(K=2, Q=4, L=2, theta2=2, theta3=1, n_max=10)  # L <= K
         with pytest.raises(DomainError):
             ol.SearchSpec(K=2, Q=4, L=4, theta2=2, theta3=-1, n_max=10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(1, 3),
+        m=st.integers(1, 12),
+        extra=st.integers(1, 3),
+        theta2=st.integers(0, 4),
+        theta3=st.integers(0, 3),
+        n_max=st.integers(1, 400),
+        block=st.integers(1, 48),
+    )
+    def test_literal_scan_property(self, K, m, extra, theta2, theta3, n_max, block):
+        Q = math.lcm(*range(1, K + 1)) ** 2 * m
+        spec = ol.SearchSpec(K=K, Q=Q, L=K + extra, theta2=theta2, theta3=theta3, n_max=n_max)
+        expect = None
+        for n in range(1, n_max + 1):
+            certs = tuple(Q // k * n + 1 for k in range(1, K + 1))
+            if not all(sympy.isprime(c) for c in certs):
+                continue
+            table = {k: len(sympy.factorint(n * Q + k)) for k in range(K + 1, spec.L + 1)}
+            if max(table.values()) <= theta2 and table[K + 1] > theta3:
+                expect = ol.SearchWitness(n, certs, table, table[K + 1])
+                break
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.tuples._DEFAULT_BLOCK", block)
+            assert ol.search_n0(spec) == expect
 
     def test_real_valued_thresholds(self):
         # thresholds are reals: a fractional floor behaves like its ceiling-1
