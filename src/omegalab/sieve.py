@@ -1,6 +1,7 @@
 """Exact multiplicative backbone: one blocked multiplicative sieve for the
 omega/tau/phi range tables, a block sieve over n for the values of a
-linear form a*n + b, and certified scalar factorization.
+linear form a*n + b, and certified scalar factorization.  Both sieves
+strike residue classes block by block through one helper, ``_strikes``.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -42,8 +43,10 @@ MAX_SIEVE_HI = 1 << 50
 
 _BUDGET_ENV = "OMEGALAB_MEMORY_BUDGET"
 _DEFAULT_BUDGET = 2_000_000_000  # bytes
-_DEFAULT_BLOCK = 1 << 20  # int64 cofactors ~ 8 MiB per block
-_BLOCK_SCRATCH = 9  # bytes per n of one block: int64 cofactor + leftover mask
+_DEFAULT_BLOCK = 1 << 20  # numbers per block of either sieve
+_BLOCK_SCRATCH = 24  # bytes per n of one table block: int64 product, leftover primes
+_DENSE_HITS = 8  # a modulus with more hits per block strikes by a strided slice
+_STRIKE_BYTES = 64 + 40 * _DENSE_HITS  # scratch per modulus of one _strikes call, hits included
 
 
 def _memory_budget(explicit: int | None) -> int:
@@ -78,7 +81,26 @@ def prime_mask(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sieving the values of one linear form over a block of n
+# striking residue classes in a block; sieving the values of a linear form
+
+
+def _strikes(ms: np.ndarray, starts: np.ndarray, n: int):
+    """Plan the hits of the classes starts mod ms (0 <= starts < ms) in [0, n).
+
+    Returns ``(dense, offsets, which)``: ``dense`` masks the moduli with
+    more than _DENSE_HITS hits, each struck by the caller as the slice
+    ``[start::m]``.  Every hit of the others is one entry of ``offsets``
+    (repeated where two moduli meet) and ``which`` indexes its modulus;
+    ``np.repeat`` builds both, with no Python loop per modulus.
+    """
+    hits = (n - starts + ms - 1) // ms
+    dense = hits > _DENSE_HITS
+    counts = np.where(dense, 0, hits)
+    which = np.repeat(np.arange(ms.size), counts)
+    offsets = np.arange(which.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    offsets *= ms[which]
+    offsets += starts[which]
+    return dense, offsets, which
 
 
 def _residues(x: int, ps: np.ndarray) -> np.ndarray:
@@ -102,9 +124,7 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
     p divides a*n + b exactly when n = -b * a^-1 (mod p); these roots are
     found once for all base primes.  A prime dividing a but not b never
     divides a value, and one dividing both divides every value.  Per
-    block, primes below the block length strike their residue class by
-    strided slices, and all larger primes (at most one hit each) by one
-    fancy-index assignment.
+    block, ``_strikes`` plans the hits of the roots.
     """
     if base.size and base[-1] >> 32:
         raise DomainError(f"base prime {base[-1]} is not below 2**32")
@@ -125,13 +145,11 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
 
     def mask(lo: int, hi: int) -> np.ndarray:
         out = np.full(hi - lo, not covers)
-        if not covers:
-            starts = (roots - lo % ps) % ps
-            small = np.searchsorted(ps, hi - lo)
-            for p, s in zip(ps[:small].tolist(), starts[:small].tolist()):
-                out[s::p] = False
-            big = starts[small:]
-            out[big[big < hi - lo]] = False
+        starts = (roots - lo % ps) % ps
+        dense, offsets, _ = _strikes(ps, starts, hi - lo)
+        for p, s in zip(ps[dense].tolist(), starts[dense].tolist()):
+            out[s::p] = False
+        out[offsets] = False
         if a * lo + b <= top_base:  # a value may be a base prime itself
             own = base[(base >= a * lo + b) & (base <= min(a * (hi - 1) + b, top_base))]
             own = own[(own - b) % a == 0]
@@ -157,42 +175,26 @@ class FactorSieve:
 
     lo: int
     hi: int
-    block_size: int
     base_primes: np.ndarray = field(repr=False)
     memory_budget: int = field(repr=False)
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def spf_of(self, n: int) -> int:
-        """Smallest prime factor of n (returns n itself for primes, 1 for 1)."""
-        if not self.lo <= n <= self.hi:
-            raise DomainError(f"n={n} outside sieve window [{self.lo}, {self.hi}]")
-        ps = self.base_primes[: np.searchsorted(self.base_primes, math.isqrt(n), side="right")]
-        hits = np.flatnonzero(n % ps == 0)
-        return int(ps[hits[0]]) if hits.size else max(n, 1)
 
-
-def build_factor_sieve(
-    lo: int,
-    hi: int,
-    block_size: int = _DEFAULT_BLOCK,
-    memory_budget: int | None = None,
-) -> FactorSieve:
+def build_factor_sieve(lo: int, hi: int, memory_budget: int | None = None) -> FactorSieve:
     """Prepare the inclusive window [lo, hi] for the range functions.
 
     Parameters
     ----------
     lo, hi : int
         Window endpoints, 1 <= lo <= hi <= 2**50.
-    block_size : int
-        Segment length used by the range functions.  Their results are
-        independent of this value.
     memory_budget : int, optional
         Byte budget; defaults to the OMEGALAB_MEMORY_BUDGET environment
         variable or 2e9.  A window whose smallest table (one byte per n)
         cannot fit raises ResourceError here; each range function checks
-        its own table against the same budget before allocating it.
+        its own table and block scratch against the same budget before
+        allocating them.
 
     Returns
     -------
@@ -202,34 +204,30 @@ def build_factor_sieve(
         raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     if hi > MAX_SIEVE_HI:
         raise DomainError(f"hi={hi} exceeds supported limit 2**50")
-    if block_size < 1:
-        raise DomainError("block_size must be positive")
     budget = _memory_budget(memory_budget)
     _check_budget(hi - lo + 1 + math.isqrt(hi) + 1, budget, f"factor sieve for [{lo}, {hi}]")
-    return FactorSieve(
-        lo=lo, hi=hi, block_size=block_size,
-        base_primes=primes_up_to(math.isqrt(hi)), memory_budget=budget,
-    )
+    return FactorSieve(lo, hi, primes_up_to(math.isqrt(hi)), budget)
 
 
 def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None = 1) -> np.ndarray:
     """The multiplicative (or additive) function f over the sieve window.
 
-    The table starts at f(1) = ``one``.  Per block, each base prime
-    p <= sqrt(block end) is divided out of an int64 cofactor along the
-    strides of p, p**2, ..., and ``step(v, k, p)`` updates in place the
-    table slice ``v`` at the multiples of p**k from the contribution of
-    p**(k-1) to that of p**k.  What is left of the cofactor is 1 or a
-    single prime, stepped in last with k = 1.  Blocks touch disjoint
-    slices of the table, so the result is invariant under block size and
-    thread count.
+    The table starts at f(1) = ``one``.  Per block, level k = 1, 2, ...
+    strikes the multiples of p**k below the block end through ``_strikes``,
+    and ``step(k, p)`` lists the updates ``(ufunc, x)`` that take f at them
+    from the contribution of p**(k-1) to that of p**k.  An int64 product
+    of the prime powers found is kept; where it stays below n, the one
+    prime factor above sqrt(block end) is n // product, stepped in last
+    with k = 1.  Blocks touch disjoint slices of the table, so the result
+    is invariant under block size and thread count.
     """
-    lo, hi, bs, base = sieve.lo, sieve.hi, sieve.block_size, sieve.base_primes
+    lo, hi, base, bs = sieve.lo, sieve.hi, sieve.base_primes, _DEFAULT_BLOCK
     size = hi - lo + 1
     workers = min(max(1, threads or 1), -(-size // bs))
     dtype = np.dtype(dtype)
+    scratch = _BLOCK_SCRATCH * min(bs, size) + _STRIKE_BYTES * base.size  # per worker
     _check_budget(
-        dtype.itemsize * size + _BLOCK_SCRATCH * min(bs, size) * workers,
+        dtype.itemsize * size + workers * scratch,
         sieve.memory_budget,
         f"{dtype.name} table for [{lo}, {hi}]",
     )
@@ -237,18 +235,32 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
 
     def block(a: int) -> None:
         b = min(a + bs, hi + 1)
-        view = out[a - lo : b - lo]
-        rem = np.arange(a, b, dtype=np.int64)
-        for p in base[: np.searchsorted(base, math.isqrt(b - 1), side="right")].tolist():
-            pk, k = p, 1
-            while (s := (-a) % pk) < b - a:
-                rem[s::pk] //= p
-                step(view[s::pk], k, p)
-                pk, k = pk * p, k + 1
-        big = rem > 1
-        v = view[big]
-        step(v, 1, rem[big])
-        view[big] = v
+        view, prod = out[a - lo : b - lo], np.ones(b - a, dtype=np.int64)
+        ps = base[: np.searchsorted(base, math.isqrt(b - 1), side="right")]
+        ms, k = ps, 1
+        while ms.size:
+            starts = (-a) % ms
+            dense, offsets, which = _strikes(ms, starts, b - a)
+            for m, s, p in zip(ms[dense].tolist(), starts[dense].tolist(), ps[dense].tolist()):
+                prod[s::m] *= p
+                v = view[s::m]
+                for op, x in step(k, p):
+                    op(v, x, out=v)
+            # ufunc.at, since two primes may hit one n; levels run in order
+            p = ps[which]
+            np.multiply.at(prod, offsets, p)
+            for op, x in step(k, p):
+                op.at(view, offsets, np.asarray(x, dtype))  # a Python int slows ufunc.at
+            del offsets, which, p  # before the next level's hits
+            keep = ms <= (b - 1) // ps  # p**(k+1) < b, without overflow
+            ps = ps[keep]
+            ms, k = ms[keep] * ps, k + 1
+        big = np.flatnonzero(prod < np.arange(a, b))
+        q = prod[big]
+        del prod
+        np.floor_divide(big + a, q, out=q)
+        for op, x in step(1, q):
+            op.at(view, big, np.asarray(x, dtype))
 
     if workers == 1:
         for a in range(lo, hi + 1, bs):
@@ -259,21 +271,18 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
     return out
 
 
-def _omega_step(v: np.ndarray, k: int, p) -> None:
-    if k == 1:
-        v += 1
+def _omega_step(k: int, p):
+    return ((np.add, 1),) if k == 1 else ()
 
 
-def _tau_step(v: np.ndarray, k: int, p) -> None:
+def _tau_step(k: int, p):
     # tau gains the factor e + 1 for p**e || n, one ratio (k + 1) / k at a time
-    if k > 1:
-        v //= k
-    v *= k + 1
+    return ((np.multiply, 2),) if k == 1 else ((np.floor_divide, k), (np.multiply, k + 1))
 
 
-def _phi_step(v: np.ndarray, k: int, p) -> None:
+def _phi_step(k: int, p):
     # phi gains (p - 1) * p**(e - 1) for p**e || n
-    v *= p - 1 if k == 1 else p
+    return ((np.multiply, p - 1 if k == 1 else p),)
 
 
 def omega_range(sieve: FactorSieve, threads: int | None = None) -> np.ndarray:
@@ -343,8 +352,6 @@ _SMALL_PRIMES = [int(p) for p in primes_up_to(1000)]
 
 def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n, exact integer arithmetic."""
-    if n < 2:
-        return n
     r = int(round(n ** (1.0 / k)))
     while r**k > n:
         r -= 1
@@ -396,10 +403,7 @@ class Factorization:
 
     @property
     def tau(self) -> int:
-        t = 1
-        for _, e in self.factors:
-            t *= e + 1
-        return t
+        return math.prod(e + 1 for _, e in self.factors)
 
     @property
     def phi(self) -> int:
@@ -409,12 +413,8 @@ class Factorization:
         return v
 
     def verify(self) -> bool:
-        prod = 1
-        for p, e in self.factors:
-            if not is_prime(p):
-                return False
-            prod *= p**e
-        return prod == self.n
+        primes = all(is_prime(p) for p, _ in self.factors)
+        return primes and math.prod(p**e for p, e in self.factors) == self.n
 
 
 def factorize(n: int) -> Factorization:
@@ -439,8 +439,6 @@ def factorize(n: int) -> Factorization:
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _miller_rabin(m):
             if m >= _MR_LIMIT:
                 raise DomainError(
@@ -459,10 +457,9 @@ def factorize(n: int) -> Factorization:
             d = _brent_rho(m)
             split = [d, m // d]
         stack.extend(split)
-    fac = Factorization(n=n, factors=tuple(sorted(powers.items())))
-    if not fac.verify():
+    if math.prod(p**e for p, e in powers.items()) != n:
         raise RuntimeError(f"factorization of {n} failed certification")
-    return fac
+    return Factorization(n=n, factors=tuple(sorted(powers.items())))
 
 
 def omega(n: int) -> int:

@@ -13,9 +13,10 @@ from scipy.integrate import quad
 
 from .errors import DomainError
 from .linforms import LinearFormSystem, SingularSeriesValue, singular_series
+from . import sieve
 from .params import form_family
 from .sieve import (
-    _DEFAULT_BLOCK,
+    _STRIKE_BYTES,
     _check_budget,
     _form_sieve,
     _memory_budget,
@@ -46,8 +47,8 @@ def _survivor_blocks(forms, base: np.ndarray, n_max: int):
     mask is True where no form value a n + b is below 2 or has a base
     prime factor other than itself."""
     sieves = [_form_sieve(f.a, f.b, base) for f in forms]
-    for lo in range(1, n_max + 1, _DEFAULT_BLOCK):
-        hi = min(lo + _DEFAULT_BLOCK, n_max + 1)
+    for lo in range(1, n_max + 1, sieve._DEFAULT_BLOCK):
+        hi = min(lo + sieve._DEFAULT_BLOCK, n_max + 1)
         acc = sieves[0](lo, hi)
         for s in sieves[1:]:
             acc &= s(lo, hi)
@@ -71,9 +72,10 @@ def count_prime_tuples(
     n_base = int(1.25506 * root / math.log(root)) + 1 if root > 1 else 0
     # the base-prime sieve; int64 entries per base prime: the base, each
     # form's primes and roots, and the transient root arithmetic; then the
-    # two block masks
+    # scratch of one form's strikes and the two block masks
     _check_budget(
-        root + 1 + 8 * n_base * (2 * system.K + 6) + 2 * min(n_max, _DEFAULT_BLOCK),
+        root + 1 + n_base * (8 * (2 * system.K + 6) + _STRIKE_BYTES)
+        + 2 * min(n_max, sieve._DEFAULT_BLOCK),
         _memory_budget(memory_budget),
         f"block sieve of {system.K} forms by the primes up to {root}",
     )

@@ -8,6 +8,7 @@ stride-sieve code under test.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,49 +46,6 @@ def _trial_primes(limit: int) -> list:
     return [p for p in range(2, limit + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
-class TestSpfTable:
-    def test_tiny_window(self):
-        sv = ol.build_factor_sieve(2, 2)
-        assert sv.spf_of(2) == 2
-
-    def test_shifted_window(self):
-        sv = ol.build_factor_sieve(90, 92)
-        assert [sv.spf_of(n) for n in (90, 91, 92)] == [2, 7, 2]
-
-    def test_primes_have_themselves_as_spf(self):
-        sv = ol.build_factor_sieve(1, 100)
-        primes = [n for n in range(2, 101) if sv.spf_of(n) == n]
-        assert primes == _trial_primes(100)
-        assert len(primes) == 25
-
-    def test_spf_divides_and_is_minimal(self):
-        sv = ol.build_factor_sieve(2, 5000)
-        for n in range(2, 5001):
-            p = sv.spf_of(n)
-            assert n % p == 0
-            fac = _trial_factor(n)
-            assert p == min(fac)
-
-    def test_window_bounds_checked(self):
-        sv = ol.build_factor_sieve(10, 20)
-        with pytest.raises(DomainError):
-            sv.spf_of(9)
-        with pytest.raises(DomainError):
-            ol.build_factor_sieve(0, 10)
-        with pytest.raises(DomainError):
-            ol.build_factor_sieve(10, 5)
-
-    def test_memory_budget_refusal(self):
-        with pytest.raises(ResourceError):
-            ol.build_factor_sieve(1, 10**9, memory_budget=10**6)
-
-    def test_each_table_checked_against_budget(self):
-        sv = ol.build_factor_sieve(1, 10**5, block_size=1000, memory_budget=2 * 10**5)
-        assert len(ol.omega_range(sv)) == 10**5  # 1 byte per n fits
-        with pytest.raises(ResourceError):
-            ol.phi_range(sv)  # 8 bytes per n does not
-
-
 class TestOmegaRange:
     def test_matches_trial_division_exhaustively(self, sieve_1e6, omega_1e6):
         lo = 1
@@ -107,10 +65,56 @@ class TestOmegaRange:
         for n in range(999_000, 1_001_001, 37):
             assert om[n - 999_000] == _trial_omega(n)
 
-    def test_partition_invariance(self):
-        ref = ol.omega_range(ol.build_factor_sieve(1, 300000, block_size=1 << 22))
+    def test_partition_invariance(self, monkeypatch):
+        sv = ol.build_factor_sieve(1, 300000)
+        monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", 1 << 22)
+        ref = ol.omega_range(sv)
         for bs in (10_000, 17_777):
-            assert np.array_equal(ref, ol.omega_range(ol.build_factor_sieve(1, 300000, block_size=bs)))
+            monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", bs)
+            assert np.array_equal(ref, ol.omega_range(sv))
+
+    def test_window_bounds_checked(self):
+        with pytest.raises(DomainError):
+            ol.build_factor_sieve(0, 10)
+        with pytest.raises(DomainError):
+            ol.build_factor_sieve(10, 5)
+
+    def test_memory_budget_refusal(self):
+        with pytest.raises(ResourceError):
+            ol.build_factor_sieve(1, 10**9, memory_budget=10**6)
+
+    def test_each_table_checked_against_budget(self, monkeypatch):
+        monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", 1000)
+        sv = ol.build_factor_sieve(1, 10**5, memory_budget=2 * 10**5)
+        assert len(ol.omega_range(sv)) == 10**5  # 1 byte per n fits
+        with pytest.raises(ResourceError):
+            ol.phi_range(sv)  # 8 bytes per n does not
+
+    @pytest.mark.parametrize("lo,hi", [(1, 3 * 10**5), (10**12, 10**12 + 2 * 10**5)])
+    def test_tables_stay_within_budget(self, lo, hi):
+        # tracemalloc sees numpy's buffers: every table call either refuses
+        # its budget or peaks at or below it, block scratch included
+        for budget in (10**6, 4 * 10**6, 16 * 10**6, 64 * 10**6):
+            try:
+                sv = ol.build_factor_sieve(lo, hi, memory_budget=budget)
+            except ResourceError:
+                assert budget < 64 * 10**6
+                continue
+            for call in (
+                lambda: ol.omega_range(sv, threads=1),
+                lambda: ol.omega_range(sv, threads=2),
+                lambda: ol.tau_range(sv),
+                lambda: ol.phi_range(sv),
+            ):
+                tracemalloc.start()
+                try:
+                    call()
+                except ResourceError:
+                    assert budget < 64 * 10**6
+                else:
+                    assert tracemalloc.get_traced_memory()[1] <= budget
+                finally:
+                    tracemalloc.stop()
 
     def test_thread_invariance(self, sieve_1e6, omega_1e6):
         assert np.array_equal(omega_1e6, ol.omega_range(sieve_1e6, threads=4))
@@ -175,26 +179,25 @@ class TestTauPhiRanges:
 
 
 @st.composite
-def _windows(draw):
-    lo = draw(st.integers(1, 10**8 - 1))
-    return lo, draw(st.integers(lo, min(lo + 3000, 10**8 - 1)))
+def _blocked_windows(draw):
+    """(lo, hi, block): lo up to 10**12, so that the gathered moduli include
+    squares of large base primes; at most 64 blocks, to bound the run time."""
+    block = draw(st.integers(8, 4096))
+    lo = draw(st.integers(1, 10**12))
+    return lo, draw(st.integers(lo, lo + min(3000, 64 * block))), block
 
 
 class TestRangeProperties:
     @settings(max_examples=100, deadline=None)
-    @given(
-        window=_windows(),
-        block_size=st.integers(64, 4096),
-        threads=st.sampled_from([1, 2]),
-        data=st.data(),
-    )
-    def test_block_and_thread_invariance_against_factorint(self, window, block_size, threads, data):
-        lo, hi = window
-        whole = ol.build_factor_sieve(lo, hi)
-        ref = (ol.omega_range(whole), ol.tau_range(whole), ol.phi_range(whole))
+    @given(window=_blocked_windows(), threads=st.sampled_from([1, 2]), data=st.data())
+    def test_block_and_thread_invariance_against_factorint(self, window, threads, data):
+        lo, hi, block = window
+        sv = ol.build_factor_sieve(lo, hi)
+        ref = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
         assert [t.dtype for t in ref] == [np.uint8, np.int32, np.int64]
-        sv = ol.build_factor_sieve(lo, hi, block_size=block_size)
-        got = (ol.omega_range(sv, threads=threads), ol.tau_range(sv), ol.phi_range(sv))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+            got = (ol.omega_range(sv, threads=threads), ol.tau_range(sv), ol.phi_range(sv))
         for r, g in zip(ref, got):
             assert r.dtype == g.dtype and np.array_equal(r, g)
         for n in data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=8)):
@@ -202,6 +205,23 @@ class TestRangeProperties:
             assert ref[0][n - lo] == len(fac)
             assert ref[1][n - lo] == math.prod(e + 1 for e in fac.values())
             assert ref[2][n - lo] == math.prod((p - 1) * p ** (e - 1) for p, e in fac.items())
+
+    def test_gathered_primes_sharing_one_n(self):
+        # 500009 and 999983 are above 2**17, so at the default block both
+        # strike n = 2 * 500009 * 999983 through the gathered offsets
+        lo, n = 10**12, 2 * 500_009 * 999_983
+        sv = ol.build_factor_sieve(lo, lo + 10**6)
+        assert ol.omega_range(sv)[n - lo] == 3
+        assert ol.tau_range(sv)[n - lo] == 8
+        assert ol.phi_range(sv)[n - lo] == 499_998_999_856
+        # one lost strike there would be made up by the leftover prime; in a
+        # window of 8001 numbers every prime above 1000 is gathered, and three
+        # of them strike 1009 * 1013 * 1019
+        n = 1009 * 1013 * 1019
+        sv = ol.build_factor_sieve(n - 4000, n + 4000)
+        assert ol.omega_range(sv)[4000] == 3
+        assert ol.tau_range(sv)[4000] == 8
+        assert ol.phi_range(sv)[4000] == 1008 * 1012 * 1018
 
 
 @st.composite
@@ -261,6 +281,10 @@ class TestScalarFactorization:
             ol.factorize(0)
         with pytest.raises(DomainError):
             ol.factorize(-6)
+
+    def test_verify_rejects_composite_factor(self):
+        assert not ol.Factorization(15, ((15, 1),)).verify()
+        assert ol.Factorization(15, ((3, 1), (5, 1))).verify()
 
     def test_twelve_base_pseudoprime_split(self):
         fac = ol.factorize(318_665_857_834_031_151_167_461)

@@ -74,7 +74,7 @@ class TestCountPrimeTuples:
             1 for n in range(1, n_max + 1) if all(sympy.isprime(a * n + b) for a, b in pairs)
         )
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("omegalab.tuples._DEFAULT_BLOCK", block)
+            mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
             assert ol.count_prime_tuples(system, n_max) == literal
 
     def test_kernel_refuses_base_primes_past_2_32(self):
@@ -221,7 +221,7 @@ class TestSearchN0:
                 expect = ol.SearchWitness(n, certs, table, table[K + 1])
                 break
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("omegalab.tuples._DEFAULT_BLOCK", block)
+            mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
             assert ol.search_n0(spec) == expect
 
     def test_real_valued_thresholds(self):
