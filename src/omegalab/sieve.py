@@ -1,7 +1,10 @@
 """Exact multiplicative backbone: one blocked multiplicative sieve for the
-omega/tau/phi range tables, a block sieve over n for the values of a
-linear form a*n + b, and certified scalar factorization.  Both sieves
-strike residue classes block by block through one helper, ``_strikes``.
+omega/tau/phi range tables, one block sieve over n for the values of
+linear forms a*n + b (behind the primes themselves and omegalab.tuples),
+and certified scalar factorization.  Both sieves strike residue classes
+block by block through one helper, ``_strikes``.  Every allocation is
+first reserved by ``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew
+at each call.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -49,34 +52,38 @@ _DENSE_HITS = 8  # a modulus with more hits per block strikes by a strided slice
 _STRIKE_BYTES = 64 + 40 * _DENSE_HITS  # scratch per modulus of one _strikes call, hits included
 
 
-def _memory_budget(explicit: int | None) -> int:
-    if explicit is not None:
-        return int(explicit)
-    return int(os.environ.get(_BUDGET_ENV, _DEFAULT_BUDGET))
-
-
-def _check_budget(needed: int, budget: int, what: str) -> None:
-    if needed > budget:
+def _reserve(nbytes: int, what: str) -> None:
+    """Raise ResourceError unless nbytes fit the budget read from the
+    environment now."""
+    budget = int(os.environ.get(_BUDGET_ENV, _DEFAULT_BUDGET))
+    if nbytes > budget:
         raise ResourceError(
-            f"{what} needs ~{needed} bytes but the memory budget is {budget} "
-            f"bytes (override via {_BUDGET_ENV} or the memory_budget argument)"
+            f"{what} needs ~{nbytes} bytes but the memory budget is {budget} "
+            f"bytes (override via {_BUDGET_ENV})"
         )
 
 
+def _pi_bound(x: int) -> int:
+    """An upper bound on the number of primes <= x: pi(x) < 1.25506 x / ln x
+    for x > 1 (Rosser & Schoenfeld, 1962)."""
+    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
+
+
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array."""
-    return np.flatnonzero(prime_mask(n)).astype(np.int64, copy=False)
+    """All primes <= n as an int64 array: the form 1*n + 0 sieved block by
+    block by primes_up_to(isqrt(n))."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    _reserve(16 * _pi_bound(n), f"primes up to {n}")  # the blocks' primes, then their join
+    blocks = _form_blocks([(1, 0)], math.isqrt(n), n)
+    return np.concatenate([np.flatnonzero(mask) + lo for lo, mask in blocks])
 
 
 def prime_mask(n: int) -> np.ndarray:
     """Boolean array of length n+1 with mask[k] true iff k is prime."""
-    if n < 1:
-        return np.zeros(max(n + 1, 0), dtype=bool)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[: min(2, n + 1)] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
+    _reserve(max(n + 1, 0), f"prime mask up to {n}")
+    mask = np.zeros(max(n + 1, 0), dtype=bool)
+    mask[primes_up_to(n)] = True
     return mask
 
 
@@ -160,6 +167,29 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
     return mask
 
 
+def _form_blocks(pairs, bound: int, n_max: int):
+    """(lo, mask) over ascending blocks [lo, lo + len(mask)) of [1, n_max];
+    mask is True where no value a*n + b of the forms (a, b) in ``pairs`` is
+    below 2 or has a prime factor up to ``bound`` other than itself.  The
+    base primes, each form's roots and two block masks are reserved first.
+    """
+    _reserve(
+        # int64 entries per base prime: the base, each form's primes and
+        # roots, and the transient root arithmetic; one form's strikes
+        _pi_bound(bound) * (8 * (2 * len(pairs) + 6) + _STRIKE_BYTES)
+        + 2 * min(n_max, _DEFAULT_BLOCK),
+        f"block sieve of {len(pairs)} forms by the primes up to {bound}",
+    )
+    base = primes_up_to(bound)
+    sieves = [_form_sieve(a, b, base) for a, b in pairs]
+    for lo in range(1, n_max + 1, _DEFAULT_BLOCK):
+        hi = min(lo + _DEFAULT_BLOCK, n_max + 1)
+        acc = sieves[0](lo, hi)
+        for mask in sieves[1:]:
+            acc &= mask(lo, hi)
+        yield lo, acc
+
+
 # ---------------------------------------------------------------------------
 # the factor sieve window and its blocked multiplicative kernel
 
@@ -168,33 +198,29 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
 class FactorSieve:
     """The window [lo, hi] with the base primes <= sqrt(hi) that factor it.
 
-    The range functions sieve the window block by block against
-    ``base_primes``; ``memory_budget`` is the byte budget resolved by
-    ``build_factor_sieve`` and bounds every table they allocate.
+    The range functions sieve the window block by block against them.
     """
 
     lo: int
     hi: int
     base_primes: np.ndarray = field(repr=False)
-    memory_budget: int = field(repr=False)
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
 
-def build_factor_sieve(lo: int, hi: int, memory_budget: int | None = None) -> FactorSieve:
+def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
     """Prepare the inclusive window [lo, hi] for the range functions.
+
+    A window whose smallest table (one byte per n) cannot fit the
+    OMEGALAB_MEMORY_BUDGET next to its base primes raises ResourceError
+    here; each range function reserves its own table and block scratch
+    before allocating them.
 
     Parameters
     ----------
     lo, hi : int
         Window endpoints, 1 <= lo <= hi <= 2**50.
-    memory_budget : int, optional
-        Byte budget; defaults to the OMEGALAB_MEMORY_BUDGET environment
-        variable or 2e9.  A window whose smallest table (one byte per n)
-        cannot fit raises ResourceError here; each range function checks
-        its own table and block scratch against the same budget before
-        allocating them.
 
     Returns
     -------
@@ -204,9 +230,9 @@ def build_factor_sieve(lo: int, hi: int, memory_budget: int | None = None) -> Fa
         raise DomainError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     if hi > MAX_SIEVE_HI:
         raise DomainError(f"hi={hi} exceeds supported limit 2**50")
-    budget = _memory_budget(memory_budget)
-    _check_budget(hi - lo + 1 + math.isqrt(hi) + 1, budget, f"factor sieve for [{lo}, {hi}]")
-    return FactorSieve(lo, hi, primes_up_to(math.isqrt(hi)), budget)
+    root = math.isqrt(hi)
+    _reserve(hi - lo + 1 + 8 * _pi_bound(root), f"factor sieve for [{lo}, {hi}]")
+    return FactorSieve(lo, hi, primes_up_to(root))
 
 
 def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None = 1) -> np.ndarray:
@@ -226,11 +252,7 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
     workers = min(max(1, threads or 1), -(-size // bs))
     dtype = np.dtype(dtype)
     scratch = _BLOCK_SCRATCH * min(bs, size) + _STRIKE_BYTES * base.size  # per worker
-    _check_budget(
-        dtype.itemsize * size + workers * scratch,
-        sieve.memory_budget,
-        f"{dtype.name} table for [{lo}, {hi}]",
-    )
+    _reserve(dtype.itemsize * size + workers * scratch, f"{dtype.name} table for [{lo}, {hi}]")
     out = np.full(size, one, dtype=dtype)
 
     def block(a: int) -> None:
@@ -262,12 +284,17 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
         for op, x in step(1, q):
             op.at(view, big, np.asarray(x, dtype))
 
-    if workers == 1:
-        for a in range(lo, hi + 1, bs):
+    los = range(lo, hi + 1, bs)
+
+    def stride(w: int) -> None:  # one task per worker, not one per block
+        for a in los[w::workers]:
             block(a)
+
+    if workers == 1:
+        stride(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(block, range(lo, hi + 1, bs)))
+            list(ex.map(stride, range(workers)))
     return out
 
 

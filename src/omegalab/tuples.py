@@ -1,6 +1,9 @@
 """Empirical prime-tuple counts against singular-series predictions, and
 the search for the least n making every (Q/k) n + 1 prime while the
 omega values just past the prime block stay controlled.
+
+Both run on the block sieve over n of ``omegalab.sieve``, which owns the
+block size and reserves the memory.
 """
 
 from __future__ import annotations
@@ -13,17 +16,8 @@ from scipy.integrate import quad
 
 from .errors import DomainError
 from .linforms import LinearFormSystem, SingularSeriesValue, singular_series
-from . import sieve
 from .params import form_family
-from .sieve import (
-    _STRIKE_BYTES,
-    _check_budget,
-    _form_sieve,
-    _memory_budget,
-    factorize,
-    is_prime,
-    primes_up_to,
-)
+from .sieve import _form_blocks, factorize, is_prime
 
 __all__ = [
     "HLComparison",
@@ -42,44 +36,18 @@ __all__ = [
 _PRESIEVE_BOUND = 1 << 12
 
 
-def _survivor_blocks(forms, base: np.ndarray, n_max: int):
-    """(lo, mask) over ascending blocks [lo, lo + len(mask)) of [1, n_max];
-    mask is True where no form value a n + b is below 2 or has a base
-    prime factor other than itself."""
-    sieves = [_form_sieve(f.a, f.b, base) for f in forms]
-    for lo in range(1, n_max + 1, sieve._DEFAULT_BLOCK):
-        hi = min(lo + sieve._DEFAULT_BLOCK, n_max + 1)
-        acc = sieves[0](lo, hi)
-        for s in sieves[1:]:
-            acc &= s(lo, hi)
-        yield lo, acc
-
-
-def count_prime_tuples(
-    system: LinearFormSystem, n_max: int, memory_budget: int | None = None
-) -> int:
+def count_prime_tuples(system: LinearFormSystem, n_max: int) -> int:
     """#{1 <= n <= n_max : a_k n + b_k is prime for every k}.
 
     Every form is sieved over n itself, block by block, by the primes up
     to the square root of the largest form value, and the forms' masks
-    are ANDed per block; memory is O(block + sqrt(largest value)).
+    are ANDed per block; memory is O(block + K * pi(sqrt(largest value))).
     Returns 0 for n_max <= 0 without building anything.
     """
     if n_max <= 0:
         return 0
     root = math.isqrt(max(f(n_max) for f in system.forms))
-    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser & Schoenfeld, 1962)
-    n_base = int(1.25506 * root / math.log(root)) + 1 if root > 1 else 0
-    # the base-prime sieve; int64 entries per base prime: the base, each
-    # form's primes and roots, and the transient root arithmetic; then the
-    # scratch of one form's strikes and the two block masks
-    _check_budget(
-        root + 1 + n_base * (8 * (2 * system.K + 6) + _STRIKE_BYTES)
-        + 2 * min(n_max, sieve._DEFAULT_BLOCK),
-        _memory_budget(memory_budget),
-        f"block sieve of {system.K} forms by the primes up to {root}",
-    )
-    blocks = _survivor_blocks(system.forms, primes_up_to(root), n_max)
+    blocks = _form_blocks([(f.a, f.b) for f in system.forms], root, n_max)
     return sum(int(np.count_nonzero(acc)) for _, acc in blocks)
 
 
@@ -121,7 +89,6 @@ def hl_compare(
     system: LinearFormSystem,
     n_max: int,
     truncation_prime: int = 100_000,
-    memory_budget: int | None = None,
 ) -> HLComparison:
     """Count prime tuples up to n_max and compare with S * x/(log x)^K.
 
@@ -129,7 +96,7 @@ def hl_compare(
     certified tail bound; see HLComparison for the two prediction styles.
     """
     ss = singular_series(system, truncation_prime)
-    empirical = count_prime_tuples(system, n_max, memory_budget=memory_budget)
+    empirical = count_prime_tuples(system, n_max)
     K = system.K
     if n_max < 3:
         return HLComparison(system, n_max, empirical, ss, None, None, None, None)
@@ -246,8 +213,8 @@ def search_n0(spec: SearchSpec, threads: int | None = None) -> SearchWitness | N
     and ignored so that existing callers that pass it keep working.
     """
     top = spec.Q * spec.n_max + 1
-    base = primes_up_to(min(math.isqrt(top), _PRESIEVE_BOUND))
-    for lo, acc in _survivor_blocks(form_family(spec.K, spec.Q).forms, base, spec.n_max):
+    forms = [(f.a, f.b) for f in form_family(spec.K, spec.Q).forms]
+    for lo, acc in _form_blocks(forms, min(math.isqrt(top), _PRESIEVE_BOUND), spec.n_max):
         for i in np.flatnonzero(acc).tolist():
             w = _check_candidate(spec, lo + i)
             if w is not None:

@@ -239,9 +239,21 @@ class TestErrorReports:
 
     def test_memory_budget_exits_two(self, capsys):
         rc, out = run_cli(
-            # the block sieve needs a base-prime table of sqrt(1e19) > 2e9 bytes
+            # the block sieve reserves its base primes up to sqrt(1e19) with
+            # their roots and strike scratch: far more than 2e9 bytes
             ["tuple-count", "--forms", '[{"a":1,"b":2}]',
              "--n-max", "10000000000000000000", "--no-timing"],
+            capsys,
+        )
+        assert rc == 2
+        assert json.loads(out)["error"]["code"] == "resource"
+
+    def test_prime_list_budget_exits_two(self, capsys, monkeypatch):
+        # the Euler product lists the primes up to 1e7, 5.3e6 bytes or more
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
+        rc, out = run_cli(
+            ["singular-series", "--forms", '[{"a":1,"b":0},{"a":1,"b":2}]',
+             "--truncation-prime", "10000000", "--no-timing"],
             capsys,
         )
         assert rc == 2

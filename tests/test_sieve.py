@@ -46,6 +46,9 @@ def _trial_primes(limit: int) -> list:
     return [p for p in range(2, limit + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
+_PRIMES_TO_3000 = _trial_primes(3000)
+
+
 class TestOmegaRange:
     def test_matches_trial_division_exhaustively(self, sieve_1e6, omega_1e6):
         lo = 1
@@ -79,24 +82,27 @@ class TestOmegaRange:
         with pytest.raises(DomainError):
             ol.build_factor_sieve(10, 5)
 
-    def test_memory_budget_refusal(self):
+    def test_memory_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
         with pytest.raises(ResourceError):
-            ol.build_factor_sieve(1, 10**9, memory_budget=10**6)
+            ol.build_factor_sieve(1, 10**9)
 
     def test_each_table_checked_against_budget(self, monkeypatch):
         monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", 1000)
-        sv = ol.build_factor_sieve(1, 10**5, memory_budget=2 * 10**5)
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(2 * 10**5))
+        sv = ol.build_factor_sieve(1, 10**5)
         assert len(ol.omega_range(sv)) == 10**5  # 1 byte per n fits
         with pytest.raises(ResourceError):
             ol.phi_range(sv)  # 8 bytes per n does not
 
     @pytest.mark.parametrize("lo,hi", [(1, 3 * 10**5), (10**12, 10**12 + 2 * 10**5)])
-    def test_tables_stay_within_budget(self, lo, hi):
+    def test_tables_stay_within_budget(self, lo, hi, monkeypatch):
         # tracemalloc sees numpy's buffers: every table call either refuses
         # its budget or peaks at or below it, block scratch included
         for budget in (10**6, 4 * 10**6, 16 * 10**6, 64 * 10**6):
+            monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
             try:
-                sv = ol.build_factor_sieve(lo, hi, memory_budget=budget)
+                sv = ol.build_factor_sieve(lo, hi)
             except ResourceError:
                 assert budget < 64 * 10**6
                 continue
@@ -115,6 +121,19 @@ class TestOmegaRange:
                     assert tracemalloc.get_traced_memory()[1] <= budget
                 finally:
                     tracemalloc.stop()
+
+    def test_small_blocks_stay_within_budget(self, monkeypatch):
+        # 782 blocks of 64 numbers: the thread pool must not hold a pending
+        # task per block, which alone would take about 1.5e6 bytes
+        monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", 64)
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
+        sv = ol.build_factor_sieve(1, 5 * 10**4)
+        tracemalloc.start()
+        try:
+            ol.omega_range(sv, threads=2)
+            assert tracemalloc.get_traced_memory()[1] <= 10**6
+        finally:
+            tracemalloc.stop()
 
     def test_thread_invariance(self, sieve_1e6, omega_1e6):
         assert np.array_equal(omega_1e6, ol.omega_range(sieve_1e6, threads=4))
@@ -343,6 +362,23 @@ class TestPrimality:
         primes = set(_trial_primes(5000))
         for n in range(0, 5001):
             assert mask[n] == (n in primes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(-2, 3000), block=st.integers(1, 64))
+    def test_primes_across_block_edges(self, n, block):
+        # tiny blocks cross many block edges, and primes_up_to(sqrt(n))
+        # recurses down to its base cases
+        literal = [p for p in _PRIMES_TO_3000 if p <= n]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+            got, mask = ol.primes_up_to(n), ol.prime_mask(n)
+        assert got.dtype == np.int64 and got.tolist() == literal
+        assert np.flatnonzero(mask).tolist() == literal and mask.size == max(n + 1, 0)
+
+    def test_primes_honour_budget(self, monkeypatch):
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
+        with pytest.raises(ResourceError):
+            ol.primes_up_to(10**7)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):

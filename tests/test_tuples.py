@@ -47,18 +47,20 @@ class TestCountPrimeTuples:
         counts = [ol.count_prime_tuples(TWINS, n) for n in range(0, 2000, 50)]
         assert counts == sorted(counts)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**4))
         with pytest.raises(ResourceError):
-            ol.count_prime_tuples(TWINS, 10**7, memory_budget=10**4)
+            ol.count_prime_tuples(TWINS, 10**7)
 
     def test_budget_environment_variable_honoured(self, monkeypatch):
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
         with pytest.raises(ResourceError):
             ol.count_prime_tuples(TWINS, 10**6)
 
-    def test_block_sieve_fits_small_budget(self):
-        # memory is O(block + sqrt(largest value)), not one byte per value
-        assert ol.count_prime_tuples(ol.form_family(4, 144), 5 * 10**5, memory_budget=10**7) == 174
+    def test_block_sieve_fits_small_budget(self, monkeypatch):
+        # memory is O(block + K pi(sqrt(largest value))), not one byte per value
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**7))
+        assert ol.count_prime_tuples(ol.form_family(4, 144), 5 * 10**5) == 174
 
     @settings(max_examples=60, deadline=None)
     @given(
