@@ -2,9 +2,12 @@
 omega/tau/phi range tables, one block sieve over n for the values of
 linear forms a*n + b (behind the primes themselves and omegalab.tuples),
 and certified scalar factorization.  Both sieves strike residue classes
-block by block through one helper, ``_strikes``.  Every allocation is
-first reserved by ``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew
-at each call.
+block by block through one helper, ``_strikes``.  The tables take the
+first power of the primes up to 13 from a wheel, one period of 30030
+copied across each block, and only phi reads the one prime factor of n
+above the square root of the block end; omega and tau count it in one
+contiguous pass.  Every allocation is first reserved by ``_reserve``
+against OMEGALAB_MEMORY_BUDGET, read anew at each call.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -15,6 +18,7 @@ count or on block boundaries.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +54,12 @@ _DEFAULT_BLOCK = 1 << 20  # numbers per block of either sieve
 _BLOCK_SCRATCH = 24  # bytes per n of one table block: int64 product, leftover primes
 _DENSE_HITS = 8  # a modulus with more hits per block strikes by a strided slice
 _STRIKE_BYTES = 64 + 40 * _DENSE_HITS  # scratch per modulus of one _strikes call, hits included
+_STRIKE_CHUNK = 1 << 16  # moduli per _strikes call of one table level
+_LEVEL_BYTES = 40  # per base prime: a table level's int64 moduli and primes, the next level's, keep
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # level 1 of these is one periodic pattern of the tables
+_WHEEL = math.prod(_WHEEL_PRIMES)  # 30030
+_SMALL_LIMIT = 1000  # primes_up_to(n) for n up to this is a slice of _SMALL_PRIMES
+_SMALL_PRIMES: list[int] = []  # the primes up to _SMALL_LIMIT, filled in at import below
 
 
 def _reserve(nbytes: int, what: str) -> None:
@@ -71,9 +81,12 @@ def _pi_bound(x: int) -> int:
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n as an int64 array: the form 1*n + 0 sieved block by
-    block by primes_up_to(isqrt(n))."""
+    block by primes_up_to(isqrt(n)), down to the primes up to 1000 that
+    are sieved once, at import."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
+    if n <= _SMALL_LIMIT and _SMALL_PRIMES:
+        return np.array(_SMALL_PRIMES[: bisect.bisect_right(_SMALL_PRIMES, n)], dtype=np.int64)
     _reserve(16 * _pi_bound(n), f"primes up to {n}")  # the blocks' primes, then their join
     blocks = _form_blocks([(1, 0)], math.isqrt(n), n)
     return np.concatenate([np.flatnonzero(mask) + lo for lo, mask in blocks])
@@ -238,51 +251,93 @@ def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
 def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None = 1) -> np.ndarray:
     """The multiplicative (or additive) function f over the sieve window.
 
-    The table starts at f(1) = ``one``.  Per block, level k = 1, 2, ...
-    strikes the multiples of p**k below the block end through ``_strikes``,
-    and ``step(k, p)`` lists the updates ``(ufunc, x)`` that take f at them
-    from the contribution of p**(k-1) to that of p**k.  An int64 product
-    of the prime powers found is kept; where it stays below n, the one
-    prime factor above sqrt(block end) is n // product, stepped in last
-    with k = 1.  Blocks touch disjoint slices of the table, so the result
-    is invariant under block size and thread count.
+    ``step(k, p)`` lists the updates ``(ufunc, x)`` that take f at the
+    multiples of p**k from the contribution of p**(k-1) to that of p**k;
+    f(1) = ``one``.  Per block, an int64 product of the prime powers found
+    is kept next to the table slice.
+
+    - Level 1 of the wheel primes 2, 3, 5, 7, 11, 13 repeats with period
+      30030 in f and in the product: it is struck into the first period
+      of the block and copied forward, a doubling run of periods per
+      contiguous copy (the wheel of Pritchard, Acta Informatica 17
+      (1982)).
+    - Level k of every other base prime p <= sqrt(block end), and levels
+      k >= 2 of the wheel primes, strike the multiples of p**k below the
+      block end through ``_strikes``, at most _STRIKE_CHUNK moduli at a
+      time.
+    - Where the product stays below n, the one prime factor q of n above
+      sqrt(block end) is stepped in with k = 1.  Only an update that reads
+      the prime (phi's q - 1) gathers these n and divides n by the
+      product; one that does not (omega's + 1, tau's * 2) is one
+      contiguous call, with x at these n and the ufunc's identity
+      elsewhere.
+
+    Blocks touch disjoint slices of the table, so the result is invariant
+    under block size and thread count.
     """
     lo, hi, base, bs = sieve.lo, sieve.hi, sieve.base_primes, _DEFAULT_BLOCK
     size = hi - lo + 1
     workers = min(max(1, threads or 1), -(-size // bs))
     dtype = np.dtype(dtype)
-    scratch = _BLOCK_SCRATCH * min(bs, size) + _STRIKE_BYTES * base.size  # per worker
+    scratch = (  # per worker
+        _BLOCK_SCRATCH * min(bs, size)
+        + _STRIKE_BYTES * min(base.size, _STRIKE_CHUNK)
+        + _LEVEL_BYTES * base.size
+    )
     _reserve(dtype.itemsize * size + workers * scratch, f"{dtype.name} table for [{lo}, {hi}]")
-    out = np.full(size, one, dtype=dtype)
+    reads_prime = step(1, 2) != step(1, 3)  # phi's level-1 update reads p; omega's and tau's do not
+    out = np.empty(size, dtype=dtype)
 
     def block(a: int) -> None:
         b = min(a + bs, hi + 1)
-        view, prod = out[a - lo : b - lo], np.ones(b - a, dtype=np.int64)
+        view, prod = out[a - lo : b - lo], np.empty(b - a, dtype=np.int64)
+        w = min(b - a, _WHEEL)
+        view[:w], prod[:w] = one, 1
+        for p in _WHEEL_PRIMES:
+            s = (-a) % p
+            prod[s:w:p] *= p
+            v = view[s:w:p]
+            for op, x in step(1, p):
+                op(v, x, out=v)
+        while w < b - a:  # [0, w) is a whole number of periods
+            c = min(w, b - a - w)
+            view[w : w + c], prod[w : w + c] = view[:c], prod[:c]
+            w += c
         ps = base[: np.searchsorted(base, math.isqrt(b - 1), side="right")]
         ms, k = ps, 1
         while ms.size:
-            starts = (-a) % ms
-            dense, offsets, which = _strikes(ms, starts, b - a)
-            for m, s, p in zip(ms[dense].tolist(), starts[dense].tolist(), ps[dense].tolist()):
-                prod[s::m] *= p
-                v = view[s::m]
+            for i in range(len(_WHEEL_PRIMES) if k == 1 else 0, ms.size, _STRIKE_CHUNK):
+                cm, cp = ms[i : i + _STRIKE_CHUNK], ps[i : i + _STRIKE_CHUNK]
+                starts = (-a) % cm
+                dense, offsets, which = _strikes(cm, starts, b - a)
+                for m, s, p in zip(cm[dense].tolist(), starts[dense].tolist(), cp[dense].tolist()):
+                    prod[s::m] *= p
+                    v = view[s::m]
+                    for op, x in step(k, p):
+                        op(v, x, out=v)
+                # ufunc.at, since two primes may hit one n; levels run in order
+                p = cp[which]
+                np.multiply.at(prod, offsets, p)
                 for op, x in step(k, p):
-                    op(v, x, out=v)
-            # ufunc.at, since two primes may hit one n; levels run in order
-            p = ps[which]
-            np.multiply.at(prod, offsets, p)
-            for op, x in step(k, p):
-                op.at(view, offsets, np.asarray(x, dtype))  # a Python int slows ufunc.at
-            del offsets, which, p  # before the next level's hits
+                    op.at(view, offsets, np.asarray(x, dtype))  # a Python int slows ufunc.at
+                del starts, offsets, which, p  # before the next chunk's hits
             keep = ms <= (b - 1) // ps  # p**(k+1) < b, without overflow
-            ps = ps[keep]
-            ms, k = ms[keep] * ps, k + 1
-        big = np.flatnonzero(prod < np.arange(a, b))
-        q = prod[big]
-        del prod
-        np.floor_divide(big + a, q, out=q)
+            ps, ms = ps[keep], ms[keep]
+            ms *= ps
+            k += 1
+        big = prod < np.arange(a, b)
+        if not reads_prime:  # x where big, the ufunc's identity elsewhere
+            for op, x in step(1, 2):
+                u = big * dtype.type(x - op.identity)
+                u += op.identity
+                op(view, u, out=view)
+            return
+        at = np.flatnonzero(big)
+        q = prod[at]
+        del prod, big
+        np.floor_divide(at + a, q, out=q)
         for op, x in step(1, q):
-            op.at(view, big, np.asarray(x, dtype))
+            op.at(view, at, np.asarray(x, dtype))
 
     los = range(lo, hi + 1, bs)
 
@@ -374,7 +429,7 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-_SMALL_PRIMES = [int(p) for p in primes_up_to(1000)]
+_SMALL_PRIMES = primes_up_to(_SMALL_LIMIT).tolist()
 
 
 def _iroot(n: int, k: int) -> int:

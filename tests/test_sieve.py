@@ -6,6 +6,7 @@ a vectorised modulo pass over a self-built prime list and sympy, never the
 stride-sieve code under test.
 """
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -135,6 +136,21 @@ class TestOmegaRange:
         finally:
             tracemalloc.stop()
 
+    def test_short_window_near_2_50_within_budget(self, monkeypatch):
+        # 2 063 689 base primes for 3001 numbers: each level plans its moduli
+        # in chunks, so only a few int64 arrays grow with the base primes
+        budget = 150_000_000
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        sv = ol.build_factor_sieve(2**50 - 3000, 2**50)
+        for table, last in ((ol.omega_range, 1), (ol.tau_range, 51), (ol.phi_range, 2**49)):
+            tracemalloc.start()
+            try:
+                got = table(sv)
+                assert tracemalloc.get_traced_memory()[1] <= budget
+            finally:
+                tracemalloc.stop()
+            assert got.size == 3001 and got[-1] == last
+
     def test_thread_invariance(self, sieve_1e6, omega_1e6):
         assert np.array_equal(omega_1e6, ol.omega_range(sieve_1e6, threads=4))
 
@@ -241,6 +257,62 @@ class TestRangeProperties:
         assert ol.omega_range(sv)[4000] == 3
         assert ol.tau_range(sv)[4000] == 8
         assert ol.phi_range(sv)[4000] == 1008 * 1012 * 1018
+
+
+@st.composite
+def _wheel_windows(draw):
+    """(lo, hi): up to 400 numbers from k * 30030 + d with |d| <= 40, the
+    wheel's period edge, or [1, hi] with hi <= 300."""
+    if draw(st.booleans()):
+        return 1, draw(st.integers(1, 300))
+    lo = max(1, draw(st.integers(0, 10**6)) * 30030 + draw(st.integers(-40, 40)))
+    return lo, lo + draw(st.integers(0, 399))
+
+
+class TestWheel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        window=_wheel_windows(),
+        block=st.one_of(st.integers(1, 64), st.sampled_from([30029, 30030, 30031])),
+    )
+    def test_wheel_edges_against_factorint(self, window, block):
+        lo, hi = window
+        sv = ol.build_factor_sieve(lo, hi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+            om, om2 = ol.omega_range(sv), ol.omega_range(sv, threads=2)
+            tau, phi = ol.tau_range(sv), ol.phi_range(sv)
+        for n in range(lo, hi + 1):
+            fac = sympy.factorint(n)
+            assert om[n - lo] == om2[n - lo] == len(fac)
+            assert tau[n - lo] == math.prod(e + 1 for e in fac.values())
+            assert phi[n - lo] == math.prod((p - 1) * p ** (e - 1) for p, e in fac.items())
+
+
+# sha256 of the tables' bytes as the kernel computed them before the 30030
+# wheel and the contiguous leftover step: omega at threads 1 and 2, tau, phi
+_TABLE_DIGESTS = {
+    (1, 2 * 10**6): (
+        "uint8:74b0d68b71fdbf43e1cdc21b895ecd765cff58cda6b7e99d4430a74f4bedd252",
+        "uint8:74b0d68b71fdbf43e1cdc21b895ecd765cff58cda6b7e99d4430a74f4bedd252",
+        "int32:2f9d221a92166cc209c2ff9ea68fff8df07c58c024a85074e2b9bd9317c86f1c",
+        "int64:2cd5fbcdd0f14573b0a2237c25d15e28a3309f6da7e4e39d3d89946a65a3d5ca",
+    ),
+    (10**12, 10**12 + 10**5): (
+        "uint8:44e74dafdf0b69283c88ae70007149caad817344c1f07c8b267b08c6008314fe",
+        "uint8:44e74dafdf0b69283c88ae70007149caad817344c1f07c8b267b08c6008314fe",
+        "int32:bc600e4bdb2944676f7baa38994cb2f2c6af92133c25921566c746fd7a6912ed",
+        "int64:e33b648fb6ed4e0a24729bfeeb097e0a7bf6ab68bb887620bbbf0728938af89a",
+    ),
+}
+
+
+@pytest.mark.parametrize("lo,hi", list(_TABLE_DIGESTS))
+def test_table_bytes_pinned(lo, hi):
+    sv = ol.build_factor_sieve(lo, hi)
+    tables = (ol.omega_range(sv, threads=1), ol.omega_range(sv, threads=2), ol.tau_range(sv), ol.phi_range(sv))
+    got = tuple(f"{t.dtype.name}:{hashlib.sha256(t.tobytes()).hexdigest()}" for t in tables)
+    assert got == _TABLE_DIGESTS[lo, hi]
 
 
 @st.composite
@@ -374,6 +446,14 @@ class TestPrimality:
             got, mask = ol.primes_up_to(n), ol.prime_mask(n)
         assert got.dtype == np.int64 and got.tolist() == literal
         assert np.flatnonzero(mask).tolist() == literal and mask.size == max(n + 1, 0)
+
+    def test_small_primes_exhaustive(self):
+        # up to 1000 the primes are a copy of a slice of one import-time list
+        for n in range(0, 2001):
+            assert ol.primes_up_to(n).tolist() == [p for p in _PRIMES_TO_3000 if p <= n]
+        got = ol.primes_up_to(100)
+        got[:] = 0
+        assert ol.primes_up_to(100)[0] == 2
 
     def test_primes_honour_budget(self, monkeypatch):
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
