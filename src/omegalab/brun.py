@@ -94,7 +94,8 @@ def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck
 
     Every interval prime must exceed K + 1 so the factors 1 - K/(p-1)
     stay positive.  The divisor-sum route enumerates all subsets when
-    there are at most 20 primes; both routes are exact rationals.
+    there are at most _SUBSET_LIMIT = 12 primes; both routes are exact
+    rationals.
     """
     if K < 1:
         raise DomainError("K must be >= 1")

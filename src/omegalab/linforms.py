@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -166,11 +166,7 @@ class SingularSeriesValue:
     error_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "truncation_prime": self.truncation_prime,
-            "error_bound": self.error_bound,
-        }
+        return asdict(self)
 
 
 def _local_factor_exact(p: int, nroots: int, K: int) -> Fraction:

@@ -114,9 +114,6 @@ class SeriesEnclosure:
     def width(self) -> Fraction:
         return self.tail_hi
 
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
     def nested_in(self, other: "SeriesEnclosure") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
 
@@ -250,7 +247,8 @@ def integrality_probe(a: int, b: int, t: int, N: int) -> dict:
     """Exploration aid: if alpha_t were a/b, then b t^N (alpha - partial)
     would equal a t^N - b * (t^N partial_sum), an integer that must fall
     in the open window (0, b t^N tail_bound...] for the rational to
-    survive.  Returns the integer and the window; no conclusion is drawn.
+    survive.  Returns the integer and the window's upper end; no conclusion
+    is drawn.
     """
     if b < 1:
         raise DomainError("b must be >= 1")
@@ -260,7 +258,6 @@ def integrality_probe(a: int, b: int, t: int, N: int) -> dict:
     probe = a * t**N - b * _horner(_omega_prefix(N), t)
     return {
         "probe_integer": probe,
-        "window_lo": Fraction(0),
         "window_hi": window_hi,
         "consistent": 0 < probe <= window_hi,
     }

@@ -9,10 +9,10 @@ block size and reserves the memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .linforms import LinearFormSystem, SingularSeriesValue, singular_series
@@ -58,8 +58,9 @@ class HLComparison:
     predicted_crude uses S * x / (log x)^K; predicted_integral replaces
     x/(log x)^K by the integral of dt/(log t)^K from 2 to x, which is the
     fairer finite-x yardstick and is our refinement, not part of the
-    asymptotic statement itself.  Ratios are None (flagged undefined)
-    for n_max < 3.
+    asymptotic statement itself.  The integral is reduced by parts to
+    li(x) - li(2) exactly and evaluated at 40 digits.  Ratios are None
+    (flagged undefined) for n_max < 3.
     """
 
     system: LinearFormSystem
@@ -85,6 +86,21 @@ class HLComparison:
         }
 
 
+def _log_power_integral(K: int, x: int) -> float:
+    """int_2^x dt/(log t)^K, rounded to float once.
+
+    I_1 = li(x) - li(2), and integration by parts gives
+    I_(j+1) = (I_j - x/(log x)^j + 2/(log 2)^j) / j; the recurrence runs in
+    40-digit mpmath, far past the cancellation it meets for large K.
+    """
+    with mpmath.workdps(40):
+        x_, two = mpmath.mpf(x), mpmath.mpf(2)
+        integral = mpmath.li(x_) - mpmath.li(two)
+        for j in range(1, K):
+            integral = (integral - x_ / mpmath.log(x_) ** j + two / mpmath.log(two) ** j) / j
+        return float(integral)
+
+
 def hl_compare(
     system: LinearFormSystem,
     n_max: int,
@@ -101,8 +117,7 @@ def hl_compare(
     if n_max < 3:
         return HLComparison(system, n_max, empirical, ss, None, None, None, None)
     crude = ss.value * n_max / math.log(n_max) ** K
-    integral_val, _ = quad(lambda t: 1.0 / math.log(t) ** K, 2.0, float(n_max), limit=200)
-    integral = ss.value * integral_val
+    integral = ss.value * _log_power_integral(K, n_max)
     return HLComparison(
         system=system,
         n_max=n_max,
@@ -149,14 +164,7 @@ class SearchSpec:
         form_family(self.K, self.Q)  # raises unless k^2 | Q for every k <= K
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "Q": self.Q,
-            "L": self.L,
-            "theta2": self.theta2,
-            "theta3": self.theta3,
-            "n_max": self.n_max,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -308,6 +308,16 @@ def test_import_leaves_sympy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only exponent_optimum, which imports it when called
+    code = "import sys, omegalab, omegalab.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 #: header.config keys besides "format": exactly the subcommand's own flags
 CONFIG_KEYS = {
     "params": {"x"},

@@ -1,5 +1,6 @@
 """Packaging: the runtime dependencies in pyproject.toml are exactly the
-third-party packages that the library source imports."""
+third-party packages that the library source imports, and the ones the
+README names."""
 
 import ast
 import re
@@ -24,7 +25,17 @@ def _imported_packages() -> set[str]:
     return names - set(sys.stdlib_module_names) - {"omegalab"}
 
 
-def test_runtime_dependencies_match_imports():
+def _declared() -> set[str]:
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
-    assert _imported_packages() == declared
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
+
+
+def test_runtime_dependencies_match_imports():
+    assert _imported_packages() == _declared()
+
+
+def test_readme_dependencies_match_declared():
+    # the backticked names of the README's "Dependencies:" clause, up to its ";"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    clause = readme.split("\nDependencies:", 1)[1].split(";", 1)[0]
+    assert set(re.findall(r"`([^`]+)`", clause)) == _declared()

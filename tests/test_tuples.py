@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -112,6 +113,18 @@ class TestHLCompare:
         d = ol.hl_compare(TWINS, 10**4).to_dict()
         assert d["empirical"] == ol.count_prime_tuples(TWINS, 10**4)
         assert "note" in d
+
+    @pytest.mark.parametrize("x", [10**4, 10**5])
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_integral_against_mpmath_quad(self, K, x):
+        # the integral of dt/(log t)^K from 2 to x peaks at t = 2 for large K
+        fam = ol.form_family(K, math.lcm(*range(1, K + 1)) ** 2)
+        rep = ol.hl_compare(fam, x)
+        got = rep.predicted_integral / rep.singular_series.value
+        with mpmath.workdps(30):
+            pts = [p for p in (2, 4, 16, 256, 65536) if p < x] + [x]
+            ref = float(mpmath.quad(lambda t: 1 / mpmath.log(t) ** K, pts))
+        assert abs(got - ref) <= 1e-12 * ref
 
 
 class TestSearchN0:

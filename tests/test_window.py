@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import omegalab as ol
 from omegalab.errors import DomainError, PrecisionError
@@ -94,6 +95,19 @@ class TestWindowGeometry:
             window.deriv(9, 1.0)
 
 
+def _quad_oracle(w, s: complex) -> complex:
+    """scipy.integrate.quad on the real and imaginary parts of W(x) x^(s-1)."""
+    s = complex(s)
+
+    def f(x: float) -> complex:
+        return w(x) * x ** (s - 1)
+
+    kw = dict(limit=400, epsabs=1e-13, epsrel=1e-11, points=[0.5, 2.0])
+    re, _ = quad(lambda x: f(x).real, 0.25, 4.0, **kw)
+    im, _ = quad(lambda x: f(x).imag, 0.25, 4.0, **kw)
+    return complex(re, im)
+
+
 class TestMellinTransform:
     def test_value_at_one_within_plateau_support_bracket(self, window):
         v = ol.mellin_transform(window, 1)
@@ -101,10 +115,12 @@ class TestMellinTransform:
         assert 1.5 <= v.real <= 3.75
 
     def test_two_schemes_agree(self, window):
-        for s in (1, 2, 0.5 + 1j, 2 + 3j, 0.5 + 20j):
+        for s in (1, 2, 0.5 + 1j, 2 + 3j, 0.5 + 20j, 0.5 + 40j, 1 + 99j):
             a = ol.mellin_transform(window, s)
             b = ol.mellin_transform_quad(window, s)
+            oracle = _quad_oracle(window, s)
             assert abs(a - b) < 1e-8
+            assert abs(a - oracle) < 1e-8 and abs(b - oracle) < 1e-8
 
     def test_parts_identity_at_reference_point(self, window):
         s = 2 + 3j
@@ -162,6 +178,37 @@ class TestMellinTransform:
         a = ol.mellin_transform(window, 200)
         b = ol.mellin_transform_quad(window, 200)
         assert abs(a - b) <= 1e-10 * abs(b)
+
+    def test_trapezoid_nodes_evaluated_once(self):
+        # each halving of the trapezoid route evaluates only the new midpoints
+        w = ol.build_window()
+        deriv, seen = w.deriv, []
+
+        def recording(j, x):
+            seen.extend(np.asarray(x).tolist())
+            return deriv(j, x)
+
+        w.deriv = recording
+        for s in (1, 0.5 + 40j, 200):
+            seen.clear()
+            ol.mellin_transform_quad(w, s)
+            assert len(seen) > 3 and len(set(seen)) == len(seen)
+
+    def test_trapezoid_first_grid_resolves_oscillation(self, window):
+        # at this t the nodes of the 512- and 1024-interval grids all share
+        # one phase, so their sums agree on int W(x) dx = 2.625; the true
+        # transform is below 1e-15
+        s = 1 + 2j * math.pi * 1024 / math.log(16)
+        assert abs(ol.mellin_transform_quad(window, s)) < 1e-10
+
+    def test_trapezoid_interval_cap(self, window, monkeypatch):
+        monkeypatch.setattr("omegalab.window._MAX_INTERVALS", 64)
+        with pytest.raises(PrecisionError):
+            ol.mellin_transform_quad(window, 2 + 3j)
+
+    def test_trapezoid_overflow_guard(self, window):
+        with pytest.raises(DomainError):
+            ol.mellin_transform_quad(window, -300.0)
 
     def test_pole_guard_in_parts_route(self, window):
         with pytest.raises(DomainError):
