@@ -17,6 +17,7 @@ omega(n0 Q + k) = omega(k * ((Q/k) n0 + 1)) = omega(k) + 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,12 +61,40 @@ def _horner(ws: list[int], t: int) -> int:
     return _horner(ws[:mid], t) * t ** (len(ws) - mid) + _horner(ws[mid:], t)
 
 
+# _coprime(n, d) is n/d for coprime n and d > 0, built without Fraction's gcd
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    _coprime = Fraction._from_coprime_ints
+else:
+
+    def _coprime(n: int, d: int) -> Fraction:
+        return Fraction(n, d, _normalize=False)
+
+
+def _over_power(num: int, t: int, e: int) -> Fraction:
+    """num / t^e as a reduced Fraction, without a gcd of two large integers.
+
+    Every prime of gcd(num, t^e) divides t.  The shared power of 2 comes
+    from the trailing zero bits; the odd rest is divided out by
+    g = gcd(num mod t, t) cut down to g's common part with the
+    denominator, until that is 1.  Each round costs a few passes over
+    num, where Fraction(num, t^e) pays CPython's quadratic gcd.
+    """
+    if num == 0:
+        return Fraction(0)
+    den = t**e
+    z = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    num, den = num >> z, den >> z
+    while (g := math.gcd(num % t, t)) > 1 and (g := math.gcd(den % g, g)) > 1:
+        num, den = num // g, den // g
+    return _coprime(num, den)
+
+
 def partial_sum(t: int, N: int) -> Fraction:
     """Exact sum_{n=1}^{N} omega(n)/t^n as a reduced Fraction."""
     t = _validate_t(t)
     if N < 0:
         raise DomainError("N must be >= 0")
-    return Fraction(_horner(_omega_prefix(N), t), t**N)
+    return _over_power(_horner(_omega_prefix(N), t), t, N)
 
 
 def _tangent_tail(t: int, n: int, e: int) -> Fraction:
@@ -187,7 +216,7 @@ class TailDecomposition:
 def _block_sum(t: int, N: int, b: int, lo_k: int, hi_k: int) -> Fraction:
     """b * sum_{k=lo_k}^{hi_k} omega(N+k)/t^k, omega via certified factorize."""
     ws = [factorize(N + k).omega for k in range(lo_k, hi_k + 1)]
-    return Fraction(b * _horner(ws, t), t**hi_k)
+    return _over_power(b * _horner(ws, t), t, hi_k)
 
 
 def decompose_tail(
@@ -222,7 +251,7 @@ def decompose_tail(
     holds = None
     if applicable:
         ws = [factorize(k).omega + 1 for k in range(1, K + 1)]
-        rhs = Fraction(b * _horner(ws, t), t**K)
+        rhs = _over_power(b * _horner(ws, t), t, K)
         holds = rhs == S1
     return TailDecomposition(
         t=t,

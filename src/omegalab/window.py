@@ -13,7 +13,10 @@ as exact zeros rather than risking 0 * inf in the recurrences.
 
 The Mellin transform W~(s) = int W(x) x^(s-1) dx is evaluated by an
 adaptive Gauss-Legendre scheme with panels split at the structural
-breakpoints and at the oscillation scale 2*pi/|Im s|.  An independent
+breakpoints and at the oscillation scale 2*pi/|Im s|.  Refinement is
+level-batched: each level halves every panel that has not settled and
+evaluates all their halves in one integrand call, and the values are
+summed as the depth-first recursion would sum them.  An independent
 route for cross-checks is the trapezoid rule in u = log x, which
 converges exponentially because W(e^u) e^(su) vanishes to all orders at
 both ends (Trefethen & Weideman, SIAM Review 56 (2014)).  The transform
@@ -132,40 +135,72 @@ def build_window() -> WindowFn:
 # error model, plus an independent trapezoid route.
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_CHUNK = 1 << 12  # panels per integrand call, so node arrays stay bounded for any |Im s|
+# exp(-1/u) in the window tails carries relative noise of (1/u)*eps, up to
+# ~745 eps just above underflow, hence the wide safety factor
+_NOISE = 2048 * np.finfo(float).eps
 
 
-def _panel(f, a: float, b: float) -> complex:
+def _gauss_legendre(f, a: np.ndarray, b: np.ndarray) -> list[complex]:
+    """16-point Gauss-Legendre values of f on the panels [a[i], b[i]]."""
     xm, xr = 0.5 * (a + b), 0.5 * (b - a)
-    xs = xm + xr * _GL_X
-    return complex(xr * np.sum(f(xs) * _GL_W))
+    out: list[complex] = []
+    for i in range(0, len(a), _CHUNK):
+        m, r = xm[i : i + _CHUNK, None], xr[i : i + _CHUNK]
+        fx = f((m + r[:, None] * _GL_X).ravel()).reshape(-1, _GL_X.size)
+        out += (r * np.sum(fx * _GL_W, axis=1)).tolist()
+    return out
 
 
-def _adaptive(
-    f, a: float, b: float, whole: complex, tol: float, depth: int
-) -> tuple[complex, float]:
-    # whole is _panel(f, a, b), already evaluated by the caller; each half
-    # is evaluated once here and handed down as its child's whole
-    m = 0.5 * (a + b)
-    left, right = _panel(f, a, m), _panel(f, m, b)
-    refined = left + right
-    err = abs(whole - refined)
-    # tol acts absolutely for order-one integrals and relatively for the
-    # huge magnitudes that large real parts of s produce on this support;
-    # the final clause stops refinement once the discrepancy is evaluation
-    # noise for the magnitudes involved, which no extra depth can beat.
-    # exp(-1/u) in the window tails carries relative noise of (1/u)*eps,
-    # up to ~745 eps just above underflow, hence the wide safety factor
-    noise = 2048 * np.finfo(float).eps * max(abs(whole), abs(refined))
-    if err <= tol * max(1.0, abs(refined)) or err < 1e-17 or err <= noise:
-        return refined, err
-    if depth <= 0:
-        raise PrecisionError(
-            f"adaptive quadrature on [{a}, {b}] cannot reach tolerance {tol} "
-            f"at the configured refinement depth"
-        )
-    vl, el = _adaptive(f, a, m, left, tol / 2, depth - 1)
-    vr, er = _adaptive(f, m, b, right, tol / 2, depth - 1)
-    return vl + vr, el + er
+def _level_quadrature(f, pts: list[float], tol: float) -> complex:
+    """int f over [pts[0], pts[-1]], each panel between consecutive pts
+    refined by halving until its share of tol is met.
+
+    Breadth first: one level halves every panel still open and evaluates
+    all of their halves in one call of f.  The finished tree is summed
+    leaves up, left + right at each refined panel, then over the top
+    panels, as a depth-first recursion would sum it.
+    """
+    a, b = np.array(pts[:-1]), np.array(pts[1:])
+    values = _gauss_legendre(f, a, b)  # per panel: its whole estimate until settled
+    pending = list(range(len(values)))  # panel indices of the rows of a, b
+    left_of: dict[int, int] = {}  # refined panel -> index of its left half
+    tol /= len(values)
+    for depth in range(_MAX_DEPTH, -1, -1):
+        m = 0.5 * (a + b)
+        a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
+        halves = _gauss_legendre(f, a, b)
+        keep: list[int] = []
+        for j, panel in enumerate(pending):
+            left, right = halves[2 * j], halves[2 * j + 1]
+            whole = values[panel]
+            refined = left + right
+            err = abs(whole - refined)
+            # tol acts absolutely for order-one integrals and relatively for
+            # the huge magnitudes that large real parts of s produce on this
+            # support; the final clause stops refinement once the discrepancy
+            # is evaluation noise for the magnitudes involved, which no extra
+            # depth can beat
+            noise = _NOISE * max(abs(whole), abs(refined))
+            if err <= tol * max(1.0, abs(refined)) or err < 1e-17 or err <= noise:
+                values[panel] = refined
+                continue
+            if depth <= 0:
+                raise PrecisionError(
+                    f"adaptive quadrature on [{a[2 * j]}, {b[2 * j + 1]}] cannot reach "
+                    f"tolerance {tol} at the configured refinement depth"
+                )
+            left_of[panel] = len(values)
+            values += [left, right]
+            keep += [2 * j, 2 * j + 1]
+        if not keep:
+            break
+        a, b = a[keep], b[keep]
+        pending = list(range(len(values) - len(keep), len(values)))
+        tol /= 2
+    for panel, left in reversed(left_of.items()):  # halves settle before their panel
+        values[panel] = values[left] + values[left + 1]
+    return sum(values[: len(pts) - 1])
 
 
 def _mellin_panels(s: complex) -> list[float]:
@@ -189,11 +224,7 @@ def _moment(w: WindowFn, k: int, s: complex, tol: float) -> complex:
     def f(xs: np.ndarray) -> np.ndarray:
         return w.deriv(k, xs) * np.power(xs.astype(complex), s + k - 1)
 
-    pts = _mellin_panels(s)
-    per_panel = tol / (len(pts) - 1)
-    return sum(
-        _adaptive(f, a, b, _panel(f, a, b), per_panel, _MAX_DEPTH)[0] for a, b in zip(pts, pts[1:])
-    )
+    return _level_quadrature(f, _mellin_panels(s), tol)
 
 
 def mellin_transform(w: WindowFn, s: complex, tol: float = 1e-10) -> complex:
@@ -201,10 +232,12 @@ def mellin_transform(w: WindowFn, s: complex, tol: float = 1e-10) -> complex:
 
     Panels start at the structural points {1/4, 1/2, 2, 4} and are
     pre-split to the oscillation scale 2*pi/|Im s|; each panel is then
-    refined until the 16-point estimate is stable to its share of tol.
-    Raises PrecisionError if a panel still misses its share after
-    _MAX_DEPTH = 14 halvings, DomainError when |Re s| is large enough to
-    overflow doubles on the support.
+    halved until the 16-point estimate is stable to its share of tol, its
+    halves getting half that share each.  Refinement is level-batched:
+    one integrand call per level evaluates the halves of every panel
+    still open.  Raises PrecisionError if a panel still misses its share
+    after _MAX_DEPTH = 14 halvings, DomainError when |Re s| is large
+    enough to overflow doubles on the support.
     """
     s = complex(s)
     if abs(s.real) > _MAX_RE_S:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError
+from omegalab.series import _over_power
 
 
 def _trial_omega(n: int) -> int:
@@ -46,6 +47,20 @@ class TestPartialSum:
     def test_literal_sum_property(self, t, N):
         literal = sum(Fraction(_trial_omega(n), t**n) for n in range(1, N + 1))
         assert ol.partial_sum(t, N) == literal
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num=st.integers(-(10**40), 10**40),
+        t=st.integers(2, 10**6),
+        e=st.integers(0, 60),
+        powers=st.tuples(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80)),
+    )
+    def test_reduction_matches_fraction_gcd(self, num, t, e, powers):
+        # valuations of num at t, 2 and 3 both below and above e * v_p(t)
+        num *= t ** powers[0] * 2 ** powers[1] * 3 ** powers[2]
+        got, want = _over_power(num, t, e), Fraction(num, t**e)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,14 +1,17 @@
 """Plateau window geometry, derivative growth, and Mellin decay."""
 
+import hashlib
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import omegalab as ol
 from omegalab.errors import DomainError, PrecisionError
+from omegalab.window import _mellin_panels
 
 
 class TestWindowGeometry:
@@ -108,6 +111,67 @@ def _quad_oracle(w, s: complex) -> complex:
     return complex(re, im)
 
 
+# The depth-first recursion that the level-batched quadrature replaced,
+# kept verbatim as an exact oracle: panel by panel, one integrand call per
+# panel, each refined panel's halves handed down as its children's wholes.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+
+def _panel(f, a: float, b: float) -> complex:
+    xm, xr = 0.5 * (a + b), 0.5 * (b - a)
+    xs = xm + xr * _GL_X
+    return complex(xr * np.sum(f(xs) * _GL_W))
+
+
+def _adaptive(f, a: float, b: float, whole: complex, tol: float, depth: int) -> complex:
+    m = 0.5 * (a + b)
+    left, right = _panel(f, a, m), _panel(f, m, b)
+    refined = left + right
+    err = abs(whole - refined)
+    noise = 2048 * np.finfo(float).eps * max(abs(whole), abs(refined))
+    if err <= tol * max(1.0, abs(refined)) or err < 1e-17 or err <= noise:
+        return refined
+    if depth <= 0:
+        raise PrecisionError(f"adaptive quadrature on [{a}, {b}] cannot reach tolerance {tol}")
+    return _adaptive(f, a, m, left, tol / 2, depth - 1) + _adaptive(f, m, b, right, tol / 2, depth - 1)
+
+
+def _recursive_parts(w, s: complex, k: int, depth: int, tol: float = 1e-10) -> complex:
+    """mellin_via_parts (k = 0: mellin_transform) by the recursive oracle."""
+
+    def f(xs: np.ndarray) -> np.ndarray:
+        return w.deriv(k, xs) * np.power(xs.astype(complex), s + k - 1)
+
+    pts = _mellin_panels(s)
+    per_panel = tol / (len(pts) - 1)
+    moment = sum(_adaptive(f, a, b, _panel(f, a, b), per_panel, depth) for a, b in zip(pts, pts[1:]))
+    if k == 0:
+        return moment
+    denom = 1 + 0j
+    for i in range(k):
+        denom *= s + i
+    return (-1) ** k * moment / denom
+
+
+def _same_outcome(got, want) -> None:
+    """got() == want() exactly, or both raise PrecisionError."""
+    try:
+        expected = want()
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            got()
+        return
+    assert got() == expected
+
+
+def _hex_digest(values) -> str:
+    """sha256 over float.hex of the values, complex ones as real then imag."""
+    parts = []
+    for v in values:
+        parts += [v.real.hex(), v.imag.hex()] if isinstance(v, complex) else [float(v).hex()]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
 class TestMellinTransform:
     def test_value_at_one_within_plateau_support_bracket(self, window):
         v = ol.mellin_transform(window, 1)
@@ -157,22 +221,74 @@ class TestMellinTransform:
             ol.mellin_transform(window, 200, tol=1e-10)
 
     def test_each_panel_evaluated_once(self):
-        # a refined panel's halves are its children's whole estimates, so
-        # within one transform no node array reaches the integrand twice
+        # a refined panel's halves are its children's whole estimates, and
+        # each refinement level is one integrand call over all open panels:
+        # within one transform no node reaches the integrand twice, and the
+        # calls number at most the top level plus one per halving level
         w = ol.build_window()
-        deriv, seen = w.deriv, []
+        deriv, seen, calls = w.deriv, [], []
 
         def recording(j, x):
-            seen.append((j, np.asarray(x).tobytes()))
+            seen.extend(np.asarray(x).tolist())
+            calls.append(j)
             return deriv(j, x)
 
         w.deriv = recording
-        calls = [lambda s=s: ol.mellin_transform(w, s) for s in (1, 0.5 + 40j, 200)]
-        calls += [lambda k=k: ol.mellin_via_parts(w, 2 + 3j, k) for k in (1, 8)]
-        for call in calls:
+        runs = [lambda s=s: ol.mellin_transform(w, s) for s in (1, 0.5 + 40j, 200)]
+        runs += [lambda k=k: ol.mellin_via_parts(w, 2 + 3j, k) for k in (1, 8)]
+        for run in runs:
             seen.clear()
-            call()
+            calls.clear()
+            run()
             assert len(seen) > 3 and len(set(seen)) == len(seen)
+            assert 2 <= len(calls) <= ol.window._MAX_DEPTH + 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(re=st.floats(-30.0, 30.0), im=st.floats(0.0, 150.0))
+    def test_matches_recursive_oracle_exactly(self, window, re, im):
+        s, depth = complex(re, im), ol.window._MAX_DEPTH
+        _same_outcome(lambda: ol.mellin_transform(window, s), lambda: _recursive_parts(window, s, 0, depth))
+        for k in range(0, 9):
+            if any(abs(s + i) < 1e-12 for i in range(k)):
+                continue  # the parts route refuses poles
+            _same_outcome(lambda: ol.mellin_via_parts(window, s, k), lambda: _recursive_parts(window, s, k, depth))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        re=st.floats(-60.0, 250.0),
+        im=st.floats(0.0, 150.0),
+        k=st.integers(0, 8),
+        depth=st.integers(0, 4),
+    )
+    def test_precision_error_exactly_when_recursion_raises(self, window, re, im, k, depth):
+        s = complex(re, im)
+        if any(abs(s + i) < 1e-12 for i in range(k)):
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.window._MAX_DEPTH", depth)
+            _same_outcome(lambda: ol.mellin_via_parts(window, s, k), lambda: _recursive_parts(window, s, k, depth))
+
+    def test_chunked_levels_bit_identical(self, window, monkeypatch):
+        # a level wider than _CHUNK panels is evaluated in several calls
+        s = 0.5 + 99j
+        want = [ol.mellin_via_parts(window, s, k) for k in (0, 3)]
+        monkeypatch.setattr("omegalab.window._CHUNK", 5)
+        assert [ol.mellin_via_parts(window, s, k) for k in (0, 3)] == want
+
+    def test_values_pinned(self, window):
+        # sha256 of float.hex of the values the depth-first recursion
+        # computed: decay profiles (magnitudes, fitted_c, envelope_log_c)
+        # and the parts route at k = 1..8
+        ts = np.linspace(1.0, 200.0, 40)
+        for sigma, digest in (
+            (0.5, "502b06d2ccd5599050b4359ea592da356208ea9d5bc89350046bb82e7eb964c7"),
+            (2.0, "f2c792cde31c6976e928f29ff4eafc0e75761c160abba5f54b2aff9b1e539c32"),
+            (-1.0, "c72257bb17b03d13be9549d668ae42e318f55df65adc384fd1ba5e3e900a3665"),
+        ):
+            p = ol.decay_profile(window, sigma, ts)
+            assert _hex_digest([*p.magnitudes, p.fitted_c, p.envelope_log_c]) == digest
+        parts = [ol.mellin_via_parts(window, s, k) for s in (1, 2 + 3j, 0.5 + 40j, 1 + 99j) for k in range(1, 9)]
+        assert _hex_digest(parts) == "6bb0f5dcf9a7afe7faee148226f39b5990bb1594cef50092b748e0873b8f8625"
 
     def test_large_real_part_matches_quad_route(self, window):
         a = ol.mellin_transform(window, 200)
