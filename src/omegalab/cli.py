@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -376,8 +377,15 @@ def _write_out(config: RunConfig, body: str) -> None:
         sys.stdout.write(body)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main reuses: building the 13 subparsers costs more
+    than most runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         config = _config_from_args(ns)
     except (DomainError, ValueError) as exc:

@@ -8,7 +8,6 @@ where omega_L(p) counts residues v mod p at which some form vanishes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -177,6 +176,39 @@ def _local_factor_exact(p: int, nroots: int, K: int) -> Fraction:
 _LOG_CHUNK = 1 << 16  # primes per chunk of Euler-product log terms
 
 
+def _exact_sum(chunks) -> float:
+    """The exact sum of the finite float64 arrays in chunks, each under 2**26
+    terms, rounded once: the float math.fsum returns for their concatenation
+    (Shewchuk, Discrete Comput. Geom. 18 (1997)) wherever fsum does not
+    overflow.
+
+    Each term is (-1)**s * m * 2**(e - 1075) for its biased exponent e and
+    53-bit mantissa m (subnormals and zeros: no implicit bit, e = 1).  Per
+    chunk, np.bincount sums the two 26-bit halves of m by exponent, signed,
+    in float64, exact below 2**53; int64 buckets then hold every chunk,
+    exact for fewer than 2**36 terms.  The 2048 buckets are joined into one
+    Python int, and the one division by 2**1074 is correctly rounded; it
+    raises OverflowError when the sum rounds beyond the largest float.
+    """
+    hi = np.zeros(2048, dtype=np.int64)
+    lo = np.zeros(2048, dtype=np.int64)
+    u = np.uint64
+    for chunk in chunks:
+        b = np.ascontiguousarray(chunk, dtype=np.float64).view(u)
+        e = (b >> u(52)) & u(0x7FF)
+        m = (b & u((1 << 52) - 1)) | ((e != 0).astype(u) << u(52))
+        e = np.maximum(e, u(1)).astype(np.intp)
+        sign = 1.0 - 2.0 * (b >> u(63)).astype(np.float64)
+        hi += np.bincount(e, weights=(m >> u(26)) * sign, minlength=2048).astype(np.int64)
+        lo += np.bincount(e, weights=(m & u((1 << 26) - 1)) * sign, minlength=2048).astype(np.int64)
+    total = sum(
+        ((h << 26) + l) << (e - 1)
+        for e, (h, l) in enumerate(zip(hi.tolist(), lo.tolist()))
+        if h or l
+    )
+    return total / (1 << 1074)
+
+
 def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
     """prod (1 - K/p)(1 - 1/p)^(-K) over the primes p <= P outside
     exceptional, and the tail bound for the primes beyond P (see
@@ -188,11 +220,9 @@ def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
     def logs():  # chunked, so the float terms never exist all at once
         for i in range(0, ps.size, _LOG_CHUNK):
             q = ps[i : i + _LOG_CHUNK].astype(np.float64)
-            yield (np.log1p(-K / q) - K * np.log1p(-1.0 / q)).tolist()
+            yield np.log1p(-K / q) - K * np.log1p(-1.0 / q)
 
-    # fsum rounds the exact sum of the terms, so chunking leaves it unchanged
-    total = math.fsum(itertools.chain.from_iterable(logs()))
-    return math.exp(total), (0.0 if K == 1 else 2.0 * K * K / P)
+    return math.exp(_exact_sum(logs())), (0.0 if K == 1 else 2.0 * K * K / P)
 
 
 def singular_series(system: LinearFormSystem, truncation_prime: int) -> SingularSeriesValue:
@@ -200,7 +230,8 @@ def singular_series(system: LinearFormSystem, truncation_prime: int) -> Singular
 
     Exceptional primes (p <= K, p | a_k, or p dividing a pairwise
     resultant) get exact rational local factors; for every other prime
-    omega_L(p) = K, and those logs are summed compensated in numpy.
+    omega_L(p) = K, and those logs are summed exactly in numpy buckets and
+    rounded once (the float math.fsum returns).
     For p >= 2K the local log is bounded by K^2/p^2, giving the certified
     tail bound 2 K^2 / P; for K = 1 the tail factors are identically 1
     and the bound is 0.

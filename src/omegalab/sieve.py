@@ -1,13 +1,15 @@
 """Exact multiplicative backbone: one blocked multiplicative sieve for the
 omega/tau/phi range tables, one block sieve over n for the values of
-linear forms a*n + b (behind the primes themselves and omegalab.tuples),
-and certified scalar factorization.  Both sieves strike residue classes
-block by block through one helper, ``_strikes``.  The tables take the
-first power of the primes up to 13 from a wheel, one period of 30030
-copied across each block, and only phi reads the one prime factor of n
-above the square root of the block end; omega and tau count it in one
-contiguous pass.  Every allocation is first reserved by ``_reserve``
-against OMEGALAB_MEMORY_BUDGET, read anew at each call.
+linear forms a*n + b (behind the primes themselves, as the odd numbers
+2i + 1, and omegalab.tuples), and certified scalar factorization.  Both
+sieves strike residue classes block by block through one helper,
+``_strikes``: a strided slice for a modulus with more than _DENSE_HITS
+(64) hits in the block, one gathered offset array for the rest.  The
+tables take the first power of the primes up to 13 from a wheel, one
+period of 30030 copied across each block, and only phi reads the one
+prime factor of n above the square root of the block end; omega and tau
+count it in one contiguous pass.  Every allocation is first reserved by
+``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew at each call.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -52,9 +54,8 @@ _BUDGET_ENV = "OMEGALAB_MEMORY_BUDGET"
 _DEFAULT_BUDGET = 2_000_000_000  # bytes
 _DEFAULT_BLOCK = 1 << 20  # numbers per block of either sieve
 _BLOCK_SCRATCH = 24  # bytes per n of one table block: int64 product, leftover primes
-_DENSE_HITS = 8  # a modulus with more hits per block strikes by a strided slice
-_STRIKE_BYTES = 64 + 40 * _DENSE_HITS  # scratch per modulus of one _strikes call, hits included
-_STRIKE_CHUNK = 1 << 16  # moduli per _strikes call of one table level
+_DENSE_HITS = 64  # a modulus with more hits per block strikes by a strided slice
+_STRIKE_CHUNK = 1 << 13  # moduli per _strikes call of one table level
 _LEVEL_BYTES = 40  # per base prime: a table level's int64 moduli and primes, the next level's, keep
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # level 1 of these is one periodic pattern of the tables
 _WHEEL = math.prod(_WHEEL_PRIMES)  # 30030
@@ -80,16 +81,17 @@ def _pi_bound(x: int) -> int:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array: the form 1*n + 0 sieved block by
-    block by primes_up_to(isqrt(n)), down to the primes up to 1000 that
-    are sieved once, at import."""
+    """All primes <= n as an int64 array: 2, then the odd primes as the form
+    2i + 1 sieved block by block over i by primes_up_to(isqrt(n)) (2 divides
+    no value, so only the odd numbers are ever struck), down to the primes
+    up to 1000 that are sieved once, at import."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     if n <= _SMALL_LIMIT and _SMALL_PRIMES:
         return np.array(_SMALL_PRIMES[: bisect.bisect_right(_SMALL_PRIMES, n)], dtype=np.int64)
     _reserve(16 * _pi_bound(n), f"primes up to {n}")  # the blocks' primes, then their join
-    blocks = _form_blocks([(1, 0)], math.isqrt(n), n)
-    return np.concatenate([np.flatnonzero(mask) + lo for lo, mask in blocks])
+    blocks = _form_blocks([(2, 1)], math.isqrt(n), (n - 1) // 2)
+    return np.concatenate([[2], *(2 * (np.flatnonzero(mask) + lo) + 1 for lo, mask in blocks)])
 
 
 def prime_mask(n: int) -> np.ndarray:
@@ -121,6 +123,13 @@ def _strikes(ms: np.ndarray, starts: np.ndarray, n: int):
     offsets *= ms[which]
     offsets += starts[which]
     return dense, offsets, which
+
+
+def _strike_bytes(ms: np.ndarray, n: int) -> int:
+    """Scratch of one ``_strikes`` call over the moduli ms in [0, n), hits
+    included: 64 bytes per modulus and 40 per gathered hit, of which a
+    modulus m plans at most min(_DENSE_HITS, ceil(n / m))."""
+    return 64 * ms.size + 40 * int(np.minimum(-(-n // ms), _DENSE_HITS).sum())
 
 
 def _residues(x: int, ps: np.ndarray) -> np.ndarray:
@@ -183,17 +192,18 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
 def _form_blocks(pairs, bound: int, n_max: int):
     """(lo, mask) over ascending blocks [lo, lo + len(mask)) of [1, n_max];
     mask is True where no value a*n + b of the forms (a, b) in ``pairs`` is
-    below 2 or has a prime factor up to ``bound`` other than itself.  The
-    base primes, each form's roots and two block masks are reserved first.
+    below 2 or has a prime factor up to ``bound`` other than itself.  Once
+    the base primes are listed, their roots for each form, one form's
+    strikes and two block masks are reserved before the first block.
     """
+    base = primes_up_to(bound)
+    block = min(n_max, _DEFAULT_BLOCK)
     _reserve(
         # int64 entries per base prime: the base, each form's primes and
-        # roots, and the transient root arithmetic; one form's strikes
-        _pi_bound(bound) * (8 * (2 * len(pairs) + 6) + _STRIKE_BYTES)
-        + 2 * min(n_max, _DEFAULT_BLOCK),
+        # roots, and the transient root arithmetic
+        8 * (2 * len(pairs) + 6) * base.size + _strike_bytes(base, block) + 2 * block,
         f"block sieve of {len(pairs)} forms by the primes up to {bound}",
     )
-    base = primes_up_to(bound)
     sieves = [_form_sieve(a, b, base) for a, b in pairs]
     for lo in range(1, n_max + 1, _DEFAULT_BLOCK):
         hi = min(lo + _DEFAULT_BLOCK, n_max + 1)
@@ -281,7 +291,9 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
     dtype = np.dtype(dtype)
     scratch = (  # per worker
         _BLOCK_SCRATCH * min(bs, size)
-        + _STRIKE_BYTES * min(base.size, _STRIKE_CHUNK)
+        # the first chunk of level 1 plans the most hits: later chunks and
+        # higher levels strike larger moduli
+        + _strike_bytes(base[:_STRIKE_CHUNK], min(bs, size))
         + _LEVEL_BYTES * base.size
     )
     _reserve(dtype.itemsize * size + workers * scratch, f"{dtype.name} table for [{lo}, {hi}]")
@@ -500,12 +512,15 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Full factorization of n >= 1; every prime is certified by is_prime.
+    """Full factorization of n >= 1 into certified primes.
 
-    Trial division below 1000, then perfect-power detection and Brent's
-    cycle method on what remains.  A cofactor that the Miller-Rabin rounds
-    prove composite is split at any size; one that passes them at or above
-    the certified primality range raises DomainError.  Deterministic.
+    Trial division below 1000 certifies a cofactor m > 1 as prime once the
+    next trial prime p has p * p > m.  What remains goes to perfect-power
+    detection and Brent's cycle method, and each prime found is certified
+    by the Miller-Rabin rounds below their limit.  A cofactor that those
+    rounds prove composite is split at any size; one that passes them at
+    or above the certified primality range raises DomainError.
+    Deterministic.
     """
     n = int(n)
     if n < 1:
@@ -514,6 +529,9 @@ def factorize(n: int) -> Factorization:
     m = n
     for p in _SMALL_PRIMES:
         if p * p > m:
+            if m > 1:  # no prime factor below p, and p * p > m: m is prime
+                powers[m] = 1
+            m = 1
             break
         while m % p == 0:
             powers[p] = powers.get(p, 0) + 1

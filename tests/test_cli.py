@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from omegalab.cli import _DISPATCH, main
+from omegalab.cli import _DISPATCH, _parser, build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -181,6 +181,21 @@ class TestOutputPlumbing:
         rc2, out2 = run_cli(argv, capsys)
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    def test_one_parser_serves_successive_commands(self, capsys):
+        # main reuses one parser; a run must not see the flags of the last
+        rc1, doc1 = run_json(["alpha", "--t", "2", "--N", "10"], capsys)
+        rc2, doc2 = run_json(["tuple-count", "--forms", '[{"a":1,"b":0},{"a":1,"b":2}]',
+                              "--n-max", "100"], capsys)
+        rc3, doc3 = run_json(["alpha", "--t", "3", "--N", "4"], capsys)
+        assert rc1 == rc2 == rc3 == 0
+        assert doc1["result"]["partial"] == "33/64"
+        assert doc2["result"]["count"] == 8
+        assert doc3["result"]["partial"] == "13/81"  # (0*27 + 1*9 + 1*3 + 1) / 3**4
+        assert set(doc3["header"]["config"]) == set(doc1["header"]["config"]) == {"format"} | CONFIG_KEYS["alpha"]
+        assert set(doc2["header"]["config"]) == {"format"} | CONFIG_KEYS["tuple-count"]
+        assert _parser() is _parser() and _parser.cache_info().currsize == 1
+        assert build_parser() is not build_parser()
 
     def test_timing_present_by_default(self, capsys):
         rc, out = run_cli(["optimum"], capsys)

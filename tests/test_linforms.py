@@ -6,12 +6,16 @@ for the singular series is an exact Fraction product using that loop.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, PreconditionError
+from omegalab.linforms import _exact_sum
 
 
 def brute_roots(system, d: int) -> int:
@@ -156,6 +160,61 @@ class TestSingularSeries:
         prop = ol.LinearFormSystem.from_pairs([(1, 1), (2, 2)])
         with pytest.raises(DomainError):
             ol.singular_series(prop, 10**4)
+
+
+_MAX = sys.float_info.max
+_OVERFLOW = 2**1024 - 2**970  # an exact sum at least this large rounds past _MAX
+
+
+@st.composite
+def _chunked_terms(draw):
+    """(terms, chunks): finite floats over the whole exponent range, with
+    ±0, subnormals, the largest float and pairs that cancel, cut into
+    chunks at random points, empty chunks included."""
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, _MAX, -_MAX])
+    terms = draw(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), special), max_size=40))
+    terms += [-x for x in draw(st.lists(st.sampled_from(terms), max_size=10))] if terms else []
+    terms = draw(st.permutations(terms))
+    cuts = sorted(draw(st.lists(st.integers(0, len(terms)), max_size=6)))
+    edges = [0, *cuts, len(terms)]
+    return terms, [np.array(terms[a:b], dtype=np.float64) for a, b in zip(edges, edges[1:])]
+
+
+class TestExactSum:
+    @settings(max_examples=400, deadline=None)
+    @given(_chunked_terms())
+    def test_matches_fsum_bit_for_bit(self, case):
+        terms, chunks = case
+        exact = sum(map(Fraction, terms), Fraction(0))
+        if abs(exact) >= _OVERFLOW:  # the rounded sum overflows: both raise
+            with pytest.raises(OverflowError):
+                math.fsum(terms)
+            with pytest.raises(OverflowError):
+                _exact_sum(chunks)
+            return
+        got = _exact_sum(chunks)
+        assert got.hex() == float(exact).hex()
+        try:
+            want = math.fsum(terms)
+        except OverflowError:  # a partial sum of fsum overflowed, the exact sum did not
+            return
+        assert got.hex() == want.hex()  # the sign of zero included
+
+    def test_intermediate_overflow_of_fsum_is_rounded(self):
+        with pytest.raises(OverflowError):
+            math.fsum([_MAX, _MAX, -_MAX])
+        assert _exact_sum([np.array([_MAX, _MAX]), np.array([-_MAX])]) == _MAX
+
+    def test_zero_sums_are_positive_zero(self):
+        for chunks in ([], [np.array([])], [np.array([-0.0, -0.0])], [np.array([1.5]), np.array([-1.5])]):
+            assert _exact_sum(chunks).hex() == "0x0.0p+0"
+
+    def test_euler_terms_match_fsum(self):
+        q = ol.primes_up_to(10**6).astype(np.float64)
+        for K in (2, 3, 8):
+            terms = np.log1p(-K / q[q > K]) - K * np.log1p(-1.0 / q[q > K])
+            chunks = np.array_split(terms, 7)
+            assert _exact_sum(chunks).hex() == math.fsum(terms.tolist()).hex()
 
 
 class TestSystemPlumbing:

@@ -259,6 +259,75 @@ class TestRangeProperties:
         assert ol.phi_range(sv)[4000] == 1008 * 1012 * 1018
 
 
+def _literal_search(spec):
+    """The least n that search_n0 must return, by a plain scan with sympy."""
+    for n in range(1, spec.n_max + 1):
+        if not all(sympy.isprime((spec.Q // k) * n + 1) for k in range(1, spec.K + 1)):
+            continue
+        ws = {k: len(sympy.factorint(n * spec.Q + k)) for k in range(spec.K + 1, spec.L + 1)}
+        if max(ws.values()) <= spec.theta2 and ws[spec.K + 1] > spec.theta3:
+            return n
+    return None
+
+
+_PLAN_WINDOWS = ((1, 4000), (10**12, 10**12 + 1000))
+_PLAN_SPECS = (
+    ol.SearchSpec(K=3, Q=36, L=6, theta2=4, theta3=0, n_max=200),
+    ol.SearchSpec(K=4, Q=144, L=10, theta2=4, theta3=1, n_max=2000),
+    ol.SearchSpec(K=2, Q=4, L=4, theta2=1, theta3=1, n_max=300),
+)
+
+
+@pytest.fixture(scope="module")
+def plan_oracle():
+    """Oracle values for the strike-plan checks: sympy factorint per n, a
+    literal prime list, literal tuple counts and search scans."""
+    tables = {}
+    for lo, hi in _PLAN_WINDOWS:
+        facs = [sympy.factorint(n) for n in range(lo, hi + 1)]
+        tables[lo, hi] = (
+            [len(f) for f in facs],
+            [math.prod(e + 1 for e in f.values()) for f in facs],
+            [math.prod((p - 1) * p ** (e - 1) for p, e in f.items()) for f in facs],
+        )
+    primes = _trial_primes(30011)
+    pset = set(primes)
+    family = ol.form_family(4, 144)
+    return {
+        "tables": tables,
+        "primes": primes,
+        "twins": sum(1 for n in range(1, 30001) if n in pset and n + 2 in pset),
+        "family": sum(
+            1 for n in range(1, 3001) if all(sympy.isprime(f(n)) for f in family.forms)
+        ),
+        "search": [_literal_search(spec) for spec in _PLAN_SPECS],
+    }
+
+
+class TestStrikePlan:
+    # the split between strided and gathered strikes is a plan, never a
+    # result: every threshold, from all strided (0) to all gathered (1e9),
+    # at a small and the default block, gives the oracle's values
+    @pytest.mark.parametrize("block", [127, None])
+    @pytest.mark.parametrize("dense_hits", [0, 1, 8, 64, 10**9])
+    def test_results_independent_of_dense_threshold(self, dense_hits, block, plan_oracle, monkeypatch):
+        monkeypatch.setattr("omegalab.sieve._DENSE_HITS", dense_hits)
+        if block is not None:
+            monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+        for window, (om, tau, phi) in plan_oracle["tables"].items():
+            sv = ol.build_factor_sieve(*window)
+            assert ol.omega_range(sv).tolist() == om
+            assert ol.omega_range(sv, threads=2).tolist() == om
+            assert ol.tau_range(sv).tolist() == tau
+            assert ol.phi_range(sv).tolist() == phi
+        assert ol.primes_up_to(30011).tolist() == plan_oracle["primes"]
+        assert ol.count_prime_tuples(ol.LinearFormSystem.from_pairs([(1, 0), (1, 2)]), 30000) == plan_oracle["twins"]
+        assert ol.count_prime_tuples(ol.form_family(4, 144), 3000) == plan_oracle["family"]
+        for spec, n0 in zip(_PLAN_SPECS, plan_oracle["search"]):
+            w = ol.search_n0(spec)
+            assert (w.n0 if w else None) == n0
+
+
 @st.composite
 def _wheel_windows(draw):
     """(lo, hi): up to 400 numbers from k * 30030 + d with |d| <= 40, the
@@ -392,6 +461,28 @@ class TestScalarFactorization:
         p = sympy.nextprime(3_317_044_064_679_887_385_961_981)
         with pytest.raises(DomainError):
             ol.factorize(3 * p)
+
+    def test_trial_division_certifies_below_997_squared(self, monkeypatch):
+        # the trial primes end at 997, so below 997**2 the loop always stops
+        # at p * p > m and leaves 1 or a prime: Miller-Rabin is never run
+        def refuse(n):
+            raise AssertionError(f"Miller-Rabin run on {n}")
+
+        monkeypatch.setattr("omegalab.sieve._miller_rabin", refuse)
+        limit = 997**2
+        spf = np.zeros(limit, dtype=np.int64)  # smallest prime factor, 0 at primes
+        for d in range(2, 998):
+            if not spf[d]:
+                s = spf[d * d :: d]
+                s[s == 0] = d
+        spf = spf.tolist()
+        for n in range(1, limit):
+            expect, m = {}, n
+            while m > 1:
+                p = spf[m] or m
+                expect[p] = expect.get(p, 0) + 1
+                m //= p
+            assert ol.factorize(n).factors == tuple(sorted(expect.items()))
 
     def test_scalar_helpers_consistent(self, omega_1e6):
         for n in (1, 2, 97, 5040, 123456):
