@@ -38,7 +38,7 @@ from .brun import (
 from .errors import DomainError, PrecisionError, PreconditionError, ResourceError
 from .linforms import LinearFormSystem, is_admissible, singular_series
 from .params import derive_params, exponent_optimum
-from .series import alpha_enclosure, decompose_tail, integrality_probe
+from .series import _exact_text, _fits_decimal, alpha_enclosure, decompose_tail, integrality_probe
 from .sieve import factorize
 from .tuples import SearchSpec, hl_compare, count_prime_tuples, search_n0, verify_witness
 from .window import build_window, decay_profile
@@ -120,11 +120,12 @@ def _cmd_alpha(cfg: RunConfig) -> dict:
         raise DomainError("--probe-a and --probe-b must be given together")
     if f.get("probe_a") is not None:
         probe = integrality_probe(f["probe_a"], f["probe_b"], f["t"], f["N"])
+        k = probe["probe_integer"]
         out["integrality_probe"] = {
             "a": f["probe_a"],
             "b": f["probe_b"],
-            "probe_integer": probe["probe_integer"],
-            "window_hi": str(probe["window_hi"]),
+            "probe_integer": k if _fits_decimal(k) else f"{k:#x}",
+            "window_hi": _exact_text(probe["window_hi"]),
             "consistent": probe["consistent"],
         }
     return out

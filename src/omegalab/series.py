@@ -18,6 +18,7 @@ omega(n0 Q + k) = omega(k * ((Q/k) n0 + 1)) = omega(k) + 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,6 +90,22 @@ def _over_power(num: int, t: int, e: int) -> Fraction:
     return _coprime(num, den)
 
 
+def _fits_decimal(*xs: int) -> bool:
+    """Whether str() can print each x: the interpreter refuses more decimal
+    digits than sys.get_int_max_str_digits() (0 means no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # below 2**(3 limit) < 10**limit without computing the power
+    return not limit or all(abs(x).bit_length() <= 3 * limit or abs(x) < 10**limit for x in xs)
+
+
+def _exact_text(x: Fraction) -> str:
+    """x as decimal p/q while both fit the decimal limit, else as hex
+    0x.../0x..., which int(part, 16) reads back at any length."""
+    if _fits_decimal(x.numerator, x.denominator):
+        return str(x)
+    return f"{x.numerator:#x}/{x.denominator:#x}"
+
+
 def partial_sum(t: int, N: int) -> Fraction:
     """Exact sum_{n=1}^{N} omega(n)/t^n as a reduced Fraction."""
     t = _validate_t(t)
@@ -150,8 +167,8 @@ class SeriesEnclosure:
         return {
             "t": self.t,
             "N": self.N,
-            "partial": str(self.partial),
-            "tail_hi": str(self.tail_hi),
+            "partial": _exact_text(self.partial),
+            "tail_hi": _exact_text(self.tail_hi),
             "lo_decimal": float(self.lo),
             "hi_decimal": float(self.hi),
             "width_decimal": float(self.width),
@@ -201,15 +218,15 @@ class TailDecomposition:
             "L": self.L,
             "M": self.M,
             "N": self.N,
-            "S1": str(self.S1),
-            "S2": str(self.S2),
-            "S3_truncated": str(self.S3_truncated),
-            "S3_tail_hi": str(self.S3_tail_hi),
+            "S1": _exact_text(self.S1),
+            "S2": _exact_text(self.S2),
+            "S3_truncated": _exact_text(self.S3_truncated),
+            "S3_tail_hi": _exact_text(self.S3_tail_hi),
             "total_lo_decimal": float(self.total_lo),
             "total_hi_decimal": float(self.total_hi),
             "identity_applicable": self.identity_applicable,
             "identity_holds": self.identity_holds,
-            "identity_rhs": str(self.identity_rhs) if self.identity_rhs is not None else None,
+            "identity_rhs": _exact_text(self.identity_rhs) if self.identity_rhs is not None else None,
         }
 
 

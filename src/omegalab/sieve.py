@@ -6,10 +6,12 @@ sieves strike residue classes block by block through one helper,
 ``_strikes``: a strided slice for a modulus with more than _DENSE_HITS
 (64) hits in the block, one gathered offset array for the rest.  The
 tables take the first power of the primes up to 13 from a wheel, one
-period of 30030 copied across each block, and only phi reads the one
-prime factor of n above the square root of the block end; omega and tau
-count it in one contiguous pass.  Every allocation is first reserved by
-``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew at each call.
+period of 30030 copied across each block, and keep the product of the
+prime powers found in uint32 while the window ends below 2**32.  The one
+prime factor of n above the square root of the block end is stepped in
+by one contiguous pass over the block.  Every allocation is first
+reserved by ``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew at
+each call.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -53,7 +55,7 @@ MAX_SIEVE_HI = 1 << 50
 _BUDGET_ENV = "OMEGALAB_MEMORY_BUDGET"
 _DEFAULT_BUDGET = 2_000_000_000  # bytes
 _DEFAULT_BLOCK = 1 << 20  # numbers per block of either sieve
-_BLOCK_SCRATCH = 24  # bytes per n of one table block: int64 product, leftover primes
+_BLOCK_SCRATCH = 24  # bytes per n of one table block: the product and the leftover pass, 17 at most
 _DENSE_HITS = 64  # a modulus with more hits per block strikes by a strided slice
 _STRIKE_CHUNK = 1 << 13  # moduli per _strikes call of one table level
 _LEVEL_BYTES = 40  # per base prime: a table level's int64 moduli and primes, the next level's, keep
@@ -263,8 +265,10 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
 
     ``step(k, p)`` lists the updates ``(ufunc, x)`` that take f at the
     multiples of p**k from the contribution of p**(k-1) to that of p**k;
-    f(1) = ``one``.  Per block, an int64 product of the prime powers found
-    is kept next to the table slice.
+    f(1) = ``one``.  Per block, the product of the prime powers found is
+    kept next to the table slice.  It divides some n <= hi, so it is a
+    uint32 array when hi < 2**32, which halves the bytes that the strided
+    strikes touch, and an int64 one otherwise.
 
     - Level 1 of the wheel primes 2, 3, 5, 7, 11, 13 repeats with period
       30030 in f and in the product: it is struck into the first period
@@ -276,11 +280,12 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
       block end through ``_strikes``, at most _STRIKE_CHUNK moduli at a
       time.
     - Where the product stays below n, the one prime factor q of n above
-      sqrt(block end) is stepped in with k = 1.  Only an update that reads
-      the prime (phi's q - 1) gathers these n and divides n by the
-      product; one that does not (omega's + 1, tau's * 2) is one
-      contiguous call, with x at these n and the ufunc's identity
-      elsewhere.
+      sqrt(block end) is stepped in with k = 1, in one contiguous pass
+      over the block.  An update that does not read the prime (omega's
+      + 1, tau's * 2) takes x where the product is below n and the
+      ufunc's identity elsewhere.  phi's q - 1 reads it: n // product is
+      q, or 1 where no prime is left over, and the block is multiplied
+      by that quotient less 1 where it exceeds 1.
 
     Blocks touch disjoint slices of the table, so the result is invariant
     under block size and thread count.
@@ -298,11 +303,12 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
     )
     _reserve(dtype.itemsize * size + workers * scratch, f"{dtype.name} table for [{lo}, {hi}]")
     reads_prime = step(1, 2) != step(1, 3)  # phi's level-1 update reads p; omega's and tau's do not
+    prod_type = np.uint32 if hi >> 32 == 0 else np.int64  # the product divides some n <= hi
     out = np.empty(size, dtype=dtype)
 
     def block(a: int) -> None:
         b = min(a + bs, hi + 1)
-        view, prod = out[a - lo : b - lo], np.empty(b - a, dtype=np.int64)
+        view, prod = out[a - lo : b - lo], np.empty(b - a, dtype=prod_type)
         w = min(b - a, _WHEEL)
         view[:w], prod[:w] = one, 1
         for p in _WHEEL_PRIMES:
@@ -329,7 +335,7 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
                         op(v, x, out=v)
                 # ufunc.at, since two primes may hit one n; levels run in order
                 p = cp[which]
-                np.multiply.at(prod, offsets, p)
+                np.multiply.at(prod, offsets, p.astype(prod_type, copy=False))
                 for op, x in step(k, p):
                     op.at(view, offsets, np.asarray(x, dtype))  # a Python int slows ufunc.at
                 del starts, offsets, which, p  # before the next chunk's hits
@@ -337,19 +343,18 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
             ps, ms = ps[keep], ms[keep]
             ms *= ps
             k += 1
-        big = prod < np.arange(a, b)
-        if not reads_prime:  # x where big, the ufunc's identity elsewhere
-            for op, x in step(1, 2):
-                u = big * dtype.type(x - op.identity)
-                u += op.identity
-                op(view, u, out=view)
+        n = np.arange(a, b, dtype=prod_type)
+        if reads_prime:  # phi: n // prod is the prime left over, or 1 where none is
+            n //= prod
+            n -= n > 1  # q - 1 for a prime q, and 1 stays 1
+            view *= n
             return
-        at = np.flatnonzero(big)
-        q = prod[at]
-        del prod, big
-        np.floor_divide(at + a, q, out=q)
-        for op, x in step(1, q):
-            op.at(view, at, np.asarray(x, dtype))
+        big = prod < n  # x where big, the ufunc's identity elsewhere
+        del prod, n
+        for op, x in step(1, 2):
+            u = big * dtype.type(x - op.identity)
+            u += op.identity
+            op(view, u, out=view)
 
     los = range(lo, hi + 1, bs)
 

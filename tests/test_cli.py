@@ -6,11 +6,13 @@ import json
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from omegalab.cli import _DISPATCH, _parser, build_parser, main
+from omegalab.series import decompose_tail, integrality_probe, partial_sum, tail_bound
 
 
 def run_cli(argv, capsys):
@@ -21,6 +23,11 @@ def run_cli(argv, capsys):
 def run_json(argv, capsys):
     rc, out = run_cli(argv + ["--no-timing"], capsys)
     return rc, json.loads(out)
+
+
+def read(text):
+    """An exact report field printed as hex p/q."""
+    return Fraction(*(int(part, 16) for part in text.split("/")))
 
 
 class TestReports:
@@ -41,6 +48,27 @@ class TestReports:
         probe = doc["result"]["integrality_probe"]
         assert probe["probe_integer"] == 1 * 2**10 - 2 * 528
         assert probe["consistent"] in (True, False)
+
+    def test_alpha_past_the_decimal_digit_limit(self, capsys):
+        # 2**20000 has 6021 decimal digits, more than str() prints by
+        # default: the exact fields come in hex and read back exactly
+        rc, doc = run_json(["alpha", "--t", "2", "--N", "20000", "--probe-a", "1", "--probe-b", "2"], capsys)
+        assert rc == 0
+        res, probe = doc["result"], doc["result"]["integrality_probe"]
+        assert read(res["partial"]) == partial_sum(2, 20000)
+        assert read(res["tail_hi"]) == tail_bound(2, 20000)
+        ref = integrality_probe(1, 2, 2, 20000)
+        assert int(probe["probe_integer"], 16) == ref["probe_integer"]
+        assert Fraction(probe["window_hi"]) == ref["window_hi"]  # 600034/20001 fits in decimal
+
+    def test_decompose_past_the_decimal_digit_limit(self, capsys):
+        argv = ["decompose", "--t", "2", "--b", "1", "--n0", "3", "--Q", "4", "--K", "2", "--L", "4", "--M", "20000"]
+        rc, doc = run_json(argv, capsys)
+        assert rc == 0
+        r, ref = doc["result"], decompose_tail(2, 1, 3, 2, 4, 4, 20000)
+        assert (r["S1"], r["S2"]) == ("1", "5/16")
+        assert read(r["S3_truncated"]) == ref.S3_truncated
+        assert read(r["S3_tail_hi"]) == ref.S3_tail_hi
 
     def test_tuple_count_twins(self, capsys):
         forms = '[{"a":1,"b":0},{"a":1,"b":2}]'

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, ResourceError
+from omegalab.sieve import _strike_bytes, _strikes
 
 
 def _trial_omega(n: int) -> int:
@@ -259,6 +260,27 @@ class TestRangeProperties:
         assert ol.phi_range(sv)[4000] == 1008 * 1012 * 1018
 
 
+class TestProductWidth:
+    # below 2**32 the kernel holds the product of the prime powers found in
+    # uint32, from 2**32 on in int64: windows that end on either side of the
+    # switch or straddle it, in blocks of 256, against sympy
+    @pytest.mark.parametrize("lo,hi", [(2**32 - 1200, 2**32 - 1), (2**32 - 1200, 2**32), (2**32 - 600, 2**32 + 600)])
+    def test_tables_at_2_32_against_factorint(self, lo, hi, monkeypatch):
+        monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", 256)
+        sv = ol.build_factor_sieve(lo, hi)
+        om, om2 = ol.omega_range(sv, threads=1), ol.omega_range(sv, threads=2)
+        tau, phi = ol.tau_range(sv), ol.phi_range(sv)
+        for n in range(lo, hi + 1):
+            fac = sympy.factorint(n)
+            assert om[n - lo] == om2[n - lo] == len(fac)
+            assert tau[n - lo] == math.prod(e + 1 for e in fac.values())
+            assert phi[n - lo] == math.prod((p - 1) * p ** (e - 1) for p, e in fac.items())
+        # 2**32 - 1 = 3 * 5 * 17 * 257 * 65537 is the largest n held in uint32
+        n = 2**32 - 1
+        if lo <= n <= hi:
+            assert (om[n - lo], tau[n - lo], phi[n - lo]) == (5, 32, 2 * 4 * 16 * 256 * 65536)
+
+
 def _literal_search(spec):
     """The least n that search_n0 must return, by a plain scan with sympy."""
     for n in range(1, spec.n_max + 1):
@@ -327,6 +349,30 @@ class TestStrikePlan:
             w = ol.search_n0(spec)
             assert (w.n0 if w else None) == n0
 
+    # the reservation is per modulus and per hit, so moduli come in the
+    # hundreds or more, where a few array headers do not count
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 1 << 16),
+        size=st.integers(256, 4096),
+        top=st.integers(1, 1 << 18),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @pytest.mark.parametrize("dense_hits", [0, 8, 64, 10**9])
+    def test_strike_bytes_cover_the_planning_peak(self, dense_hits, n, size, top, seed):
+        rng = np.random.default_rng(seed)
+        ms = rng.integers(1, top + 1, size)
+        starts = rng.integers(0, 1 << 62, size) % ms
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.sieve._DENSE_HITS", dense_hits)
+            tracemalloc.start()
+            try:
+                _strikes(ms, starts, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _strike_bytes(ms, n)
+
 
 @st.composite
 def _wheel_windows(draw):
@@ -358,8 +404,9 @@ class TestWheel:
             assert phi[n - lo] == math.prod((p - 1) * p ** (e - 1) for p, e in fac.items())
 
 
-# sha256 of the tables' bytes as the kernel computed them before the 30030
-# wheel and the contiguous leftover step: omega at threads 1 and 2, tau, phi
+# sha256 of the tables' bytes, omega at threads 1 and 2, tau, phi: the first
+# two windows as the kernel computed them before the 30030 wheel and the
+# contiguous leftover step, the last before the uint32 product
 _TABLE_DIGESTS = {
     (1, 2 * 10**6): (
         "uint8:74b0d68b71fdbf43e1cdc21b895ecd765cff58cda6b7e99d4430a74f4bedd252",
@@ -372,6 +419,12 @@ _TABLE_DIGESTS = {
         "uint8:44e74dafdf0b69283c88ae70007149caad817344c1f07c8b267b08c6008314fe",
         "int32:bc600e4bdb2944676f7baa38994cb2f2c6af92133c25921566c746fd7a6912ed",
         "int64:e33b648fb6ed4e0a24729bfeeb097e0a7bf6ab68bb887620bbbf0728938af89a",
+    ),
+    (2**32 - 10**5, 2**32 - 1): (
+        "uint8:d72873e6775e5df974b8e6eb9cfb78e05b7dd65457d5895c7e224afc1f91f839",
+        "uint8:d72873e6775e5df974b8e6eb9cfb78e05b7dd65457d5895c7e224afc1f91f839",
+        "int32:84bf114c6cb1a05f60610aacbcd1b31273876c5bb5241f330a172aed716bf2ce",
+        "int64:85c99a20ed3b8bf6b54fb02f837385991f0b97e05758556a687d3919d084c4b6",
     ),
 }
 
