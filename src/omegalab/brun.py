@@ -89,6 +89,13 @@ class SieveProductCheck:
         }
 
 
+def _layer(ps: list[int], r: int) -> Fraction:
+    """Sum of 1/phi(d) = 1/prod (p - 1) over the squarefree d made of r
+    of the primes ps."""
+    subsets = combinations(ps, r)
+    return sum((Fraction(1, math.prod(p - 1 for p in sub)) for sub in subsets), Fraction(0))
+
+
 def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck:
     """Exact two-route evaluation over squarefree d supported on the interval.
 
@@ -108,13 +115,8 @@ def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck
         product *= Fraction(p - 1 - K, p - 1)
     if len(ps) > _SUBSET_LIMIT:
         return SieveProductCheck(K, len(ps), product, None, None)
-    total = Fraction(0)
-    for r in range(len(ps) + 1):
-        for sub in combinations(ps, r):
-            den = 1
-            for p in sub:
-                den *= p - 1
-            total += Fraction((-K) ** r, den)  # mu(d) K^omega = (-K)^r, phi(d) = prod (p-1)
+    # mu(d) K^omega(d) = (-K)^r over the squarefree d with r prime factors
+    total = sum((-K) ** r * _layer(ps, r) for r in range(len(ps) + 1))
     return SieveProductCheck(K, len(ps), product, total, total == product)
 
 
@@ -158,12 +160,7 @@ def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> Truncatio
     dropped = None
     dominates = None
     if len(ps) <= _SUBSET_LIMIT:
-        dropped = Fraction(0)
-        for sub in combinations(ps, V + 1):
-            den = 1
-            for p in sub:
-                den *= p - 1
-            dropped += Fraction(K ** (V + 1), den)
+        dropped = K ** (V + 1) * _layer(ps, V + 1)
         dominates = bound >= dropped
         if not dominates:
             raise RuntimeError("truncation bound fell below the exact dropped mass")

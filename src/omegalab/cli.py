@@ -170,7 +170,10 @@ def _cmd_euler_identity(cfg: RunConfig) -> dict:
 
 def _cmd_shiu_mean(cfg: RunConfig) -> dict:
     raw = cfg.flags["lam"]
-    lam = Fraction(raw) if ("/" in raw or raw.isdigit()) else float(raw)
+    try:
+        lam = Fraction(raw) if ("/" in raw or raw.isdigit()) else float(raw)
+    except ZeroDivisionError:
+        raise DomainError(f"--lambda {raw} has a zero denominator") from None
     return lambda_omega_mean(lam, cfg.flags["n_max"]).to_dict()
 
 

@@ -82,7 +82,7 @@ class ParamSet:
         return asdict(self)
 
 
-def derive_params(x, b_excluded: int = 1) -> ParamSet:
+def derive_params(x) -> ParamSet:
     """Derive (K, L, Q, g, Q', K', X, V) from the scale x.
 
     x may be an int, float, or numeric string (useful for 10**100 and
@@ -90,16 +90,13 @@ def derive_params(x, b_excluded: int = 1) -> ParamSet:
     arguments cannot flip.  The q_growth_exponent field reports
     log Q / logloglog x with the drift past [10, 20] alongside; the
     window holds for x >= 1e50 and is advisory below that, where the
-    o(1) terms are still large.  b_excluded threads a generic excluded
-    prime through (default 1: no exclusion).
+    o(1) terms are still large.
     """
     xs = str(x)
     with mpmath.workdps(60):
         xm = mpmath.mpf(xs)
         if not mpmath.isfinite(xm) or xm <= MIN_SCALE:
             raise DomainError(f"x={xs} too small: need x > {MIN_SCALE:.3f} so that K >= 1")
-    if b_excluded < 1:
-        raise DomainError("b_excluded must be a positive integer")
 
     K = _stable_floor(lambda: 5 * mpmath.log(mpmath.log(mpmath.log(mpmath.mpf(xs)))))
     L = _stable_floor(lambda: 2 * mpmath.log(mpmath.log(mpmath.mpf(xs))))
@@ -132,7 +129,6 @@ def derive_params(x, b_excluded: int = 1) -> ParamSet:
         V=V,
         q_growth_exponent=q_exp,
         q_growth_drift=drift,
-        B_excluded=int(b_excluded),
     )
 
 

@@ -15,9 +15,8 @@ each call.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
-n = lo + i.  Everything here is deterministic; the parallel paths split
-the range into fixed blocks whose results do not depend on the thread
-count or on block boundaries.
+n = lo + i.  Everything here is deterministic, and no result depends on
+block boundaries.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,7 +258,7 @@ def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
     return FactorSieve(lo, hi, primes_up_to(root))
 
 
-def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None = 1) -> np.ndarray:
+def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
     """The multiplicative (or additive) function f over the sieve window.
 
     ``step(k, p)`` lists the updates ``(ufunc, x)`` that take f at the
@@ -288,20 +286,19 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
       by that quotient less 1 where it exceeds 1.
 
     Blocks touch disjoint slices of the table, so the result is invariant
-    under block size and thread count.
+    under block size.
     """
     lo, hi, base, bs = sieve.lo, sieve.hi, sieve.base_primes, _DEFAULT_BLOCK
     size = hi - lo + 1
-    workers = min(max(1, threads or 1), -(-size // bs))
     dtype = np.dtype(dtype)
-    scratch = (  # per worker
+    scratch = (  # one block's
         _BLOCK_SCRATCH * min(bs, size)
         # the first chunk of level 1 plans the most hits: later chunks and
         # higher levels strike larger moduli
         + _strike_bytes(base[:_STRIKE_CHUNK], min(bs, size))
         + _LEVEL_BYTES * base.size
     )
-    _reserve(dtype.itemsize * size + workers * scratch, f"{dtype.name} table for [{lo}, {hi}]")
+    _reserve(dtype.itemsize * size + scratch, f"{dtype.name} table for [{lo}, {hi}]")
     reads_prime = step(1, 2) != step(1, 3)  # phi's level-1 update reads p; omega's and tau's do not
     prod_type = np.uint32 if hi >> 32 == 0 else np.int64  # the product divides some n <= hi
     out = np.empty(size, dtype=dtype)
@@ -356,17 +353,8 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step, threads: int | None 
             u += op.identity
             op(view, u, out=view)
 
-    los = range(lo, hi + 1, bs)
-
-    def stride(w: int) -> None:  # one task per worker, not one per block
-        for a in los[w::workers]:
-            block(a)
-
-    if workers == 1:
-        stride(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(stride, range(workers)))
+    for a in range(lo, hi + 1, bs):
+        block(a)
     return out
 
 
@@ -388,9 +376,10 @@ def omega_range(sieve: FactorSieve, threads: int | None = None) -> np.ndarray:
     """Number of distinct prime factors for every n in the sieve window.
 
     Returns a uint8 array where index i corresponds to n = sieve.lo + i.
-    The result is invariant under block size and thread count.
+    threads is accepted and ignored so that existing callers that pass it
+    keep working.
     """
-    return _sieve_table(sieve, np.uint8, 0, _omega_step, threads)
+    return _sieve_table(sieve, np.uint8, 0, _omega_step)
 
 
 def tau_range(sieve: FactorSieve) -> np.ndarray:

@@ -320,6 +320,15 @@ class TestErrorReports:
         assert rc == 1
         assert json.loads(out)["error"]["code"] == "domain"
 
+    def test_zero_denominator_lambda(self, capsys):
+        rc, out = run_cli(
+            ["shiu-mean", "--lambda", "1/0", "--n-max", "10", "--no-timing"], capsys
+        )
+        assert rc == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "domain"
+        assert err["context"]["subcommand"] == "shiu-mean"
+
     def test_malformed_forms_json(self, capsys):
         rc, out = run_cli(
             ["admissible", "--forms", "not json", "--no-timing"], capsys

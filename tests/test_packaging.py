@@ -1,6 +1,6 @@
 """Packaging: the runtime dependencies in pyproject.toml are exactly the
 third-party packages that the library source imports, and the ones the
-README names."""
+README names; the library starts no threads or processes."""
 
 import ast
 import re
@@ -14,7 +14,8 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _imported_packages() -> set[str]:
+def _imported_modules() -> set[str]:
+    """The top-level names of every absolute import in the library source."""
     names = set()
     for path in (ROOT / "src" / "omegalab").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -22,7 +23,11 @@ def _imported_packages() -> set[str]:
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names - set(sys.stdlib_module_names) - {"omegalab"}
+    return names
+
+
+def _imported_packages() -> set[str]:
+    return _imported_modules() - set(sys.stdlib_module_names) - {"omegalab"}
 
 
 def _declared() -> set[str]:
@@ -32,6 +37,12 @@ def _declared() -> set[str]:
 
 def test_runtime_dependencies_match_imports():
     assert _imported_packages() == _declared()
+
+
+def test_library_imports_no_concurrency():
+    # concurrent.futures, threading and multiprocessing: the table kernel
+    # and the tuple search run on the calling thread
+    assert not _imported_modules() & {"concurrent", "threading", "multiprocessing"}
 
 
 def test_readme_dependencies_match_declared():

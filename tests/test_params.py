@@ -71,9 +71,6 @@ class TestDeriveParams:
 
     def test_excluded_prime_threaded(self):
         assert ol.derive_params("1e100").B_excluded == 1
-        assert ol.derive_params("1e100", b_excluded=7).B_excluded == 7
-        with pytest.raises(DomainError):
-            ol.derive_params("1e100", b_excluded=0)
 
     def test_sieve_level_and_depth(self):
         ps = ol.derive_params("1e100")

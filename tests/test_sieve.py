@@ -125,8 +125,8 @@ class TestOmegaRange:
                     tracemalloc.stop()
 
     def test_small_blocks_stay_within_budget(self, monkeypatch):
-        # 782 blocks of 64 numbers: the thread pool must not hold a pending
-        # task per block, which alone would take about 1.5e6 bytes
+        # 782 blocks of 64 numbers: the block loop must keep nothing per
+        # block, which alone would take about 1.5e6 bytes
         monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", 64)
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
         sv = ol.build_factor_sieve(1, 5 * 10**4)
