@@ -182,7 +182,7 @@ def _cmd_window(cfg: RunConfig) -> dict:
     sigma = f["sigma"]
     ts = np.linspace(1.0, f["tmax"], f["points"])
     w = build_window()
-    profile = decay_profile(w, sigma, ts, tol=f["tol"])
+    profile = decay_profile(w, sigma, ts)
     return profile.to_dict()
 
 
@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", required=True, metavar="sigma=VAL")
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--points", type=int, default=40)
-    sp.add_argument("--tol", type=float, default=1e-10)
 
     sp = sub.add_parser("optimum", parents=[common])
     sp.add_argument("--weight", type=float, default=0.1)

@@ -35,14 +35,14 @@ __all__ = [
 MIN_SCALE = float(mpmath.exp(mpmath.exp(mpmath.exp(0.2))))
 
 
-def _stable_floor(fn, start_dps: int = 60) -> int:
+def _stable_floor(fn) -> int:
     """floor(fn()) where fn evaluates an mpmath expression at current dps.
 
-    Evaluates at increasing precision until two consecutive precisions
+    Evaluates at 60, 120 and 240 digits until two consecutive precisions
     agree, so a value microscopically below an integer cannot round up.
     """
     prev = None
-    for dps in (start_dps, 2 * start_dps, 4 * start_dps):
+    for dps in (60, 120, 240):
         with mpmath.workdps(dps):
             cur = int(mpmath.floor(fn()))
         if cur == prev:

@@ -303,7 +303,7 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
     prod_type = np.uint32 if hi >> 32 == 0 else np.int64  # the product divides some n <= hi
     out = np.empty(size, dtype=dtype)
 
-    def block(a: int) -> None:
+    for a in range(lo, hi + 1, bs):
         b = min(a + bs, hi + 1)
         view, prod = out[a - lo : b - lo], np.empty(b - a, dtype=prod_type)
         w = min(b - a, _WHEEL)
@@ -345,16 +345,15 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
             n //= prod
             n -= n > 1  # q - 1 for a prime q, and 1 stays 1
             view *= n
-            return
-        big = prod < n  # x where big, the ufunc's identity elsewhere
-        del prod, n
-        for op, x in step(1, 2):
-            u = big * dtype.type(x - op.identity)
-            u += op.identity
-            op(view, u, out=view)
-
-    for a in range(lo, hi + 1, bs):
-        block(a)
+            del prod, n  # a block's scratch goes before the next block makes its own
+        else:
+            big = prod < n  # x where big, the ufunc's identity elsewhere
+            del prod, n
+            for op, x in step(1, 2):
+                u = big * dtype.type(x - op.identity)
+                u += op.identity
+                op(view, u, out=view)
+            del big, u
     return out
 
 
@@ -450,8 +449,6 @@ def _iroot(n: int, k: int) -> int:
 
 def _brent_rho(n: int) -> int:
     """Nontrivial factor of an odd composite n, deterministic constant sweep."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y

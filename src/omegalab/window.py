@@ -46,6 +46,7 @@ _EPS_JOIN = 1e-6
 _MAX_RE_S = 256.0  # beyond this, x**(s-1) overflows double on [1/4, 4]
 _MAX_DEPTH = 14  # halvings of a panel before the quadrature gives up
 _MAX_INTERVALS = 1 << 20  # trapezoid intervals before the cross-check route gives up
+_TOL = 1e-10  # the Gauss-Legendre route's target for each moment integral
 
 def _step_deriv(u: np.ndarray, c: float, j: int) -> np.ndarray:
     """j-th x-derivative of step(u + c*(x - x0)) at x0, elementwise in u.
@@ -218,31 +219,19 @@ def _mellin_panels(s: complex) -> list[float]:
     return out
 
 
-def _moment(w: WindowFn, k: int, s: complex, tol: float) -> complex:
-    """int W^(k)(x) x^(s+k-1) dx, panel by panel over _mellin_panels(s)."""
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        return w.deriv(k, xs) * np.power(xs.astype(complex), s + k - 1)
-
-    return _level_quadrature(f, _mellin_panels(s), tol)
-
-
-def mellin_transform(w: WindowFn, s: complex, tol: float = 1e-10) -> complex:
+def mellin_transform(w: WindowFn, s: complex) -> complex:
     """int_0^inf W(x) x^(s-1) dx by adaptive panel Gauss-Legendre.
 
     Panels start at the structural points {1/4, 1/2, 2, 4} and are
     pre-split to the oscillation scale 2*pi/|Im s|; each panel is then
-    halved until the 16-point estimate is stable to its share of tol, its
+    halved until the 16-point estimate is stable to its share of _TOL, its
     halves getting half that share each.  Refinement is level-batched:
     one integrand call per level evaluates the halves of every panel
     still open.  Raises PrecisionError if a panel still misses its share
     after _MAX_DEPTH = 14 halvings, DomainError when |Re s| is large
     enough to overflow doubles on the support.
     """
-    s = complex(s)
-    if abs(s.real) > _MAX_RE_S:
-        raise DomainError(f"|Re s| = {abs(s.real)} too large; magnitudes overflow double")
-    return _moment(w, 0, s, tol)
+    return mellin_via_parts(w, s, 0)
 
 
 def mellin_transform_quad(w: WindowFn, s: complex) -> complex:
@@ -264,6 +253,8 @@ def mellin_transform_quad(w: WindowFn, s: complex) -> complex:
 
     a, b = math.log(0.25), math.log(4.0)
     n = 1 << math.ceil(math.log2(abs(s.imag) * (b - a) / math.pi + 1))
+    if n >= _MAX_INTERVALS:  # the first grid grows with |Im s|: check before it is built
+        raise PrecisionError(f"trapezoid route at s = {s} needs more than {_MAX_INTERVALS} intervals")
     h = (b - a) / n
     vals = f(a + h * np.arange(n + 1))  # f is 0 at both ends: every node weighs h
     total, mag = vals.sum(), np.abs(vals).sum()
@@ -278,14 +269,19 @@ def mellin_transform_quad(w: WindowFn, s: complex) -> complex:
     raise PrecisionError(f"trapezoid route at s = {s} not settled after {_MAX_INTERVALS} intervals")
 
 
-def mellin_via_parts(w: WindowFn, s: complex, k: int, tol: float = 1e-10) -> complex:
-    """The k-fold integration-by-parts form of the transform:
+def mellin_via_parts(w: WindowFn, s: complex, k: int) -> complex:
+    """The k-fold integration-by-parts form of the transform, k = 0..8:
 
         W~(s) = (-1)^k / (s (s+1) ... (s+k-1)) * int W^(k)(x) x^(s+k-1) dx.
 
     Boundary terms vanish because W is flat at both ends of its support.
+    _TOL bounds the moment integral, not its quotient by s (s+1) ... (s+k-1)
+    (2.2e-8 from W~ at s = 1, k = 8).  DomainError as for mellin_transform,
+    and for k outside 0..8 or s at a pole 0, -1, ..., 1-k.
     """
     s = complex(s)
+    if abs(s.real) > _MAX_RE_S:
+        raise DomainError(f"|Re s| = {abs(s.real)} too large; magnitudes overflow double")
     if not 0 <= k <= w.j_max:
         raise DomainError(f"k={k} outside [0, {w.j_max}]")
     denom = 1 + 0j
@@ -293,9 +289,11 @@ def mellin_via_parts(w: WindowFn, s: complex, k: int, tol: float = 1e-10) -> com
         if abs(s + i) < 1e-12:
             raise DomainError(f"s + {i} is at a pole of the parts formula")
         denom *= s + i
-    if k == 0:
-        return mellin_transform(w, s, tol)
-    return (-1) ** k * _moment(w, k, s, tol) / denom
+
+    def f(xs: np.ndarray) -> np.ndarray:
+        return w.deriv(k, xs) * np.power(xs.astype(complex), s + k - 1)
+
+    return (-1) ** k * _level_quadrature(f, _mellin_panels(s), _TOL) / denom
 
 
 @dataclass(frozen=True)
@@ -304,7 +302,8 @@ class DecayProfile:
 
         |W~| <= C * 4^|sigma| * exp(-c |s|^(1/3)).
 
-    fitted_c comes from least squares in (|s|^(1/3), log|W~|) space;
+    The envelope is an empirical fit over the sampled t, not a proven bound:
+    fitted_c comes from least squares in (|s|^(1/3), log|W~|) space, and
     envelope_log_c is then shifted so the envelope dominates every sample.
     """
 
@@ -335,7 +334,7 @@ class DecayProfile:
         }
 
 
-def decay_profile(w: WindowFn, sigma: float, ts, tol: float = 1e-10) -> DecayProfile:
+def decay_profile(w: WindowFn, sigma: float, ts) -> DecayProfile:
     """Sample |W~(sigma + it)| over the given t grid and fit the decay rate.
 
     The fit explains log|W~| - |sigma| log 4 as log C - c |s|^(1/3); the
@@ -347,7 +346,7 @@ def decay_profile(w: WindowFn, sigma: float, ts, tol: float = 1e-10) -> DecayPro
         raise DomainError("need at least two sample points to fit a decay rate")
     if not np.all(ts > 0):
         raise DomainError("t grid must be positive")
-    mags = np.array([abs(mellin_transform(w, complex(sigma, t), tol)) for t in ts])
+    mags = np.array([abs(mellin_transform(w, complex(sigma, t))) for t in ts])
     mags = np.maximum(mags, 1e-300)
     u = np.abs(sigma + 1j * ts) ** (1.0 / 3.0)
     y = np.log(mags) - abs(sigma) * math.log(4.0)

@@ -383,7 +383,7 @@ CONFIG_KEYS = {
     "brun-check": {"m", "V"},
     "euler-identity": {"K", "lo", "hi", "excluded", "V"},
     "shiu-mean": {"lam", "n_max"},
-    "window": {"sigma", "tmax", "points", "tol"},
+    "window": {"sigma", "tmax", "points"},
     "optimum": {"weight"},
 }
 

@@ -207,7 +207,7 @@ class TestMellinTransform:
         assert ol.mellin_transform(window, 1).real > 1.5
 
     def test_large_imaginary_part_still_converges(self, window):
-        v = ol.mellin_transform(window, 0.5 + 500j, tol=1e-10)
+        v = ol.mellin_transform(window, 0.5 + 500j)
         assert abs(v) < 1e-3
 
     def test_overflow_guard(self, window):
@@ -218,7 +218,7 @@ class TestMellinTransform:
         # x^199 concentrates near x=4; a single split cannot resolve it
         monkeypatch.setattr("omegalab.window._MAX_DEPTH", 1)
         with pytest.raises(PrecisionError):
-            ol.mellin_transform(window, 200, tol=1e-10)
+            ol.mellin_transform(window, 200)
 
     def test_each_panel_evaluated_once(self):
         # a refined panel's halves are its children's whole estimates, and
@@ -322,9 +322,28 @@ class TestMellinTransform:
         with pytest.raises(PrecisionError):
             ol.mellin_transform_quad(window, 2 + 3j)
 
+    def test_trapezoid_cap_checked_before_first_grid(self, monkeypatch):
+        # the first grid at Im s = 100 has 128 intervals: past the cap, so
+        # the route must raise before it evaluates a single node
+        monkeypatch.setattr("omegalab.window._MAX_INTERVALS", 64)
+        w = ol.build_window()
+
+        def refuse(j, x):
+            raise AssertionError("integrand evaluated past the interval cap")
+
+        w.deriv = refuse
+        with pytest.raises(PrecisionError):
+            ol.mellin_transform_quad(w, 2 + 100j)
+
     def test_trapezoid_overflow_guard(self, window):
         with pytest.raises(DomainError):
             ol.mellin_transform_quad(window, -300.0)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("s", [300.0, -300.0])
+    def test_overflow_guard_in_parts_route(self, window, s, k):
+        with pytest.raises(DomainError):
+            ol.mellin_via_parts(window, s, k)
 
     def test_pole_guard_in_parts_route(self, window):
         with pytest.raises(DomainError):
