@@ -9,137 +9,19 @@ re-checkable witnesses, and quadratures cross-checked against an
 independent integrator.
 """
 
-from .brun import (
-    LambdaMeanReport,
-    PrimeInterval,
-    SieveProductCheck,
-    TruncationBound,
-    brun_truncated_divisor_sum,
-    complete_sieve_product,
-    lambda_omega_mean,
-    truncation_error_bound,
-)
-from .errors import DomainError, PrecisionError, PreconditionError, ResourceError
-from .linforms import (
-    Admissibility,
-    LinearForm,
-    LinearFormSystem,
-    SingularSeriesValue,
-    is_admissible,
-    roots_mod_p,
-    singular_series,
-)
-from .params import (
-    FamilySingularSeries,
-    ParamSet,
-    derive_params,
-    exponent_optimum,
-    family_singular_series,
-    form_family,
-)
-from .series import (
-    SeriesEnclosure,
-    TailDecomposition,
-    alpha_enclosure,
-    decompose_tail,
-    integrality_probe,
-    partial_sum,
-    tail_bound,
-)
-from .sieve import (
-    Factorization,
-    FactorSieve,
-    build_factor_sieve,
-    factorize,
-    is_prime,
-    omega,
-    omega_range,
-    phi,
-    phi_range,
-    prime_mask,
-    primes_up_to,
-    tau,
-    tau_range,
-)
-from .tuples import (
-    HLComparison,
-    SearchSpec,
-    SearchWitness,
-    count_prime_tuples,
-    hl_compare,
-    search_n0,
-    verify_witness,
-)
-from .window import (
-    DecayProfile,
-    WindowFn,
-    build_window,
-    decay_profile,
-    mellin_transform,
-    mellin_transform_quad,
-    mellin_via_parts,
-)
+from . import brun, errors, linforms, params, series, sieve, tuples, window
+from .brun import *
+from .errors import *
+from .linforms import *
+from .params import *
+from .series import *
+from .sieve import *
+from .tuples import *
+from .window import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Admissibility",
-    "DecayProfile",
-    "DomainError",
-    "FactorSieve",
-    "Factorization",
-    "FamilySingularSeries",
-    "HLComparison",
-    "LambdaMeanReport",
-    "LinearForm",
-    "LinearFormSystem",
-    "ParamSet",
-    "PrecisionError",
-    "PreconditionError",
-    "PrimeInterval",
-    "ResourceError",
-    "SearchSpec",
-    "SearchWitness",
-    "SeriesEnclosure",
-    "SieveProductCheck",
-    "SingularSeriesValue",
-    "TailDecomposition",
-    "TruncationBound",
-    "WindowFn",
-    "alpha_enclosure",
-    "brun_truncated_divisor_sum",
-    "build_factor_sieve",
-    "build_window",
-    "complete_sieve_product",
-    "count_prime_tuples",
-    "decay_profile",
-    "decompose_tail",
-    "derive_params",
-    "exponent_optimum",
-    "factorize",
-    "family_singular_series",
-    "form_family",
-    "hl_compare",
-    "integrality_probe",
-    "is_admissible",
-    "is_prime",
-    "lambda_omega_mean",
-    "mellin_transform",
-    "mellin_transform_quad",
-    "mellin_via_parts",
-    "omega",
-    "omega_range",
-    "partial_sum",
-    "phi",
-    "phi_range",
-    "prime_mask",
-    "primes_up_to",
-    "roots_mod_p",
-    "search_n0",
-    "singular_series",
-    "tail_bound",
-    "tau",
-    "tau_range",
-    "truncation_error_bound",
-    "verify_witness",
-]
+# each public name is declared once, in the __all__ of its own module
+__all__ = sorted(
+    name for mod in (brun, errors, linforms, params, series, sieve, tuples, window) for name in mod.__all__
+)

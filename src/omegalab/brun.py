@@ -83,8 +83,8 @@ class SieveProductCheck:
         return {
             "K": self.K,
             "n_primes": self.n_primes,
-            "product": str(self.product),
-            "divisor_sum": str(self.divisor_sum) if self.divisor_sum is not None else None,
+            "product": self.product,
+            "divisor_sum": self.divisor_sum,
             "sides_equal": self.sides_equal,
         }
 
@@ -110,9 +110,7 @@ def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck
     for p in ps:
         if p <= K + 1:
             raise DomainError(f"interval prime {p} <= K+1 = {K + 1} makes a factor vanish or flip")
-    product = Fraction(1)
-    for p in ps:
-        product *= Fraction(p - 1 - K, p - 1)
+    product = Fraction(math.prod(p - 1 - K for p in ps), math.prod(p - 1 for p in ps))
     if len(ps) > _SUBSET_LIMIT:
         return SieveProductCheck(K, len(ps), product, None, None)
     # mu(d) K^omega(d) = (-K)^r over the squarefree d with r prime factors
@@ -137,9 +135,9 @@ class TruncationBound:
             "K": self.K,
             "V": self.V,
             "n_primes": self.n_primes,
-            "bound": str(self.bound),
+            "bound": self.bound,
             "bound_decimal": float(self.bound),
-            "dropped_mass": str(self.dropped_mass) if self.dropped_mass is not None else None,
+            "dropped_mass": self.dropped_mass,
             "dominates": self.dominates,
         }
 

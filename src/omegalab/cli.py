@@ -7,6 +7,9 @@ a report with a header (tool, version, command, resolved config, timing)
 and a result block, as JSON (default) or CSV.  Identical configurations
 produce byte-identical report bodies once --no-timing drops the clock.
 
+The library's reports hold exact values as Fractions and ints; this
+module alone turns them into text, through _render, for every body.
+
 Exit status: 0 success, 1 domain/precondition error, 2 resource or
 precision error.  Errors are reported as structured JSON on stdout:
 {"error": {"code", "message", "context"}}.
@@ -38,7 +41,7 @@ from .brun import (
 from .errors import DomainError, PrecisionError, PreconditionError, ResourceError
 from .linforms import LinearFormSystem, is_admissible, singular_series
 from .params import derive_params, exponent_optimum
-from .series import _exact_text, _fits_decimal, alpha_enclosure, decompose_tail, integrality_probe
+from .series import alpha_enclosure, decompose_tail, integrality_probe
 from .sieve import factorize
 from .tuples import SearchSpec, hl_compare, count_prime_tuples, search_n0, verify_witness
 from .window import build_window, decay_profile
@@ -114,27 +117,18 @@ def _cmd_search_n0(cfg: RunConfig) -> dict:
 
 def _cmd_alpha(cfg: RunConfig) -> dict:
     f = cfg.flags
-    enc = alpha_enclosure(f["t"], f["N"])
-    out = enc.to_dict()
+    out = alpha_enclosure(f["t"], f["N"]).to_dict()
     if (f.get("probe_a") is None) != (f.get("probe_b") is None):
         raise DomainError("--probe-a and --probe-b must be given together")
     if f.get("probe_a") is not None:
         probe = integrality_probe(f["probe_a"], f["probe_b"], f["t"], f["N"])
-        k = probe["probe_integer"]
-        out["integrality_probe"] = {
-            "a": f["probe_a"],
-            "b": f["probe_b"],
-            "probe_integer": k if _fits_decimal(k) else f"{k:#x}",
-            "window_hi": _exact_text(probe["window_hi"]),
-            "consistent": probe["consistent"],
-        }
+        out["integrality_probe"] = {"a": f["probe_a"], "b": f["probe_b"], **probe}
     return out
 
 
 def _cmd_decompose(cfg: RunConfig) -> dict:
     f = cfg.flags
-    dec = decompose_tail(f["t"], f["b"], f["n0"], f["K"], f["Q"], f["L"], f.get("M"))
-    return dec.to_dict()
+    return decompose_tail(f["t"], f["b"], f["n0"], f["K"], f["Q"], f["L"], f.get("M")).to_dict()
 
 
 def _cmd_brun_check(cfg: RunConfig) -> dict:
@@ -160,8 +154,7 @@ def _cmd_euler_identity(cfg: RunConfig) -> dict:
     f = cfg.flags
     excluded = frozenset(int(s) for s in f["excluded"].split(",") if s) if f.get("excluded") else frozenset()
     interval = PrimeInterval(lo=f["lo"], hi=f["hi"], excluded=excluded)
-    check = complete_sieve_product(f["K"], interval)
-    out = check.to_dict()
+    out = complete_sieve_product(f["K"], interval).to_dict()
     out["interval"] = {"lo": f["lo"], "hi": f["hi"], "excluded": sorted(excluded)}
     if f.get("V") is not None:
         out["truncation"] = truncation_error_bound(f["K"], interval, f["V"]).to_dict()
@@ -296,6 +289,42 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
 # --- report emission -------------------------------------------------------
 
 
+def _fits_decimal(*xs: int) -> bool:
+    """Whether str() can print each x: the interpreter refuses more decimal
+    digits than sys.get_int_max_str_digits() (0 means no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # below 2**(3 limit) < 10**limit without computing the power
+    return not limit or all(abs(x).bit_length() <= 3 * limit or abs(x) < 10**limit for x in xs)
+
+
+def _render(obj):
+    """obj with every exact value and non-finite float in its report form.
+
+    A Fraction becomes decimal p/q (p alone when q = 1) and an int stays
+    an int while str() can print them, up to sys.get_int_max_str_digits()
+    digits; past that they become hex, 0x.../0x... and 0x..., which
+    int(part, 16) reads back at any length.  A non-finite float becomes
+    its repr string ("inf", "nan"), as JSON has no literal for it.
+    """
+    if isinstance(obj, dict):
+        return {k: _render(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_render(v) for v in obj]
+    if isinstance(obj, Fraction):
+        p, q = obj.numerator, obj.denominator
+        return str(obj) if _fits_decimal(p, q) else f"{p:#x}/{q:#x}"
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj if _fits_decimal(obj) else f"{obj:#x}"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    return obj
+
+
+def _dumps(doc: dict) -> str:
+    """doc as a strict JSON body: no bare Infinity or NaN can leave."""
+    return json.dumps(_render(doc), indent=2, allow_nan=False) + "\n"
+
+
 def _flatten(prefix: str, obj, rows: list) -> None:
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -308,6 +337,7 @@ def _flatten(prefix: str, obj, rows: list) -> None:
 
 
 def _to_csv(result: dict) -> str:
+    result = _render(result)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     rows = result.get("rows")
@@ -355,7 +385,7 @@ def run(config: RunConfig) -> int:
     if config.output_format == "csv":
         body = _to_csv(result)
     else:
-        body = json.dumps({"header": header, "result": result}, indent=2) + "\n"
+        body = _dumps({"header": header, "result": result})
     _write_out(config, body)
     return status
 
@@ -368,8 +398,7 @@ def _emit_error(config: RunConfig, code: str, exc: Exception, status: int = 1) -
 
 def _error_body(code: str, exc: Exception, context: dict) -> str:
     """The structured error report shared by run and argument parsing."""
-    payload = {"error": {"code": code, "message": str(exc), "context": context}}
-    return json.dumps(payload, indent=2) + "\n"
+    return _dumps({"error": {"code": code, "message": str(exc), "context": context}})
 
 
 def _write_out(config: RunConfig, body: str) -> None:

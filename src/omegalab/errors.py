@@ -5,6 +5,8 @@ ordinary argument checking; resource and precision failures are runtime
 conditions a caller may want to retry with different limits.
 """
 
+__all__ = ["DomainError", "PrecisionError", "PreconditionError", "ResourceError"]
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""

@@ -13,12 +13,14 @@ additivity identity
 
 which holds because k^2 | Q forces gcd(k, (Q/k) n0 + 1) = 1, so
 omega(n0 Q + k) = omega(k * ((Q/k) n0 + 1)) = omega(k) + 1.
+
+The to_dict reports hold the exact values as Fractions; omegalab.cli
+alone turns them into text, in hex once they pass the decimal digit limit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ __all__ = [
     "SeriesEnclosure",
     "TailDecomposition",
     "alpha_enclosure",
+    "decompose_tail",
     "integrality_probe",
     "partial_sum",
     "tail_bound",
@@ -88,22 +91,6 @@ def _over_power(num: int, t: int, e: int) -> Fraction:
     while (g := math.gcd(num % t, t)) > 1 and (g := math.gcd(den % g, g)) > 1:
         num, den = num // g, den // g
     return _coprime(num, den)
-
-
-def _fits_decimal(*xs: int) -> bool:
-    """Whether str() can print each x: the interpreter refuses more decimal
-    digits than sys.get_int_max_str_digits() (0 means no limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # below 2**(3 limit) < 10**limit without computing the power
-    return not limit or all(abs(x).bit_length() <= 3 * limit or abs(x) < 10**limit for x in xs)
-
-
-def _exact_text(x: Fraction) -> str:
-    """x as decimal p/q while both fit the decimal limit, else as hex
-    0x.../0x..., which int(part, 16) reads back at any length."""
-    if _fits_decimal(x.numerator, x.denominator):
-        return str(x)
-    return f"{x.numerator:#x}/{x.denominator:#x}"
 
 
 def partial_sum(t: int, N: int) -> Fraction:
@@ -167,8 +154,8 @@ class SeriesEnclosure:
         return {
             "t": self.t,
             "N": self.N,
-            "partial": _exact_text(self.partial),
-            "tail_hi": _exact_text(self.tail_hi),
+            "partial": self.partial,
+            "tail_hi": self.tail_hi,
             "lo_decimal": float(self.lo),
             "hi_decimal": float(self.hi),
             "width_decimal": float(self.width),
@@ -218,15 +205,15 @@ class TailDecomposition:
             "L": self.L,
             "M": self.M,
             "N": self.N,
-            "S1": _exact_text(self.S1),
-            "S2": _exact_text(self.S2),
-            "S3_truncated": _exact_text(self.S3_truncated),
-            "S3_tail_hi": _exact_text(self.S3_tail_hi),
+            "S1": self.S1,
+            "S2": self.S2,
+            "S3_truncated": self.S3_truncated,
+            "S3_tail_hi": self.S3_tail_hi,
             "total_lo_decimal": float(self.total_lo),
             "total_hi_decimal": float(self.total_hi),
             "identity_applicable": self.identity_applicable,
             "identity_holds": self.identity_holds,
-            "identity_rhs": _exact_text(self.identity_rhs) if self.identity_rhs is not None else None,
+            "identity_rhs": self.identity_rhs,
         }
 
 

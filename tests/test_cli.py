@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line reports."""
 
 import csv
+import hashlib
 import io
 import json
 import shlex
@@ -10,8 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from omegalab.cli import _DISPATCH, _parser, build_parser, main
+from omegalab.brun import PrimeInterval, complete_sieve_product, truncation_error_bound
+from omegalab.cli import _DISPATCH, _dumps, _parser, _to_csv, build_parser, main
 from omegalab.series import decompose_tail, integrality_probe, partial_sum, tail_bound
 
 
@@ -28,6 +31,21 @@ def run_json(argv, capsys):
 def read(text):
     """An exact report field printed as hex p/q."""
     return Fraction(*(int(part, 16) for part in text.split("/")))
+
+
+def read_exact(value):
+    """An exact report field in any of its forms: a JSON int, or text in
+    decimal or hex, p or p/q."""
+    if isinstance(value, int):
+        return value
+    return Fraction(*(int(part, 0) for part in value.split("/")))
+
+
+def csv_fields(body):
+    """A key,value CSV report as a dict."""
+    rows = list(csv.reader(io.StringIO(body)))
+    assert rows[0] == ["key", "value"]
+    return dict(rows[1:])
 
 
 class TestReports:
@@ -69,6 +87,26 @@ class TestReports:
         assert (r["S1"], r["S2"]) == ("1", "5/16")
         assert read(r["S3_truncated"]) == ref.S3_truncated
         assert read(r["S3_tail_hi"]) == ref.S3_tail_hi
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_euler_identity_past_the_decimal_digit_limit(self, fmt, capsys):
+        # 6055 primes in (4, 60000]: the product's and the bound's parts
+        # have more than 4300 decimal digits, so both print in hex
+        argv = ["euler-identity", "--K", "2", "--lo", "4", "--hi", "60000", "--V", "1"]
+        rc, out = run_cli(argv + ["--format", fmt, "--no-timing"], capsys)
+        assert rc == 0
+        if fmt == "json":
+            r = json.loads(out)["result"]
+            product, bound = r["product"], r["truncation"]["bound"]
+            assert r["divisor_sum"] is None and r["truncation"]["dropped_mass"] is None
+        else:
+            r = csv_fields(out)
+            product, bound = r["product"], r["truncation.bound"]
+            assert r["divisor_sum"] == r["truncation.dropped_mass"] == ""
+        assert product.startswith("0x") and bound.startswith("0x")
+        interval = PrimeInterval(lo=4.0, hi=60000.0)
+        assert read(product) == complete_sieve_product(2, interval).product
+        assert read(bound) == truncation_error_bound(2, interval, 1).bound
 
     def test_tuple_count_twins(self, capsys):
         forms = '[{"a":1,"b":0},{"a":1,"b":2}]'
@@ -261,12 +299,51 @@ class TestOutputPlumbing:
         doc = json.loads(path.read_text())
         assert doc["result"]["Q"] == 1296
 
+    def test_non_finite_float_is_strict_json(self, capsys):
+        # 1e400 overflows to inf; JSON has no literal for it
+        def no_constant(name):
+            raise AssertionError(f"bare {name} in the report")
+
+        rc, out = run_cli(["params", "--x", "1e400", "--no-timing"], capsys)
+        assert rc == 0
+        doc = json.loads(out, parse_constant=no_constant)
+        assert doc["result"]["x"] == "inf"
+        assert (doc["result"]["K"], doc["result"]["L"], doc["result"]["Q"]) == (9, 13, 31116960000)
+
     def test_window_profile_flag_validated(self, capsys):
         rc, out = run_cli(
             ["window", "--profile", "tau=0.5", "--tmax", "10", "--no-timing"], capsys
         )
         assert rc == 1
         assert json.loads(out)["error"]["code"] == "domain"
+
+
+def _value(a, s, base, e):
+    """a + s * base**e: with e up to 18000, on both sides of the
+    4300-digit limit of str(); 10**4300 - 1 is the largest int it prints."""
+    return a + s * base**e
+
+
+# drawn as small parts, so that hypothesis can print any falsifying example
+_PARTS = st.tuples(st.integers(), st.integers(-1, 1), st.sampled_from([3, 10]), st.integers(0, 18000))
+
+
+class TestRender:
+    @settings(max_examples=60, deadline=None)
+    @given(num=_PARTS, den=st.one_of(st.none(), _PARTS))
+    @example(num=(-1, 1, 10, 4300), den=None)  # 10**4300 - 1
+    @example(num=(0, -1, 10, 4300), den=None)  # -(10**4300)
+    @example(num=(7, 0, 10, 0), den=(0, 1, 10, 4300))  # 7/10**4300
+    @example(num=(1, -1, 10, 4300), den=(1, 0, 10, 0))  # Fraction(-(10**4300 - 1))
+    @example(num=(0, 1, 3, 10000), den=(1, 0, 10, 0))  # Fraction(3**10000)
+    def test_exact_values_read_back_from_json_and_csv(self, num, den):
+        x = _value(*num) if den is None else Fraction(_value(*num), _value(*den) or 1)
+        from_json = json.loads(_dumps({"v": x}))["v"]
+        from_csv = csv_fields(_to_csv({"v": x}))["v"]
+        assert read_exact(from_json) == read_exact(from_csv) == x
+        past = any(abs(part) >= 10**4300 for part in Fraction(x).as_integer_ratio())
+        assert ("0x" in from_csv) == past
+        assert isinstance(from_json, int) == (isinstance(x, int) and not past)
 
 
 class TestErrorReports:
@@ -388,6 +465,26 @@ CONFIG_KEYS = {
 }
 
 
+#: sha256 of each README command's whole --no-timing report, header
+#: included.  A change to a report body re-pins its digest here and shows
+#: the diff in CHANGES.md.
+README_SHA256 = {
+    "params": "1187eac09591e57f30aefaf696e12b3540d1b4c91cfa0cf0cb7e8edc3570a539",
+    "admissible": "ab1539d10de5b8a6e55031c5cf111814c5c6096fe4da76d868f9e305419063a0",
+    "singular-series": "7c9f29a933e00652bfe027c297ead2cab08fb4ee1181d7bf46c4c1ac7a2f98d7",
+    "tuple-count": "8aae5562725f4fef28320e9d1f6565432597e7d49711570e10260cefad147f6c",
+    "hl-compare": "636638601d7320c77d34870f28780b0d4c30224d55174f22815cbed0180a9422",
+    "search-n0": "0ad81db4a850635e1ff4296a595c66597bd3348ec0a003e0c56852271ace8b5b",
+    "alpha": "9156b9f89aec3d4c294d382b9da1a727600876f8d60b9884666dbee3e6ea1bc9",
+    "decompose": "b74b1a462d81bbb17395121280a6a361ace032364fbd64fd0b5d7878a50bbc37",
+    "brun-check": "3580a9e41b4cb5e4f30114364c83c2ac663aca958394df34f14d6d9db7902499",
+    "euler-identity": "2692e1ce4a1d0cb82b1b33ef867c19c1908631b5fbb8ffcbb07234b70551e66d",
+    "shiu-mean": "c0cb80ed691f030217dacb40e66c84dda089429fe66779eb2775163eeb9e9b03",
+    "window": "e337fb1457b51b1b877f95b4d2d03c7be081092171d071f128deecf360c5171c",
+    "optimum": "8b7ddbf9580b583cc784f09f64b8078b2cbc216c1a14410895aead9969d2a7e7",
+}
+
+
 def _readme_command_lines() -> list[str]:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -410,3 +507,9 @@ class TestReadmeCommandLines:
             assert rc == 0
         config = json.loads(out)["header"]["config"]
         assert set(config) == {"format"} | CONFIG_KEYS[argv[0]]
+
+    @pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split()[1])
+    def test_line_report_is_pinned(self, line, capsys):
+        rc, out = run_cli(shlex.split(line)[1:] + ["--no-timing"], capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == README_SHA256[line.split()[1]]

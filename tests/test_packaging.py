@@ -1,8 +1,10 @@
 """Packaging: the runtime dependencies in pyproject.toml are exactly the
 third-party packages that the library source imports, and the ones the
-README names; the library starts no threads or processes."""
+README names; the library starts no threads or processes; the package
+exports each module's public names, each declared once."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -50,3 +52,26 @@ def test_readme_dependencies_match_declared():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     clause = readme.split("\nDependencies:", 1)[1].split(";", 1)[0]
     assert set(re.findall(r"`([^`]+)`", clause)) == _declared()
+
+
+def test_each_public_name_declared_once():
+    # a library module's __all__ is exactly its public top-level classes and
+    # functions, and the package's __all__ is their union, without repeats
+    import omegalab
+
+    names = []
+    for path in sorted((ROOT / "src" / "omegalab").glob("*.py")):
+        if path.stem.startswith("__") or path.stem == "cli":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        public = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and not node.name.startswith("_")
+        }
+        module_all = importlib.import_module(f"omegalab.{path.stem}").__all__
+        assert sorted(module_all) == sorted(public), path.stem
+        names += module_all
+    assert len(names) == len(set(names))
+    assert omegalab.__all__ == sorted(names)
+    assert all(hasattr(omegalab, name) for name in omegalab.__all__)
