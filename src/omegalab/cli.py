@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,27 +45,18 @@ from .sieve import factorize
 from .tuples import SearchSpec, hl_compare, count_prime_tuples, search_n0, verify_witness
 from .window import build_window, decay_profile
 
-__all__ = ["RunConfig", "build_parser", "main", "run"]
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    flags: dict
-    output_format: str = "json"
-    output_path: str | None = None
-    no_timing: bool = False
+__all__ = ["build_parser", "main"]
 
 
 # --- subcommand implementations -------------------------------------------
 
 
-def _cmd_params(cfg: RunConfig) -> dict:
-    return derive_params(cfg.flags["x"]).to_dict()
+def _cmd_params(f: dict) -> dict:
+    return derive_params(f["x"]).to_dict()
 
 
-def _cmd_admissible(cfg: RunConfig) -> dict:
-    system = LinearFormSystem.from_json(cfg.flags["forms"])
+def _cmd_admissible(f: dict) -> dict:
+    system = LinearFormSystem.from_json(f["forms"])
     adm = is_admissible(system)
     return {
         "forms": system.to_dicts(),
@@ -75,15 +65,15 @@ def _cmd_admissible(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_singular_series(cfg: RunConfig) -> dict:
-    system = LinearFormSystem.from_json(cfg.flags["forms"])
-    ss = singular_series(system, cfg.flags["truncation_prime"])
+def _cmd_singular_series(f: dict) -> dict:
+    system = LinearFormSystem.from_json(f["forms"])
+    ss = singular_series(system, f["truncation_prime"])
     return {"forms": system.to_dicts(), **ss.to_dict()}
 
 
-def _cmd_tuple_count(cfg: RunConfig) -> dict:
-    system = LinearFormSystem.from_json(cfg.flags["forms"])
-    n_max = cfg.flags["n_max"]
+def _cmd_tuple_count(f: dict) -> dict:
+    system = LinearFormSystem.from_json(f["forms"])
+    n_max = f["n_max"]
     return {
         "forms": system.to_dicts(),
         "n_max": n_max,
@@ -91,15 +81,12 @@ def _cmd_tuple_count(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_hl_compare(cfg: RunConfig) -> dict:
-    system = LinearFormSystem.from_json(cfg.flags["forms"])
-    return hl_compare(
-        system, cfg.flags["n_max"], truncation_prime=cfg.flags["truncation_prime"]
-    ).to_dict()
+def _cmd_hl_compare(f: dict) -> dict:
+    system = LinearFormSystem.from_json(f["forms"])
+    return hl_compare(system, f["n_max"], truncation_prime=f["truncation_prime"]).to_dict()
 
 
-def _cmd_search_n0(cfg: RunConfig) -> dict:
-    f = cfg.flags
+def _cmd_search_n0(f: dict) -> dict:
     spec = SearchSpec(
         K=f["K"], Q=f["Q"], L=f["L"], theta2=f["theta2"], theta3=f["theta3"], n_max=f["n_max"]
     )
@@ -115,8 +102,7 @@ def _cmd_search_n0(cfg: RunConfig) -> dict:
     return out
 
 
-def _cmd_alpha(cfg: RunConfig) -> dict:
-    f = cfg.flags
+def _cmd_alpha(f: dict) -> dict:
     out = alpha_enclosure(f["t"], f["N"]).to_dict()
     if (f.get("probe_a") is None) != (f.get("probe_b") is None):
         raise DomainError("--probe-a and --probe-b must be given together")
@@ -126,13 +112,12 @@ def _cmd_alpha(cfg: RunConfig) -> dict:
     return out
 
 
-def _cmd_decompose(cfg: RunConfig) -> dict:
-    f = cfg.flags
+def _cmd_decompose(f: dict) -> dict:
     return decompose_tail(f["t"], f["b"], f["n0"], f["K"], f["Q"], f["L"], f.get("M")).to_dict()
 
 
-def _cmd_brun_check(cfg: RunConfig) -> dict:
-    m, V = cfg.flags["m"], cfg.flags["V"]
+def _cmd_brun_check(f: dict) -> dict:
+    m, V = f["m"], f["V"]
     w = factorize(m).omega
     truncated = brun_truncated_divisor_sum(m, V)
     closed = (-1) ** V * math.comb(w - 1, V) if w >= 1 else 1
@@ -150,8 +135,7 @@ def _cmd_brun_check(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_euler_identity(cfg: RunConfig) -> dict:
-    f = cfg.flags
+def _cmd_euler_identity(f: dict) -> dict:
     excluded = frozenset(int(s) for s in f["excluded"].split(",") if s) if f.get("excluded") else frozenset()
     interval = PrimeInterval(lo=f["lo"], hi=f["hi"], excluded=excluded)
     out = complete_sieve_product(f["K"], interval).to_dict()
@@ -161,27 +145,23 @@ def _cmd_euler_identity(cfg: RunConfig) -> dict:
     return out
 
 
-def _cmd_shiu_mean(cfg: RunConfig) -> dict:
-    raw = cfg.flags["lam"]
+def _cmd_shiu_mean(f: dict) -> dict:
+    raw = f["lam"]
     try:
         lam = Fraction(raw) if ("/" in raw or raw.isdigit()) else float(raw)
     except ZeroDivisionError:
         raise DomainError(f"--lambda {raw} has a zero denominator") from None
-    return lambda_omega_mean(lam, cfg.flags["n_max"]).to_dict()
+    return lambda_omega_mean(lam, f["n_max"]).to_dict()
 
 
-def _cmd_window(cfg: RunConfig) -> dict:
-    f = cfg.flags
-    sigma = f["sigma"]
+def _cmd_window(f: dict) -> dict:
     ts = np.linspace(1.0, f["tmax"], f["points"])
-    w = build_window()
-    profile = decay_profile(w, sigma, ts)
-    return profile.to_dict()
+    return decay_profile(build_window(), f["sigma"], ts).to_dict()
 
 
-def _cmd_optimum(cfg: RunConfig) -> dict:
-    lam_star, c0 = exponent_optimum(cfg.flags["weight"])
-    return {"weight": cfg.flags["weight"], "lambda_star": lam_star, "c0": c0}
+def _cmd_optimum(f: dict) -> dict:
+    lam_star, c0 = exponent_optimum(f["weight"])
+    return {"weight": f["weight"], "lambda_star": lam_star, "c0": c0}
 
 
 _DISPATCH = {
@@ -266,26 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    flags = {
-        k: v
-        for k, v in vars(ns).items()
-        if k not in ("subcommand", "format", "output", "no_timing")
-    }
-    if ns.subcommand == "window":
-        key, _, val = flags.pop("profile").partition("=")
-        if key.strip() != "sigma":
-            raise DomainError(f"--profile expects sigma=<value>, got {key!r}")
-        flags["sigma"] = float(val)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        flags=flags,
-        output_format=ns.format,
-        output_path=ns.output,
-        no_timing=ns.no_timing,
-    )
-
-
 # --- report emission -------------------------------------------------------
 
 
@@ -354,56 +314,14 @@ def _to_csv(result: dict) -> str:
     return buf.getvalue()
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured subcommand; returns the process exit status."""
-    t0 = time.perf_counter()
-    try:
-        if config.subcommand not in _DISPATCH:
-            raise DomainError(f"unknown subcommand {config.subcommand!r}")
-        result = _DISPATCH[config.subcommand](config)
-        status = 0
-    except PreconditionError as exc:
-        return _emit_error(config, "precondition", exc)
-    except (DomainError, ValueError) as exc:
-        return _emit_error(config, "domain", exc)
-    except ResourceError as exc:
-        return _emit_error(config, "resource", exc, status=2)
-    except PrecisionError as exc:
-        return _emit_error(config, "precision", exc, status=2)
-
-    header = {
-        "tool": "omegalab",
-        "version": __version__,
-        "command": config.subcommand,
-        "config": {
-            "format": config.output_format,
-            **{k: v for k, v in sorted(config.flags.items())},
-        },
-    }
-    if not config.no_timing:
-        header["timing_s"] = round(time.perf_counter() - t0, 6)
-    if config.output_format == "csv":
-        body = _to_csv(result)
-    else:
-        body = _dumps({"header": header, "result": result})
-    _write_out(config, body)
-    return status
-
-
-def _emit_error(config: RunConfig, code: str, exc: Exception, status: int = 1) -> int:
-    context = {"subcommand": config.subcommand, "flags": config.flags}
-    _write_out(config, _error_body(code, exc, context))
-    return status
-
-
 def _error_body(code: str, exc: Exception, context: dict) -> str:
-    """The structured error report shared by run and argument parsing."""
     return _dumps({"error": {"code": code, "message": str(exc), "context": context}})
 
 
-def _write_out(config: RunConfig, body: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+def _write(path: str | None, body: str) -> None:
+    """body to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
@@ -417,10 +335,44 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the subcommand argv names and write its report; returns the
+    process exit status."""
     ns = _parser().parse_args(argv)
+    flags = {
+        k: v for k, v in vars(ns).items() if k not in ("subcommand", "format", "output", "no_timing")
+    }
+    if ns.subcommand == "window":
+        key, _, val = flags.pop("profile").partition("=")
+        try:
+            if key.strip() != "sigma":
+                raise DomainError(f"--profile expects sigma=<value>, got {key!r}")
+            flags["sigma"] = float(val)
+        except ValueError as exc:  # DomainError included
+            _write(None, _error_body("domain", exc, {}))
+            return 1
+
+    t0 = time.perf_counter()
     try:
-        config = _config_from_args(ns)
+        result = _DISPATCH[ns.subcommand](flags)
+    except PreconditionError as exc:
+        error, status = ("precondition", exc), 1
     except (DomainError, ValueError) as exc:
-        sys.stdout.write(_error_body("domain", exc, {}))
-        return 1
-    return run(config)
+        error, status = ("domain", exc), 1
+    except ResourceError as exc:
+        error, status = ("resource", exc), 2
+    except PrecisionError as exc:
+        error, status = ("precision", exc), 2
+    else:
+        header = {
+            "tool": "omegalab",
+            "version": __version__,
+            "command": ns.subcommand,
+            "config": {"format": ns.format, **dict(sorted(flags.items()))},
+        }
+        if not ns.no_timing:
+            header["timing_s"] = round(time.perf_counter() - t0, 6)
+        body = _to_csv(result) if ns.format == "csv" else _dumps({"header": header, "result": result})
+        _write(ns.output, body)
+        return 0
+    _write(ns.output, _error_body(*error, {"subcommand": ns.subcommand, "flags": flags}))
+    return status

@@ -100,6 +100,7 @@ def derive_params(x) -> ParamSet:
 
     K = _stable_floor(lambda: 5 * mpmath.log(mpmath.log(mpmath.log(mpmath.mpf(xs)))))
     L = _stable_floor(lambda: 2 * mpmath.log(mpmath.log(mpmath.mpf(xs))))
+    V = 2 * _stable_floor(lambda: mpmath.log(mpmath.log(mpmath.mpf(xs))) ** 2)
 
     Q = 1
     for p in primes_up_to(K):
@@ -113,7 +114,6 @@ def derive_params(x) -> ParamSet:
         ll = mpmath.log(mpmath.log(xm))
         lll = mpmath.log(ll)
         X = float(xm ** (1 / ll**3))
-        V = int(mpmath.floor(ll**2)) * 2
         q_exp = float(mpmath.log(Q) / lll) if Q > 1 else 0.0
     drift = max(0.0, 10.0 - q_exp, q_exp - 20.0)
 

@@ -40,7 +40,6 @@ __all__ = [
     "omega_range",
     "phi",
     "phi_range",
-    "prime_mask",
     "primes_up_to",
     "tau",
     "tau_range",
@@ -92,14 +91,6 @@ def primes_up_to(n: int) -> np.ndarray:
     _reserve(16 * _pi_bound(n), f"primes up to {n}")  # the blocks' primes, then their join
     blocks = _form_blocks([(2, 1)], math.isqrt(n), (n - 1) // 2)
     return np.concatenate([[2], *(2 * (np.flatnonzero(mask) + lo) + 1 for lo, mask in blocks)])
-
-
-def prime_mask(n: int) -> np.ndarray:
-    """Boolean array of length n+1 with mask[k] true iff k is prime."""
-    _reserve(max(n + 1, 0), f"prime mask up to {n}")
-    mask = np.zeros(max(n + 1, 0), dtype=bool)
-    mask[primes_up_to(n)] = True
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +429,11 @@ _SMALL_PRIMES = primes_up_to(_SMALL_LIMIT).tolist()
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n, exact integer arithmetic."""
-    r = int(round(n ** (1.0 / k)))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
+    """Floor of the k-th root of n >= 1: integer Newton steps, which fall
+    monotonically onto it from the start 2**ceil(bits/k) above it."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
     return r
 
 

@@ -155,53 +155,45 @@ def _gauss_legendre(f, a: np.ndarray, b: np.ndarray) -> list[complex]:
 
 def _level_quadrature(f, pts: list[float], tol: float) -> complex:
     """int f over [pts[0], pts[-1]], each panel between consecutive pts
-    refined by halving until its share of tol is met.
-
-    Breadth first: one level halves every panel still open and evaluates
-    all of their halves in one call of f.  The finished tree is summed
-    leaves up, left + right at each refined panel, then over the top
-    panels, as a depth-first recursion would sum it.
-    """
+    refined by halving until its share of tol is met."""
     a, b = np.array(pts[:-1]), np.array(pts[1:])
-    values = _gauss_legendre(f, a, b)  # per panel: its whole estimate until settled
-    pending = list(range(len(values)))  # panel indices of the rows of a, b
-    left_of: dict[int, int] = {}  # refined panel -> index of its left half
-    tol /= len(values)
-    for depth in range(_MAX_DEPTH, -1, -1):
-        m = 0.5 * (a + b)
-        a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
-        halves = _gauss_legendre(f, a, b)
-        keep: list[int] = []
-        for j, panel in enumerate(pending):
-            left, right = halves[2 * j], halves[2 * j + 1]
-            whole = values[panel]
-            refined = left + right
-            err = abs(whole - refined)
-            # tol acts absolutely for order-one integrals and relatively for
-            # the huge magnitudes that large real parts of s produce on this
-            # support; the final clause stops refinement once the discrepancy
-            # is evaluation noise for the magnitudes involved, which no extra
-            # depth can beat
-            noise = _NOISE * max(abs(whole), abs(refined))
-            if err <= tol * max(1.0, abs(refined)) or err < 1e-17 or err <= noise:
-                values[panel] = refined
-                continue
-            if depth <= 0:
-                raise PrecisionError(
-                    f"adaptive quadrature on [{a[2 * j]}, {b[2 * j + 1]}] cannot reach "
-                    f"tolerance {tol} at the configured refinement depth"
-                )
-            left_of[panel] = len(values)
-            values += [left, right]
-            keep += [2 * j, 2 * j + 1]
-        if not keep:
-            break
-        a, b = a[keep], b[keep]
-        pending = list(range(len(values) - len(keep), len(values)))
-        tol /= 2
-    for panel, left in reversed(left_of.items()):  # halves settle before their panel
-        values[panel] = values[left] + values[left + 1]
-    return sum(values[: len(pts) - 1])
+    return sum(_settle(f, a, b, _gauss_legendre(f, a, b), tol / len(a), _MAX_DEPTH))
+
+
+def _settle(f, a: np.ndarray, b: np.ndarray, whole: list[complex], tol: float, depth: int) -> list:
+    """The integral of f over each panel [a[i], b[i]], whose 16-point value
+    is whole[i]: left + right once the halves agree with it to tol, else
+    each half settled to tol / 2.  One call of f evaluates the halves of
+    every panel, and one recursive call settles every open half."""
+    m = 0.5 * (a + b)
+    a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
+    halves = _gauss_legendre(f, a, b)
+    out: list = []  # per panel: its value, or None while its halves are open
+    open_halves: list[int] = []
+    for j, estimate in enumerate(whole):
+        refined = halves[2 * j] + halves[2 * j + 1]
+        err = abs(estimate - refined)
+        # tol acts absolutely for order-one integrals and relatively for
+        # the huge magnitudes that large real parts of s produce on this
+        # support; the final clause stops refinement once the discrepancy
+        # is evaluation noise for the magnitudes involved, which no extra
+        # depth can beat
+        noise = _NOISE * max(abs(estimate), abs(refined))
+        if err <= tol * max(1.0, abs(refined)) or err < 1e-17 or err <= noise:
+            out.append(refined)
+            continue
+        if depth <= 0:
+            raise PrecisionError(
+                f"adaptive quadrature on [{a[2 * j]}, {b[2 * j + 1]}] cannot reach "
+                f"tolerance {tol} at the configured refinement depth"
+            )
+        out.append(None)
+        open_halves += [2 * j, 2 * j + 1]
+    if open_halves:
+        opened = [halves[i] for i in open_halves]
+        sub = iter(_settle(f, a[open_halves], b[open_halves], opened, tol / 2, depth - 1))
+        out = [next(sub) + next(sub) if v is None else v for v in out]
+    return out
 
 
 def _mellin_panels(s: complex) -> list[float]:

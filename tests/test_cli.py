@@ -414,6 +414,31 @@ class TestErrorReports:
         assert json.loads(out)["error"]["code"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["brun-check", "--m", str(1009**120 * 1013), "--V", "1"],
+        ["alpha", "--t", "2", "--N", "-1"],
+        ["window", "--profile", "sigma=x", "--tmax", "10"],
+        ["shiu-mean", "--lambda", "nan", "--n-max", "100"],
+        ["params", "--x", "1e-5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_extreme_input_leaves_no_traceback(argv, capsys):
+    # an exception outside the error taxonomy would escape main
+    def no_constant(name):
+        raise AssertionError(f"bare {name} in the report")
+
+    rc, out = run_cli(argv + ["--no-timing"], capsys)
+    doc = json.loads(out, parse_constant=no_constant)
+    if rc == 0:
+        assert set(doc) == {"header", "result"}
+    else:
+        assert rc in (1, 2)
+        assert set(doc) == {"error"} and set(doc["error"]) == {"code", "message", "context"}
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "omegalab", "params", "--x", "1e6", "--no-timing"],

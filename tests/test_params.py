@@ -81,6 +81,15 @@ class TestDeriveParams:
         assert ps.X == pytest.approx(x_expect, rel=1e-12)
         assert ps.V == v_expect
 
+    def test_depth_floor_stable_a_hair_below_an_integer(self):
+        # x = floor(e^(e^sqrt 24)): (log log x)^2 lies within 1e-60 below 24,
+        # so a single floor at 60 digits rounds it up to 24
+        x = "18273549468922647250184378649247806393452381417744514589698"
+        with mpmath.workdps(300):
+            v_expect = 2 * int(mpmath.floor(mpmath.log(mpmath.log(mpmath.mpf(x))) ** 2))
+        assert v_expect == 46
+        assert ol.derive_params(x).V == v_expect
+
     def test_too_small_scale_rejected(self):
         for x in (1, 10, 25):
             with pytest.raises(DomainError):

@@ -14,11 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, ResourceError
-from omegalab.sieve import _strike_bytes, _strikes
+from omegalab.sieve import _iroot, _strike_bytes, _strikes
 
 
 def _trial_omega(n: int) -> int:
@@ -489,6 +489,24 @@ class TestScalarFactorization:
         assert ol.factorize(p * p).factors == ((p, 2),)
         assert ol.factorize(10**18).factors == ((2, 18), (5, 18))
 
+    @pytest.mark.parametrize(
+        "n",
+        [1009**120 * 1013, 1_000_003**64, (1009 * 1013 * 1019) ** 50 * 1021],
+        ids=["1009^120*1013", "1000003^64", "(1009*1013*1019)^50*1021"],
+    )
+    def test_cofactor_past_float_range(self, n):
+        # no prime factor below 1000 and a cofactor past 2**1024, beyond
+        # what a float holds: the perfect-power test takes integer roots
+        assert n > 2**1024
+        assert dict(ol.factorize(n).factors) == sympy.factorint(n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2**2000), k=st.integers(2, 9))
+    @example(n=2**1024 + 1, k=2)  # past the float range
+    def test_iroot_brackets_the_root(self, n, k):
+        r = _iroot(n, k)
+        assert r**k <= n < (r + 1) ** k
+
     def test_zero_and_negative_rejected(self):
         with pytest.raises(DomainError):
             ol.factorize(0)
@@ -573,11 +591,8 @@ class TestPrimality:
         assert ol.is_prime(n) is expect
         assert sympy.isprime(n) is expect
 
-    def test_prime_mask_agrees(self):
-        mask = ol.prime_mask(5000)
-        primes = set(_trial_primes(5000))
-        for n in range(0, 5001):
-            assert mask[n] == (n in primes)
+    def test_primes_up_to_agrees(self):
+        assert ol.primes_up_to(5000).tolist() == _trial_primes(5000)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(-2, 3000), block=st.integers(1, 64))
@@ -587,9 +602,8 @@ class TestPrimality:
         literal = [p for p in _PRIMES_TO_3000 if p <= n]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
-            got, mask = ol.primes_up_to(n), ol.prime_mask(n)
+            got = ol.primes_up_to(n)
         assert got.dtype == np.int64 and got.tolist() == literal
-        assert np.flatnonzero(mask).tolist() == literal and mask.size == max(n + 1, 0)
 
     def test_small_primes_exhaustive(self):
         # up to 1000 the primes are a copy of a slice of one import-time list
