@@ -142,6 +142,15 @@ class TruncationBound:
         }
 
 
+def _split_sum(terms: list[Fraction]) -> Fraction:
+    """sum(terms) by rounds of pairwise sums, a balanced split: each node's
+    Fraction is reduced, and its gcd pairs denominators of like size, where
+    a running sum pairs a large one with each small one."""
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    return terms[0] if terms else Fraction(0)
+
+
 def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> TruncationBound:
     """Bound the omega(d) = V+1 layer of K^omega(d)/phi(d) by S^(V+1)/(V+1)!.
 
@@ -153,7 +162,7 @@ def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> Truncatio
     if K < 1 or V < 0:
         raise DomainError("need K >= 1 and V >= 0")
     ps = interval.primes()
-    S = sum((Fraction(K, p - 1) for p in ps), Fraction(0))
+    S = _split_sum([Fraction(K, p - 1) for p in ps])
     bound = S ** (V + 1) / math.factorial(V + 1)
     dropped = None
     dominates = None

@@ -348,7 +348,7 @@ def main(argv=None) -> int:
                 raise DomainError(f"--profile expects sigma=<value>, got {key!r}")
             flags["sigma"] = float(val)
         except ValueError as exc:  # DomainError included
-            _write(None, _error_body("domain", exc, {}))
+            _write(ns.output, _error_body("domain", exc, {}))
             return 1
 
     t0 = time.perf_counter()

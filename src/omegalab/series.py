@@ -5,6 +5,16 @@ via omega(n) <= log2(n) and the tangent line of log2 at N+1, giving a
 geometric-series closed form.  The bounds nest: the enclosure at N+1 is
 contained in the enclosure at N.
 
+Every sum is one integer numerator over a power of t, formed by _horner:
+for t = 2^k with k <= 8 it adds the bit planes of the weights, read
+straight from omega_range's uint8 table, and for every other t it splits
+the terms in balanced halves, with one power of t per split level (Haible
+& Papanikolaou, ANTS-III, 1998; Brent & Zimmermann, Modern Computer
+Arithmetic, 2010, sections 1.6-1.7).  A SeriesEnclosure computes t^N
+once, so its upper end is one integer numerator over tail_bound's
+denominator S t^N; Fraction comparison, as in nested_in, cross-multiplies.
+No Fraction here is reduced by a gcd of two large integers.
+
 decompose_tail splits b * sum_{k>=1} omega(N+k)/t^k at k = K and k = L
 (N = n0 * Q) and, when every (Q/k) n0 + 1 is prime, checks the exact
 additivity identity
@@ -23,10 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DomainError
 from .params import form_family
-from .sieve import build_factor_sieve, factorize, is_prime, omega_range
+from .sieve import _reserve, build_factor_sieve, factorize, is_prime, omega_range
 
 __all__ = [
     "SeriesEnclosure",
@@ -38,6 +51,8 @@ __all__ = [
     "tail_bound",
 ]
 
+_LEAF = 64  # terms per plain Horner leaf of the binary splitting
+
 
 def _validate_t(t: int) -> int:
     t = int(t)
@@ -46,23 +61,61 @@ def _validate_t(t: int) -> int:
     return t
 
 
-def _omega_prefix(N: int) -> list[int]:
-    """omega(n) for n = 1..N as plain ints."""
-    if N < 1:
-        return []
-    return omega_range(build_factor_sieve(1, N)).tolist()
+def _horner(ws, t: int) -> int:
+    """sum_i ws[i] * t^(n-1-i) for n = len(ws) non-negative integer weights.
 
+    - t = 2^k, k <= 8: term i sits at bit k(n-1-i), so the sum is
+      sum_j 2^j * P_j, where the plane P_j has bit j of ws[i] there.  Each
+      plane is one np.packbits of a k-bytes-per-term scratch, read big-endian
+      so that the weights keep their order, and one int.from_bytes;
+      weights of any size, t or more included, work.  Past k = 8 the
+      scratch would outgrow the 8 bytes per term of the splitting's list.
+    - other t: binary splitting.  Leaves of _LEAF terms are aligned to the
+      end, so every right operand at level l spans _LEAF * 2^l terms and
+      each level multiplies by one power of t, the square of the one
+      below; plain Horner would cost O(n^2).
 
-def _horner(ws: list[int], t: int) -> int:
-    """sum_i ws[i] * t^(len(ws)-1-i) by binary splitting (Haible & Papanikolaou,
-    ANTS-III, 1998): balanced products cost O(M(n) log n), not Horner's O(n^2)."""
-    if len(ws) <= 64:
+    One _reserve call covers what the sum holds at once: the weights, the
+    plane scratch or the weight list, and a few numerator-sized integers.
+    """
+    w = np.asarray(ws)
+    n = len(w)
+    if n == 0:
+        return 0
+    k = t.bit_length() - 1
+    planes = t == 1 << k and k <= 8
+    num_bytes = n * (k + 1) // 8 + 16
+    scratch = k * n if planes else 8 * n
+    _reserve(w.nbytes + scratch + 4 * num_bytes, f"numerator of {n} terms at t={t}")
+    if planes:
+        bits = np.zeros(k * n, dtype=np.uint8)
+        plane = bits[k - 1 :: k]  # bit k(n-1-i) of the big-endian string is byte k*i + k-1
         num = 0
-        for w in ws:
-            num = num * t + w
-        return num
-    mid = len(ws) // 2
-    return _horner(ws[:mid], t) * t ** (len(ws) - mid) + _horner(ws[mid:], t)
+        for j in range(int(w.max()).bit_length()):
+            np.right_shift(w, j, out=plane, casting="unsafe")
+            plane &= 1
+            num += int.from_bytes(np.packbits(bits), "big") << j
+        return num >> (-k * n) % 8  # packbits pads the last byte on the right
+    ws = w.tolist()
+    r = n % _LEAF or _LEAF
+    nodes = []
+    for i in range(-(_LEAF - r), n, _LEAF):
+        num = 0
+        for x in ws[max(i, 0) : i + _LEAF]:
+            num = num * t + x
+        nodes.append(num)
+    power = t**_LEAF
+    while len(nodes) > 1:
+        odd = len(nodes) % 2  # an odd count carries the short first node up
+        nodes = nodes[:odd] + [a * power + b for a, b in zip(nodes[odd::2], nodes[odd + 1 :: 2])]
+        if len(nodes) > 1:
+            power *= power
+    return nodes[0]
+
+
+def _omega_numerator(t: int, N: int) -> int:
+    """sum_{n=1}^{N} omega(n) t^(N-n), that is t^N * partial_sum(t, N)."""
+    return _horner(omega_range(build_factor_sieve(1, N)), t) if N else 0
 
 
 # _coprime(n, d) is n/d for coprime n and d > 0, built without Fraction's gcd
@@ -74,23 +127,25 @@ else:
         return Fraction(n, d, _normalize=False)
 
 
-def _over_power(num: int, t: int, e: int) -> Fraction:
-    """num / t^e as a reduced Fraction, without a gcd of two large integers.
+def _over_power(num: int, t: int, power: int, small: int = 1) -> Fraction:
+    """num / (small * power) as a reduced Fraction, for power = t^e and a
+    small integer small >= 1, without a gcd of two large integers.
 
-    Every prime of gcd(num, t^e) divides t.  The shared power of 2 comes
+    Every prime of gcd(num, power) divides t.  The shared power of 2 comes
     from the trailing zero bits; the odd rest is divided out by
-    g = gcd(num mod t, t) cut down to g's common part with the
-    denominator, until that is 1.  Each round costs a few passes over
-    num, where Fraction(num, t^e) pays CPython's quadratic gcd.
+    g = gcd(num mod t, t) cut down to g's common part with the power,
+    until that is 1.  Each round costs a few passes over num, where
+    Fraction(num, power) pays CPython's quadratic gcd.  What num then
+    shares with small goes by one gcd against the small operand.
     """
     if num == 0:
         return Fraction(0)
-    den = t**e
-    z = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
-    num, den = num >> z, den >> z
-    while (g := math.gcd(num % t, t)) > 1 and (g := math.gcd(den % g, g)) > 1:
-        num, den = num // g, den // g
-    return _coprime(num, den)
+    z = min((num & -num).bit_length(), (power & -power).bit_length()) - 1
+    num, power = num >> z, power >> z
+    while (g := math.gcd(num % t, t)) > 1 and (g := math.gcd(power % g, g)) > 1:
+        num, power = num // g, power // g
+    g = math.gcd(num, small)
+    return _coprime(num // g, small // g * power)
 
 
 def partial_sum(t: int, N: int) -> Fraction:
@@ -98,14 +153,13 @@ def partial_sum(t: int, N: int) -> Fraction:
     t = _validate_t(t)
     if N < 0:
         raise DomainError("N must be >= 0")
-    return _over_power(_horner(_omega_prefix(N), t), t, N)
+    return _over_power(_omega_numerator(t, N), t, t**N)
 
 
-def _tangent_tail(t: int, n: int, e: int) -> Fraction:
-    """Bound for sum_{i>=0} omega(n+i)/t^(e+i) by the tangent of log2 at n (see tail_bound)."""
-    c = n.bit_length()
-    s = Fraction(2, n)
-    return (Fraction(c * t, t - 1) + s * Fraction(t, (t - 1) ** 2)) / t**e
+def _tangent_tail(t: int, n: int) -> tuple[int, int]:
+    """(A, S) with sum_{i>=0} omega(n+i)/t^(i+1) <= A/S, by the tangent of
+    log2 at n (see tail_bound): A = c (t-1) n + 2 and S = n (t-1)^2."""
+    return n.bit_length() * (t - 1) * n + 2, n * (t - 1) ** 2
 
 
 def tail_bound(t: int, N: int) -> Fraction:
@@ -115,15 +169,23 @@ def tail_bound(t: int, N: int) -> Fraction:
     and s = 2/(N+1), a tangent-line majorant valid for all n > N; summing
     the two geometric pieces gives
 
-        tail <= t^(-(N+1)) * ( c*t/(t-1) + s*t/(t-1)^2 ).
+        tail <= t^(-(N+1)) * ( c*t/(t-1) + s*t/(t-1)^2 ),
+
+    which is A / (S t^N) with (A, S) from _tangent_tail at N+1.
 
     Requires N >= 2.  Strictly positive, decreasing in N, and nesting:
     partial_sum(N+1) + tail_bound(N+1) stays inside the previous interval.
     """
     t = _validate_t(t)
+    A, S = _tail_terms(t, N)
+    return _over_power(A, t, t**N, S)
+
+
+def _tail_terms(t: int, N: int) -> tuple[int, int]:
+    """(A, S) with tail_bound(t, N) = A / (S t^N)."""
     if N < 2:
         raise DomainError("tail_bound needs N >= 2")
-    return _tangent_tail(t, N + 1, N + 1)
+    return _tangent_tail(t, N + 1)
 
 
 @dataclass(frozen=True)
@@ -135,13 +197,26 @@ class SeriesEnclosure:
     partial: Fraction
     tail_hi: Fraction
 
+    @cached_property
+    def _power(self) -> int:
+        """t^N, computed once; alpha_enclosure seeds it with its own."""
+        return self.t**self.N
+
     @property
     def lo(self) -> Fraction:
         return self.partial
 
     @property
     def hi(self) -> Fraction:
-        return self.partial + self.tail_hi
+        """partial + tail_hi as one integer numerator over tail_bound's
+        denominator S t^N, reduced by _over_power.  A hand-built enclosure
+        whose denominators do not divide S t^N adds the Fractions."""
+        S = _tail_terms(self.t, self.N)[1]
+        D = S * self._power
+        (x, r), (y, s) = divmod(D, self.partial.denominator), divmod(D, self.tail_hi.denominator)
+        if r or s:
+            return self.partial + self.tail_hi
+        return _over_power(self.partial.numerator * x + self.tail_hi.numerator * y, self.t, self._power, S)
 
     @property
     def width(self) -> Fraction:
@@ -164,7 +239,14 @@ class SeriesEnclosure:
 
 def alpha_enclosure(t: int, N: int) -> SeriesEnclosure:
     """Exact enclosure of alpha_t from the first N terms (N >= 2)."""
-    return SeriesEnclosure(t=int(t), N=int(N), partial=partial_sum(t, N), tail_hi=tail_bound(t, N))
+    t, N = _validate_t(t), int(N)
+    if N < 0:
+        raise DomainError("N must be >= 0")
+    A, S = _tail_terms(t, N)
+    num, power = _omega_numerator(t, N), t**N
+    enc = SeriesEnclosure(t, N, _over_power(num, t, power), _over_power(A, t, power, S))
+    enc.__dict__["_power"] = power  # the cached t^N, already computed
+    return enc
 
 
 @dataclass(frozen=True)
@@ -220,7 +302,7 @@ class TailDecomposition:
 def _block_sum(t: int, N: int, b: int, lo_k: int, hi_k: int) -> Fraction:
     """b * sum_{k=lo_k}^{hi_k} omega(N+k)/t^k, omega via certified factorize."""
     ws = [factorize(N + k).omega for k in range(lo_k, hi_k + 1)]
-    return _over_power(b * _horner(ws, t), t, hi_k)
+    return _over_power(b * _horner(ws, t), t, t**hi_k)
 
 
 def decompose_tail(
@@ -248,14 +330,15 @@ def decompose_tail(
     S2 = _block_sum(t, N, b, K + 1, L)
     S3_trunc = _block_sum(t, N, b, L + 1, M)
 
-    S3_tail = b * _tangent_tail(t, N + M + 1, M + 1)
+    A, S = _tangent_tail(t, N + M + 1)
+    S3_tail = _over_power(b * A, t, t**M, S)
 
     applicable = all(is_prime((Q // k) * n0 + 1) for k in range(1, K + 1))
     rhs = None
     holds = None
     if applicable:
         ws = [factorize(k).omega + 1 for k in range(1, K + 1)]
-        rhs = _over_power(b * _horner(ws, t), t, K)
+        rhs = _over_power(b * _horner(ws, t), t, t**K)
         holds = rhs == S1
     return TailDecomposition(
         t=t,
@@ -286,9 +369,10 @@ def integrality_probe(a: int, b: int, t: int, N: int) -> dict:
     if b < 1:
         raise DomainError("b must be >= 1")
     t = _validate_t(t)
-    window_hi = b * tail_bound(t, N) * t**N
+    A, S = _tail_terms(t, N)
+    window_hi = Fraction(b * A, S)  # b t^N tail_bound(t, N)
     # t^N * partial_sum(t, N) is the unreduced numerator sum omega(n) t^(N-n)
-    probe = a * t**N - b * _horner(_omega_prefix(N), t)
+    probe = a * t**N - b * _omega_numerator(t, N)
     return {
         "probe_integer": probe,
         "window_hi": window_hi,

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
+from omegalab.brun import _split_sum
 from omegalab.errors import DomainError
 
 
@@ -165,6 +166,15 @@ class TestTruncationErrorBound:
         for v in range(len(reps) - 1):
             if Fraction(v + 2, 1) > S:  # ratio S/(V+2) < 1 from here on
                 assert reps[v + 1] < reps[v]
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(1, 8), lo=st.integers(2, 3000), span=st.integers(1, 3000))
+    def test_split_sum_matches_sequential_sum(self, K, lo, span):
+        ps = ol.PrimeInterval(lo, lo + span).primes()
+        sequential = Fraction(0)
+        for p in ps:
+            sequential += Fraction(K, p - 1)
+        assert _split_sum([Fraction(K, p - 1) for p in ps]) == sequential
 
     def test_domination_on_many_instances(self):
         for hi in (20, 30, 50):

@@ -310,6 +310,25 @@ class TestOutputPlumbing:
         assert doc["result"]["x"] == "inf"
         assert (doc["result"]["K"], doc["result"]["L"], doc["result"]["Q"]) == (9, 13, 31116960000)
 
+    def test_window_profile_error_goes_to_output(self, tmp_path, capsys):
+        path = tmp_path / "err.json"
+        rc, out = run_cli(
+            ["window", "--profile", "sigma=x", "--tmax", "10", "--output", str(path)], capsys
+        )
+        assert rc == 1 and out == ""
+        err = json.loads(path.read_text())["error"]
+        assert err["code"] == "domain" and err["context"] == {}
+
+    def test_alpha_at_paper_scale_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "alpha.json"
+        rc, out = run_cli(
+            ["alpha", "--t", "2", "--N", "1000000", "--no-timing", "--output", str(path)], capsys
+        )
+        assert rc == 0 and out == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a342a526c5eca9403fb107f59a44e5e7cd51dcefc9890cd4e1172138161e92c4"
+        )
+
     def test_window_profile_flag_validated(self, capsys):
         rc, out = run_cli(
             ["window", "--profile", "tau=0.5", "--tmax", "10", "--no-timing"], capsys
@@ -376,6 +395,13 @@ class TestErrorReports:
              "--truncation-prime", "10000000", "--no-timing"],
             capsys,
         )
+        assert rc == 2
+        assert json.loads(out)["error"]["code"] == "resource"
+
+    def test_numerator_budget_exits_two(self, capsys, monkeypatch):
+        # the sieve's reservation fits 5e7 bytes, the t = 2^10 bit planes do not
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(50_000_000))
+        rc, out = run_cli(["alpha", "--t", "1024", "--N", "10000000", "--no-timing"], capsys)
         assert rc == 2
         assert json.loads(out)["error"]["code"] == "resource"
 

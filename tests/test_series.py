@@ -1,6 +1,8 @@
 """Exact series enclosures and the S1/S2/S3 decomposition."""
 
+import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
-from omegalab.errors import DomainError
-from omegalab.series import _over_power
+from omegalab.errors import DomainError, ResourceError
+from omegalab.series import _horner, _over_power
 
 
 def _trial_omega(n: int) -> int:
@@ -58,9 +60,33 @@ class TestPartialSum:
     def test_reduction_matches_fraction_gcd(self, num, t, e, powers):
         # valuations of num at t, 2 and 3 both below and above e * v_p(t)
         num *= t ** powers[0] * 2 ** powers[1] * 3 ** powers[2]
-        got, want = _over_power(num, t, e), Fraction(num, t**e)
+        got, want = _over_power(num, t, t**e), Fraction(num, t**e)
         assert type(got) is Fraction
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num=st.integers(-(10**40), 10**40),
+        t=st.integers(2, 10**6),
+        e=st.integers(0, 60),
+        small=st.integers(1, 10**6),
+        power=st.integers(0, 80),
+    )
+    def test_reduction_with_small_factor(self, num, t, e, small, power):
+        num *= small * t**power
+        got, want = _over_power(num, t, t**e, small), Fraction(num, small * t**e)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.sampled_from([2, 3, 4, 8, 10, 16, 2**8, 2**9, 2**10]),
+        ws=st.lists(st.integers(0, 40), max_size=300),
+    )
+    def test_numerator_matches_literal_loop(self, t, ws):
+        # N = len(ws) runs over every residue mod 8; weights reach past t;
+        # 2^8 is the last bit-plane base, 2^9 the first split one
+        literal = sum(w * t ** (len(ws) - 1 - i) for i, w in enumerate(ws))
+        assert _horner(ws, t) == literal
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -109,6 +135,42 @@ class TestTailBound:
     @given(t=st.integers(2, 40), N=st.integers(2, 2000))
     def test_nesting_property(self, t, N):
         assert ol.alpha_enclosure(t, N + 1).nested_in(ol.alpha_enclosure(t, N))
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.integers(2, 40), N=st.integers(2, 600), M=st.integers(2, 600), u=st.integers(2, 40))
+    def test_integer_ends_match_fraction_arithmetic(self, t, N, M, u):
+        enc, other, foreign = ol.alpha_enclosure(t, N), ol.alpha_enclosure(t, M), ol.alpha_enclosure(u, M)
+        # a tail whose denominator, the prime 10**9 + 7, does not divide (N + 1)(t - 1)^2 t^N
+        odd = dataclasses.replace(other, tail_hi=Fraction(1, 10**9 + 7))
+        # built by hand with four fields, and moved to another N: t^N follows N
+        built = ol.SeriesEnclosure(t, N, enc.partial, enc.tail_hi)
+        moved = dataclasses.replace(other, N=M + 1)
+        for e in (enc, odd, built, moved):
+            assert e.hi == e.partial + e.tail_hi
+        assert enc.width == enc.hi - enc.lo
+        for o in (other, foreign, odd):
+            want = o.partial <= enc.partial and enc.partial + enc.tail_hi <= o.partial + o.tail_hi
+            assert enc.nested_in(o) == want
+
+    def test_nesting_at_paper_scale(self):
+        assert ol.alpha_enclosure(2, 10**6).nested_in(ol.alpha_enclosure(2, 10**6 - 1))
+
+    def test_numerator_budget(self, monkeypatch):
+        # omega_range's own reservation (~36 MB at 1e7) fits 5e7 bytes; the
+        # 8e7-byte weight list that t = 2^10 splits from does not, while the
+        # 1e7 bytes of plane scratch for t = 2 fit
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(50_000_000))
+        with pytest.raises(ResourceError, match="numerator") as err:
+            ol.alpha_enclosure(1024, 10**7)
+        assert int(re.search(r"needs ~(\d+)", str(err.value)).group(1)) > 8 * 10**7
+        assert ol.alpha_enclosure(2, 10**7).N == 10**7
+
+    def test_large_power_of_two_splits(self, monkeypatch):
+        # past t = 2^8, k bytes of plane scratch per term would outgrow the
+        # splitting's 8-byte list entry: t = 2^64 at N = 2e4 reserves ~0.83 MB
+        # by splitting, where planes would need ~1.95 MB
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(1_000_000))
+        assert ol.alpha_enclosure(2**64, 2 * 10**4).N == 2 * 10**4
 
     def test_nesting_requires_n_at_least_two(self):
         with pytest.raises(DomainError):
@@ -223,6 +285,13 @@ class TestIntegralityProbe:
         rep = ol.integrality_probe(33, 64, 2, 10)
         assert rep["probe_integer"] == 0
         assert not rep["consistent"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(-50, 50), b=st.integers(1, 50), t=st.integers(2, 40), N=st.integers(2, 400))
+    def test_window_is_scaled_tail_bound(self, a, b, t, N):
+        rep = ol.integrality_probe(a, b, t, N)
+        assert rep["window_hi"] == b * ol.tail_bound(t, N) * t**N
+        assert rep["probe_integer"] == a * t**N - b * ol.partial_sum(t, N) * t**N
 
     def test_domain(self):
         with pytest.raises(DomainError):
