@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .sieve import build_factor_sieve, factorize, omega_range, primes_up_to
+from .sieve import _reserve, build_factor_sieve, factorize, omega_range, primes_up_to
 
 __all__ = [
     "LambdaMeanReport",
@@ -33,6 +33,8 @@ __all__ = [
 
 _MAX_INTERVAL_HI = 10**8
 _SUBSET_LIMIT = 12  # exhaustive divisor enumeration cap (4096 subsets)
+_PRIME_BYTES = 48  # per entry of primes(): the int, its slot and the int64 it is read from
+_TERM_BYTES = 240  # per prime of truncation_error_bound: that list, the terms of S and their sums
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,7 @@ class PrimeInterval:
 
     def primes(self) -> list[int]:
         ps = primes_up_to(int(math.floor(self.hi)))
+        _reserve(_PRIME_BYTES * len(ps), f"list of the primes up to {self.hi}")
         return [int(p) for p in ps if self.lo < p and p not in self.excluded]
 
 
@@ -162,6 +165,7 @@ def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> Truncatio
     if K < 1 or V < 0:
         raise DomainError("need K >= 1 and V >= 0")
     ps = interval.primes()
+    _reserve(_TERM_BYTES * len(ps), f"S = sum K/(p-1) over {len(ps)} primes")
     S = _split_sum([Fraction(K, p - 1) for p in ps])
     bound = S ** (V + 1) / math.factorial(V + 1)
     dropped = None

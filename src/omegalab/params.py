@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
-
-import mpmath
 
 from .errors import DomainError, PrecisionError, PreconditionError
 from .linforms import LinearFormSystem, _generic_product, _local_factor_exact
@@ -32,21 +31,47 @@ __all__ = [
 ]
 
 #: x must exceed this for K >= 1 (triple log above 1/5).
-MIN_SCALE = float(mpmath.exp(mpmath.exp(mpmath.exp(0.2))))
+MIN_SCALE = math.exp(math.exp(math.exp(0.2)))
 
 
-def _stable_floor(fn) -> int:
-    """floor(fn()) where fn evaluates an mpmath expression at current dps.
+def _scale(xs: str) -> tuple[float, Decimal, int]:
+    """(float(x), c, k) with x = c * 10**k and 1 <= c < 10 exactly, read
+    from the numeric string xs.  The exponent is split off by hand, since
+    Decimal refuses one past decimal.MAX_EMAX (1e9999999999999999999)."""
+    try:
+        xf = float(xs)
+        mantissa, _, exponent = xs.strip().lower().partition("e")
+        m, e = Decimal(mantissa), int(exponent or 0)
+    except (ValueError, InvalidOperation) as exc:
+        raise DomainError(str(exc)) from None
+    too_small = DomainError(f"x={xs} too small: need x > {MIN_SCALE:.3f} so that K >= 1")
+    if not m.is_finite() or m <= 0:
+        raise too_small
+    digits = m.as_tuple().digits
+    k = e + m.adjusted()
+    if k < 1 or (k == 1 and Decimal((0, digits, 2 - len(digits))) <= MIN_SCALE):
+        raise too_small
+    return xf, Decimal((0, digits, 1 - len(digits))), k
 
-    Evaluates at 60, 120 and 240 digits until two consecutive precisions
-    agree, so a value microscopically below an integer cannot round up.
+
+def _stable_floors(c: Decimal, k: int):
+    """The floors of 5 log log log x, 2 log log x and (log log x)^2 for
+    x = c * 10**k, with the 60-digit (log x, log log x, log log log x).
+
+    log x = log c + k log 10 is taken at 60, 120 and 240 digits until two
+    consecutive precisions give the same three floors, so a value
+    microscopically below an integer cannot round up.
     """
-    prev = None
-    for dps in (60, 120, 240):
-        with mpmath.workdps(dps):
-            cur = int(mpmath.floor(fn()))
+    prev = logs60 = None
+    for prec in (60, 120, 240):
+        with localcontext(Context(prec=prec)):
+            lx = c.ln() + k * Decimal(10).ln()
+            ll = lx.ln()
+            lll = ll.ln()
+            cur = (math.floor(5 * lll), math.floor(2 * ll), math.floor(ll * ll))
+        logs60 = logs60 or (lx, ll, lll)
         if cur == prev:
-            return cur
+            return cur, logs60
         prev = cur
     raise PrecisionError("floor did not stabilise under precision doubling")
 
@@ -86,21 +111,17 @@ def derive_params(x) -> ParamSet:
     """Derive (K, L, Q, g, Q', K', X, V) from the scale x.
 
     x may be an int, float, or numeric string (useful for 10**100 and
-    beyond); floors are taken at guarded precision so near-integer
-    arguments cannot flip.  The q_growth_exponent field reports
+    beyond, with any exponent); the logs are taken in the standard
+    library's decimal arithmetic, whose ln and exp are correctly rounded,
+    and the floors at guarded precision so near-integer arguments cannot
+    flip.  X and q_growth_exponent come from the 60-digit logs, and an X
+    past the largest double is inf.  The q_growth_exponent field reports
     log Q / logloglog x with the drift past [10, 20] alongside; the
     window holds for x >= 1e50 and is advisory below that, where the
     o(1) terms are still large.
     """
-    xs = str(x)
-    with mpmath.workdps(60):
-        xm = mpmath.mpf(xs)
-        if not mpmath.isfinite(xm) or xm <= MIN_SCALE:
-            raise DomainError(f"x={xs} too small: need x > {MIN_SCALE:.3f} so that K >= 1")
-
-    K = _stable_floor(lambda: 5 * mpmath.log(mpmath.log(mpmath.log(mpmath.mpf(xs)))))
-    L = _stable_floor(lambda: 2 * mpmath.log(mpmath.log(mpmath.mpf(xs))))
-    V = 2 * _stable_floor(lambda: mpmath.log(mpmath.log(mpmath.mpf(xs))) ** 2)
+    xf, c, k = _scale(str(x))
+    (K, L, half_V), (lx, ll, lll) = _stable_floors(c, k)
 
     Q = 1
     for p in primes_up_to(K):
@@ -109,16 +130,14 @@ def derive_params(x) -> ParamSet:
     Q_prime = Q // g
     K_prime = (K + 1) // g
 
-    with mpmath.workdps(60):
-        xm = mpmath.mpf(xs)
-        ll = mpmath.log(mpmath.log(xm))
-        lll = mpmath.log(ll)
-        X = float(xm ** (1 / ll**3))
-        q_exp = float(mpmath.log(Q) / lll) if Q > 1 else 0.0
+    with localcontext(Context(prec=60)) as ctx:
+        ctx.traps[Overflow] = False  # an X past any double prints as inf
+        X = float((lx / ll**3).exp())
+        q_exp = float(Decimal(Q).ln() / lll) if Q > 1 else 0.0
     drift = max(0.0, 10.0 - q_exp, q_exp - 20.0)
 
     return ParamSet(
-        x=float(xm),
+        x=xf,
         K=K,
         L=L,
         Q=Q,
@@ -126,7 +145,7 @@ def derive_params(x) -> ParamSet:
         Q_prime=Q_prime,
         K_prime=K_prime,
         X=X,
-        V=V,
+        V=2 * half_V,
         q_growth_exponent=q_exp,
         q_growth_drift=drift,
     )

@@ -156,12 +156,6 @@ def partial_sum(t: int, N: int) -> Fraction:
     return _over_power(_omega_numerator(t, N), t, t**N)
 
 
-def _tangent_tail(t: int, n: int) -> tuple[int, int]:
-    """(A, S) with sum_{i>=0} omega(n+i)/t^(i+1) <= A/S, by the tangent of
-    log2 at n (see tail_bound): A = c (t-1) n + 2 and S = n (t-1)^2."""
-    return n.bit_length() * (t - 1) * n + 2, n * (t - 1) ** 2
-
-
 def tail_bound(t: int, N: int) -> Fraction:
     """Rational upper bound for sum_{n>N} omega(n)/t^n, exact arithmetic.
 
@@ -171,7 +165,7 @@ def tail_bound(t: int, N: int) -> Fraction:
 
         tail <= t^(-(N+1)) * ( c*t/(t-1) + s*t/(t-1)^2 ),
 
-    which is A / (S t^N) with (A, S) from _tangent_tail at N+1.
+    which is A / (S t^N) with (A, S) = _tail_terms(t, N).
 
     Requires N >= 2.  Strictly positive, decreasing in N, and nesting:
     partial_sum(N+1) + tail_bound(N+1) stays inside the previous interval.
@@ -182,10 +176,12 @@ def tail_bound(t: int, N: int) -> Fraction:
 
 
 def _tail_terms(t: int, N: int) -> tuple[int, int]:
-    """(A, S) with tail_bound(t, N) = A / (S t^N)."""
+    """(A, S) with sum_{n>N} omega(n)/t^n <= tail_bound(t, N) = A / (S t^N),
+    by the tangent of log2 at n = N+1: A = c (t-1) n + 2, S = n (t-1)^2."""
     if N < 2:
         raise DomainError("tail_bound needs N >= 2")
-    return _tangent_tail(t, N + 1)
+    n = N + 1
+    return n.bit_length() * (t - 1) * n + 2, n * (t - 1) ** 2
 
 
 @dataclass(frozen=True)
@@ -330,7 +326,7 @@ def decompose_tail(
     S2 = _block_sum(t, N, b, K + 1, L)
     S3_trunc = _block_sum(t, N, b, L + 1, M)
 
-    A, S = _tangent_tail(t, N + M + 1)
+    A, S = _tail_terms(t, N + M)  # N >= 1 and M >= 2, so N + M >= 3
     S3_tail = _over_power(b * A, t, t**M, S)
 
     applicable = all(is_prime((Q // k) * n0 + 1) for k in range(1, K + 1))

@@ -60,6 +60,7 @@ _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # level 1 of these is one periodic pattern
 _WHEEL = math.prod(_WHEEL_PRIMES)  # 30030
 _SMALL_LIMIT = 1000  # primes_up_to(n) for n up to this is a slice of _SMALL_PRIMES
 _SMALL_PRIMES: list[int] = []  # the primes up to _SMALL_LIMIT, filled in at import below
+_RHO_STEPS = 1 << 22  # rho steps allowed per cofactor; see CHANGES.md for the largest seen
 
 
 def _reserve(nbytes: int, what: str) -> None:
@@ -438,7 +439,12 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _brent_rho(n: int) -> int:
-    """Nontrivial factor of an odd composite n, deterministic constant sweep."""
+    """Nontrivial factor of an odd composite n, deterministic constant sweep.
+
+    Raises ResourceError once _RHO_STEPS steps of the map y -> y^2 + c,
+    over all constants c, have not split n.
+    """
+    steps = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -454,6 +460,9 @@ def _brent_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += r + min(k, r)
+            if g == 1 and steps > _RHO_STEPS:
+                raise ResourceError(f"rho found no factor of the cofactor {n} in {steps} steps")
             r *= 2
         if g == n:
             g = 1

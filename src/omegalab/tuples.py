@@ -8,10 +8,11 @@ block size and reserves the memory.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
+from decimal import Context, Decimal, localcontext
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError
@@ -89,15 +90,26 @@ class HLComparison:
 def _log_power_integral(K: int, x: int) -> float:
     """int_2^x dt/(log t)^K, rounded to float once.
 
-    I_1 = li(x) - li(2), and integration by parts gives
-    I_(j+1) = (I_j - x/(log x)^j + 2/(log 2)^j) / j; the recurrence runs in
-    40-digit mpmath, far past the cancellation it meets for large K.
+    I_1 = li(x) - li(2) = log(log x / log 2) + sum_{n>=1} ((log x)^n - (log 2)^n)/(n n!)
+    (Abramowitz & Stegun 5.1.10, where Euler's constant cancels), and
+    integration by parts gives I_(j+1) = (I_j - x/(log x)^j + 2/(log 2)^j) / j.
+    Both run in 40-digit decimal arithmetic, far past the cancellation the
+    recurrence meets for large K.  The series' terms are positive and rise
+    until n ~ log x, so the first term too small to move the sum lies past
+    that peak, where they fall faster than geometrically; the sum stops there.
     """
-    with mpmath.workdps(40):
-        x_, two = mpmath.mpf(x), mpmath.mpf(2)
-        integral = mpmath.li(x_) - mpmath.li(two)
+    with localcontext(Context(prec=40)):
+        x_, two = Decimal(x), Decimal(2)
+        lx, l2 = x_.ln(), two.ln()
+        integral, px, p2 = (lx / l2).ln(), Decimal(1), Decimal(1)
+        for n in itertools.count(1):
+            px, p2 = px * lx / n, p2 * l2 / n
+            term = (px - p2) / n
+            if integral + term == integral:
+                break
+            integral += term
         for j in range(1, K):
-            integral = (integral - x_ / mpmath.log(x_) ** j + two / mpmath.log(two) ** j) / j
+            integral = (integral - x_ / lx**j + two / l2**j) / j
         return float(integral)
 
 

@@ -1,7 +1,9 @@
 """Truncated Moebius sums, the weighted Euler-product identity, and
 lambda^omega means, all against literal divisor enumerations."""
 
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.brun import _split_sum
-from omegalab.errors import DomainError
+from omegalab.cli import main
+from omegalab.errors import DomainError, ResourceError
 
 
 def brute_truncated(m: int, V: int) -> int:
@@ -182,6 +185,36 @@ class TestTruncationErrorBound:
                 rep = ol.truncation_error_bound(3, ol.PrimeInterval(4, hi), V)
                 if rep.dropped_mass is not None:
                     assert rep.bound >= rep.dropped_mass
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("budget", [4_000_000, 16_000_000, 20_000_000])
+    def test_sum_refused_or_within_budget(self, budget, monkeypatch):
+        # the primes list and the Fraction terms of S are reserved before
+        # they are built: the call is refused, or peaks within the budget
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        interval = ol.PrimeInterval(4, 10**6)
+        tracemalloc.start()
+        try:
+            ol.truncation_error_bound(2, interval, 0)
+        except ResourceError:
+            assert budget < 20_000_000
+        else:
+            assert tracemalloc.get_traced_memory()[1] <= budget
+        finally:
+            tracemalloc.stop()
+
+    def test_prime_list_refused(self, monkeypatch):
+        # primes_up_to reserves ~1.7e5 bytes here, the list ~4.6e5
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", "300000")
+        with pytest.raises(ResourceError, match="list of the primes"):
+            ol.PrimeInterval(4, 10**5).primes()
+
+    def test_cli_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", "4000000")
+        argv = ["euler-identity", "--K", "2", "--lo", "4", "--hi", "1000000", "--V", "0", "--no-timing"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "resource"
 
 
 class TestLambdaOmegaMean:

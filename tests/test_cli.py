@@ -310,6 +310,23 @@ class TestOutputPlumbing:
         assert doc["result"]["x"] == "inf"
         assert (doc["result"]["K"], doc["result"]["L"], doc["result"]["Q"]) == (9, 13, 31116960000)
 
+    def test_exponent_past_decimal_emax_is_pinned(self, capsys):
+        # Decimal("1e9999999999999999999") is refused (exponent past
+        # decimal.MAX_EMAX); the scale is split into mantissa and exponent
+        rc, out = run_cli(["params", "--x", "1e9999999999999999999", "--no-timing"], capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a345945a30933c0db907f3712b87499416806268ddeffda65ca21f6d2a4e076d"
+        )
+        result = json.loads(out)["result"]
+        assert (result["K"], result["L"], result["x"], result["X"]) == (18, 89, "inf", "inf")
+
+    @pytest.mark.parametrize("x", ["abc", "-5", "nan", "inf", "0", "29.7", "1e-9999999999999999999"])
+    def test_bad_scale_is_a_domain_error(self, x, capsys):
+        rc, out = run_cli(["params", "--x", x, "--no-timing"], capsys)
+        assert rc == 1
+        assert json.loads(out)["error"]["code"] == "domain"
+
     def test_window_profile_error_goes_to_output(self, tmp_path, capsys):
         path = tmp_path / "err.json"
         rc, out = run_cli(
@@ -496,6 +513,22 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_runs_leave_mpmath_unloaded():
+    # mpmath is a test oracle only: the parameter floors and li(x) run in decimal
+    code = (
+        "import sys, omegalab, omegalab.cli\n"
+        "assert omegalab.cli.main(['params', '--x', '1e100', '--no-timing']) == 0\n"
+        "twins = omegalab.LinearFormSystem.from_pairs([(1, 0), (1, 2)])\n"
+        "assert omegalab.hl_compare(twins, 10**4).predicted_integral > 0\n"
+        "print('mpmath' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 #: header.config keys besides "format": exactly the subcommand's own flags

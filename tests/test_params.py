@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, PreconditionError
+from omegalab.params import MIN_SCALE
 
 
 class TestDeriveParams:
@@ -89,6 +91,33 @@ class TestDeriveParams:
             v_expect = 2 * int(mpmath.floor(mpmath.log(mpmath.log(mpmath.mpf(x))) ** 2))
         assert v_expect == 46
         assert ol.derive_params(x).V == v_expect
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 10**30), e=st.integers(2, 10**6))
+    @example(m=1, e=100).via("the README scale")
+    @example(m=18273549468922647250184378649247806393452381417744514589698, e=0).via(
+        "(log log x)^2 within 1e-60 below 24"
+    )
+    def test_floors_match_mpmath_at_300_digits(self, m, e):
+        # the library computes in decimal; mpmath shares no code with it
+        ps = ol.derive_params(f"{m}e{e}")
+        with mpmath.workdps(300):
+            ll = mpmath.log(mpmath.log(mpmath.mpf(m) * mpmath.mpf(10) ** e))
+            expect = (
+                int(mpmath.floor(5 * mpmath.log(ll))),
+                int(mpmath.floor(2 * ll)),
+                2 * int(mpmath.floor(ll**2)),
+            )
+        assert (ps.K, ps.L, ps.V) == expect
+
+    def test_min_scale_is_the_triple_exponential(self):
+        with mpmath.workdps(50):
+            assert MIN_SCALE == float(mpmath.exp(mpmath.exp(mpmath.exp(0.2))))
+        assert MIN_SCALE == 29.723633584240893
+        # both round to the double MIN_SCALE; the comparison is exact
+        with pytest.raises(DomainError):
+            ol.derive_params("29.7236335842408931")
+        assert ol.derive_params("29.7236335842408935").K == 1
 
     def test_too_small_scale_rejected(self):
         for x in (1, 10, 25):

@@ -7,6 +7,7 @@ stride-sieve code under test.
 """
 
 import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 import omegalab as ol
+from omegalab.cli import main
 from omegalab.errors import DomainError, ResourceError
 from omegalab.sieve import _iroot, _strike_bytes, _strikes
 
@@ -532,6 +534,16 @@ class TestScalarFactorization:
         p = sympy.nextprime(3_317_044_064_679_887_385_961_981)
         with pytest.raises(DomainError):
             ol.factorize(3 * p)
+
+    def test_rho_work_bound_refuses(self, monkeypatch, capsys):
+        # two ~40-bit primes: rho splits their product in 887 038 steps, far past a cap of 1000
+        p, q = sympy.nextprime(2**40), sympy.nextprime(3 * 2**39)
+        assert ol.factorize(p * q).factors == ((p, 1), (q, 1))
+        monkeypatch.setattr("omegalab.sieve._RHO_STEPS", 1000)
+        with pytest.raises(ResourceError, match=str(p * q)):
+            ol.factorize(7 * p * q)
+        assert main(["brun-check", "--m", str(p * q), "--V", "1", "--no-timing"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "resource"
 
     def test_trial_division_certifies_below_997_squared(self, monkeypatch):
         # the trial primes end at 997, so below 997**2 the loop always stops
