@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add, mul
 
 import numpy as np
 
@@ -99,6 +100,21 @@ def _layer(ps: list[int], r: int) -> Fraction:
     return sum((Fraction(1, math.prod(p - 1 for p in sub)) for sub in subsets), Fraction(0))
 
 
+def _balanced(op, terms: list, empty):
+    """op folded over terms by rounds of pairwise op, a balanced tree: each
+    node joins operands of like size, where a running fold joins a large
+    one with each small one.  For Fraction sums each node's gcd stays
+    small; for integer products each multiplication is balanced."""
+    while len(terms) > 1:
+        terms = [op(a, b) for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    return terms[0] if terms else empty
+
+
+def _split_sum(terms: list[Fraction]) -> Fraction:
+    """sum(terms) over a balanced tree: each node's Fraction is reduced."""
+    return _balanced(add, terms, Fraction(0))
+
+
 def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck:
     """Exact two-route evaluation over squarefree d supported on the interval.
 
@@ -113,7 +129,7 @@ def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck
     for p in ps:
         if p <= K + 1:
             raise DomainError(f"interval prime {p} <= K+1 = {K + 1} makes a factor vanish or flip")
-    product = Fraction(math.prod(p - 1 - K for p in ps), math.prod(p - 1 for p in ps))
+    product = Fraction(_balanced(mul, [p - 1 - K for p in ps], 1), _balanced(mul, [p - 1 for p in ps], 1))
     if len(ps) > _SUBSET_LIMIT:
         return SieveProductCheck(K, len(ps), product, None, None)
     # mu(d) K^omega(d) = (-K)^r over the squarefree d with r prime factors
@@ -143,15 +159,6 @@ class TruncationBound:
             "dropped_mass": self.dropped_mass,
             "dominates": self.dominates,
         }
-
-
-def _split_sum(terms: list[Fraction]) -> Fraction:
-    """sum(terms) by rounds of pairwise sums, a balanced split: each node's
-    Fraction is reduced, and its gcd pairs denominators of like size, where
-    a running sum pairs a large one with each small one."""
-    while len(terms) > 1:
-        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
-    return terms[0] if terms else Fraction(0)
 
 
 def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> TruncationBound:

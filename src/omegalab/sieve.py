@@ -6,12 +6,14 @@ sieves strike residue classes block by block through one helper,
 ``_strikes``: a strided slice for a modulus with more than _DENSE_HITS
 (64) hits in the block, one gathered offset array for the rest.  The
 tables take the first power of the primes up to 13 from a wheel, one
-period of 30030 copied across each block, and keep the product of the
-prime powers found in uint32 while the window ends below 2**32.  The one
-prime factor of n above the square root of the block end is stepped in
-by one contiguous pass over the block.  Every allocation is first
-reserved by ``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew at
-each call.
+period of 30030 copied across each block.  The one prime factor of n
+above the square root of the block end is stepped in by one contiguous
+pass over the block: phi reads it off the product of the prime powers
+found (uint32 while the window ends below 2**32), and omega and tau only
+ask whether it exists, which a uint16 sum of rounded logs answers exactly
+for every window up to 2**50 (the margin is proved at ``_sieve_table``).
+Every allocation is first reserved by ``_reserve`` against
+OMEGALAB_MEMORY_BUDGET, read anew at each call.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -52,15 +54,14 @@ MAX_SIEVE_HI = 1 << 50
 _BUDGET_ENV = "OMEGALAB_MEMORY_BUDGET"
 _DEFAULT_BUDGET = 2_000_000_000  # bytes
 _DEFAULT_BLOCK = 1 << 20  # numbers per block of either sieve
-_BLOCK_SCRATCH = 24  # bytes per n of one table block: the product and the leftover pass, 17 at most
 _DENSE_HITS = 64  # a modulus with more hits per block strikes by a strided slice
-_STRIKE_CHUNK = 1 << 13  # moduli per _strikes call of one table level
+_STRIKE_CHUNK = 1 << 13  # moduli per _strikes call of one table level, and n per step of phi's leftover pass
 _LEVEL_BYTES = 40  # per base prime: a table level's int64 moduli and primes, the next level's, keep
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # level 1 of these is one periodic pattern of the tables
 _WHEEL = math.prod(_WHEEL_PRIMES)  # 30030
 _SMALL_LIMIT = 1000  # primes_up_to(n) for n up to this is a slice of _SMALL_PRIMES
 _SMALL_PRIMES: list[int] = []  # the primes up to _SMALL_LIMIT, filled in at import below
-_RHO_STEPS = 1 << 22  # rho steps allowed per cofactor; see CHANGES.md for the largest seen
+_RHO_STEPS = 1 << 22  # rho work allowed per cofactor, in steps on 64-bit words; see CHANGES.md
 
 
 def _reserve(nbytes: int, what: str) -> None:
@@ -250,107 +251,169 @@ def build_factor_sieve(lo: int, hi: int) -> FactorSieve:
     return FactorSieve(lo, hi, primes_up_to(root))
 
 
+def _thresholds(a: int, b: int):
+    """(i, j, t) over the pieces [a + i, a + j) that tile the block [a, b):
+    t = 16 * max(0, floor(64 log2 c) - 30) for the piece start c, and a
+    piece ends before c + c/12, so log2 n moves by less than
+    log2(13/12) < 0.1155 bit across it."""
+    c = a
+    while c < b:  # t = 0 only at n = 1, which has no prime factor
+        d = min(b, c + max(1, c // 12))
+        yield c - a, d - a, 16 * max(0, math.floor(64 * math.log2(c)) - 30)
+        c = d
+
+
+def _log_marks(ps: np.ndarray) -> np.ndarray:
+    """16 * round(64 log2 p) for each prime p, as uint16."""
+    x = np.log2(ps)
+    x *= 64
+    return np.rint(x, out=x).astype(np.uint16) * np.uint16(16)
+
+
 def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
     """The multiplicative (or additive) function f over the sieve window.
 
     ``step(k, p)`` lists the updates ``(ufunc, x)`` that take f at the
     multiples of p**k from the contribution of p**(k-1) to that of p**k;
-    f(1) = ``one``.  Per block, the product of the prime powers found is
-    kept next to the table slice.  It divides some n <= hi, so it is a
-    uint32 array when hi < 2**32, which halves the bytes that the strided
-    strikes touch, and an int64 one otherwise.
+    f(1) = ``one``.  ``step`` None is omega, the count of distinct primes,
+    which the table takes from the accumulator alone.
+
+    Per block, an accumulator sits next to the table slice, allocated once
+    per call and reused by every block.  For phi it is the product of the
+    prime powers found: it divides some n <= hi, so it is a uint32 array
+    when hi < 2**32 and an int64 one otherwise.  For omega and tau it is a
+    uint16 sum: a strike of p**k adds 16 * l_p, l_p = round(64 log2 p),
+    and for omega a level-1 strike adds 1 more, so that the low 4 bits
+    count the distinct primes found (the log-sum sieve of the quadratic
+    sieve; Pomerance, EUROCRYPT '84).
 
     - Level 1 of the wheel primes 2, 3, 5, 7, 11, 13 repeats with period
-      30030 in f and in the product: it is struck into the first period
-      of the block and copied forward, a doubling run of periods per
-      contiguous copy (the wheel of Pritchard, Acta Informatica 17
+      30030 in f and in the accumulator: it is struck into the first
+      period of the block and copied forward, a doubling run of periods
+      per contiguous copy (the wheel of Pritchard, Acta Informatica 17
       (1982)).
     - Level k of every other base prime p <= sqrt(block end), and levels
       k >= 2 of the wheel primes, strike the multiples of p**k below the
       block end through ``_strikes``, at most _STRIKE_CHUNK moduli at a
       time.
-    - Where the product stays below n, the one prime factor q of n above
-      sqrt(block end) is stepped in with k = 1, in one contiguous pass
-      over the block.  An update that does not read the prime (omega's
-      + 1, tau's * 2) takes x where the product is below n and the
-      ufunc's identity elsewhere.  phi's q - 1 reads it: n // product is
-      q, or 1 where no prime is left over, and the block is multiplied
-      by that quotient less 1 where it exceeds 1.
+    - At most one prime factor q of n is above sqrt(block end); it is
+      stepped in with k = 1, in one contiguous pass over the block.  phi
+      reads it: n // product is q, or 1 where no prime is left over (n
+      is made _STRIKE_CHUNK numbers at a time), and the block is
+      multiplied by that quotient less 1 where it exceeds 1.
+      omega and tau only ask whether q exists: where the log sum
+      L = acc >> 4 is below a threshold T(n), omega adds 1 to the count
+      of primes found and tau doubles.
+
+    Why the log test is exact.  Let x = 64 log2 n.  n <= 2**50 takes at
+    most log2 n <= 50 strikes, each l_p within 1/2 of 64 log2 p, so L is
+    within 25 of 64 log2 of the part of n that the strikes find.  With no
+    q, that part is n and L >= x - 25.  With q >= 2 it is n / q <= 2**49,
+    struck at most 49 times, so L <= x - 64 + 24.5 = x - 39.5.  Any T(n)
+    in (x - 39.5, x - 25] tells the two apart.  ``_thresholds`` takes
+    T(n) = floor(64 log2 c) - 30 on pieces [c, c') over which x grows by
+    less than 64 log2(13/12) < 7.4, so x - 7.4 - 31 < T(n) <= x - 30:
+    both margins exceed one unit, far above the float error of the logs,
+    and no log is taken per n.  The bits fit: L <= 64 * 50 + 25 = 3225,
+    and omega(n) <= 13 below 2**50 (41# < 2**50 < 43#), so 16 * L + 13 <
+    2**16; and 16 * L + c < 16 * T exactly when L < T, with no mask.
 
     Blocks touch disjoint slices of the table, so the result is invariant
     under block size.
     """
     lo, hi, base, bs = sieve.lo, sieve.hi, sieve.base_primes, _DEFAULT_BLOCK
     size = hi - lo + 1
+    width = min(bs, size)  # of the longest block
     dtype = np.dtype(dtype)
-    scratch = (  # one block's
-        _BLOCK_SCRATCH * min(bs, size)
+    updates = step or (lambda k, p: ())
+    logs = updates(1, 2) == updates(1, 3)  # phi's level-1 update reads p; omega's and tau's do not
+    acc_type = np.dtype(np.uint16 if logs else np.uint32 if hi >> 32 == 0 else np.int64)
+    scratch = (  # reused by every block
+        (acc_type.itemsize + logs) * width  # the accumulator, and omega's and tau's mask
+        + acc_type.itemsize * min(width, _STRIKE_CHUNK)  # phi's n, a chunk at a time
+        + 2 * base.size  # the log marks
         # the first chunk of level 1 plans the most hits: later chunks and
         # higher levels strike larger moduli
-        + _strike_bytes(base[:_STRIKE_CHUNK], min(bs, size))
+        + _strike_bytes(base[:_STRIKE_CHUNK], width)
         + _LEVEL_BYTES * base.size
     )
     _reserve(dtype.itemsize * size + scratch, f"{dtype.name} table for [{lo}, {hi}]")
-    reads_prime = step(1, 2) != step(1, 3)  # phi's level-1 update reads p; omega's and tau's do not
-    prod_type = np.uint32 if hi >> 32 == 0 else np.int64  # the product divides some n <= hi
     out = np.empty(size, dtype=dtype)
+    accs = np.empty(width, dtype=acc_type)
+    mark = np.add if logs else np.multiply  # how a strike enters the accumulator
+    if logs:
+        bigs = np.empty(width, dtype=bool)  # where a prime is left over
+        ells = np.empty(base.size, dtype=np.uint16)  # a chunk at a time, so the float scratch stays small
+        for i in range(0, base.size, _STRIKE_CHUNK):
+            ells[i : i + _STRIKE_CHUNK] = _log_marks(base[i : i + _STRIKE_CHUNK])
 
+    def marks(k: int, i: int, ps: np.ndarray) -> np.ndarray:
+        """What a strike of p**k adds to (or multiplies into) the
+        accumulator, for the primes ps = base[i : i + ps.size]: each level
+        keeps a prefix of the base primes, those with p**(k+1) < b."""
+        if not logs:
+            return ps.astype(acc_type, copy=False)
+        ls = ells[i : i + ps.size]
+        return ls + 1 if step is None and k == 1 else ls  # omega's count of distinct primes
+
+    wheel = (_log_marks(np.array(_WHEEL_PRIMES)) + (step is None)).tolist() if logs else _WHEEL_PRIMES
     for a in range(lo, hi + 1, bs):
         b = min(a + bs, hi + 1)
-        view, prod = out[a - lo : b - lo], np.empty(b - a, dtype=prod_type)
+        view, acc = out[a - lo : b - lo], accs[: b - a]
         w = min(b - a, _WHEEL)
-        view[:w], prod[:w] = one, 1
-        for p in _WHEEL_PRIMES:
+        acc[:w], view[:w] = 0 if logs else 1, one
+        for p, v in zip(_WHEEL_PRIMES, wheel):
             s = (-a) % p
-            prod[s:w:p] *= p
-            v = view[s:w:p]
-            for op, x in step(1, p):
-                op(v, x, out=v)
+            u = acc[s:w:p]
+            mark(u, v, out=u)
+            u = view[s:w:p]
+            for op, x in updates(1, p):
+                op(u, x, out=u)
         while w < b - a:  # [0, w) is a whole number of periods
             c = min(w, b - a - w)
-            view[w : w + c], prod[w : w + c] = view[:c], prod[:c]
+            view[w : w + c], acc[w : w + c] = view[:c], acc[:c]
             w += c
         ps = base[: np.searchsorted(base, math.isqrt(b - 1), side="right")]
         ms, k = ps, 1
         while ms.size:
             for i in range(len(_WHEEL_PRIMES) if k == 1 else 0, ms.size, _STRIKE_CHUNK):
                 cm, cp = ms[i : i + _STRIKE_CHUNK], ps[i : i + _STRIKE_CHUNK]
+                vs = marks(k, i, cp)
                 starts = (-a) % cm
                 dense, offsets, which = _strikes(cm, starts, b - a)
-                for m, s, p in zip(cm[dense].tolist(), starts[dense].tolist(), cp[dense].tolist()):
-                    prod[s::m] *= p
-                    v = view[s::m]
-                    for op, x in step(k, p):
-                        op(v, x, out=v)
+                dense_cols = cm[dense].tolist(), starts[dense].tolist(), cp[dense].tolist(), vs[dense].tolist()
+                for m, s, p, v in zip(*dense_cols):
+                    u = acc[s::m]
+                    mark(u, v, out=u)
+                    u = view[s::m]
+                    for op, x in updates(k, p):
+                        op(u, x, out=u)
                 # ufunc.at, since two primes may hit one n; levels run in order
-                p = cp[which]
-                np.multiply.at(prod, offsets, p.astype(prod_type, copy=False))
-                for op, x in step(k, p):
+                mark.at(acc, offsets, vs[which])
+                for op, x in updates(k, cp[which]) if step else ():
                     op.at(view, offsets, np.asarray(x, dtype))  # a Python int slows ufunc.at
-                del starts, offsets, which, p  # before the next chunk's hits
+                del vs, starts, offsets, which  # before the next chunk's hits
             keep = ms <= (b - 1) // ps  # p**(k+1) < b, without overflow
             ps, ms = ps[keep], ms[keep]
             ms *= ps
             k += 1
-        n = np.arange(a, b, dtype=prod_type)
-        if reads_prime:  # phi: n // prod is the prime left over, or 1 where none is
-            n //= prod
-            n -= n > 1  # q - 1 for a prime q, and 1 stays 1
-            view *= n
-            del prod, n  # a block's scratch goes before the next block makes its own
-        else:
-            big = prod < n  # x where big, the ufunc's identity elsewhere
-            del prod, n
-            for op, x in step(1, 2):
-                u = big * dtype.type(x - op.identity)
-                u += op.identity
-                op(view, u, out=view)
-            del big, u
+        if not logs:  # phi: n // prod is the prime left over, or 1 where none is
+            for i in range(0, b - a, _STRIKE_CHUNK):
+                u = acc[i : i + _STRIKE_CHUNK]
+                np.floor_divide(np.arange(a + i, a + i + u.size, dtype=acc_type), u, out=u)
+            acc -= 1
+            np.maximum(acc, 1, out=acc)  # q - 1 for a prime q, and 1 stays 1
+            view *= acc
+            continue
+        big = bigs[: b - a]
+        for i, j, t in _thresholds(a, b):
+            np.less(acc[i:j], t, out=big[i:j])  # L < T(n): a prime is left over
+        if step is None:  # omega: the count found, plus 1 where a prime is left over
+            np.bitwise_and(acc, 15, out=view, casting="unsafe")
+            view += big
+        else:  # tau doubles where a prime is left over
+            view <<= big
     return out
-
-
-def _omega_step(k: int, p):
-    return ((np.add, 1),) if k == 1 else ()
 
 
 def _tau_step(k: int, p):
@@ -370,7 +433,7 @@ def omega_range(sieve: FactorSieve, threads: int | None = None) -> np.ndarray:
     threads is accepted and ignored so that existing callers that pass it
     keep working.
     """
-    return _sieve_table(sieve, np.uint8, 0, _omega_step)
+    return _sieve_table(sieve, np.uint8, 0, None)
 
 
 def tau_range(sieve: FactorSieve) -> np.ndarray:
@@ -441,10 +504,11 @@ def _iroot(n: int, k: int) -> int:
 def _brent_rho(n: int) -> int:
     """Nontrivial factor of an odd composite n, deterministic constant sweep.
 
-    Raises ResourceError once _RHO_STEPS steps of the map y -> y^2 + c,
-    over all constants c, have not split n.
+    Raises ResourceError once the steps of the map y -> y^2 + c, over all
+    constants c, have not split n within _RHO_STEPS units of work, a step
+    costing one unit per started 64 bits of n.
     """
-    steps = 0
+    steps, units = 0, -(-n.bit_length() // 64)
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -461,7 +525,7 @@ def _brent_rho(n: int) -> int:
                 g = math.gcd(q, n)
                 k += m
             steps += r + min(k, r)
-            if g == 1 and steps > _RHO_STEPS:
+            if g == 1 and steps * units > _RHO_STEPS:
                 raise ResourceError(f"rho found no factor of the cofactor {n} in {steps} steps")
             r *= 2
         if g == n:

@@ -47,6 +47,7 @@ _MAX_RE_S = 256.0  # beyond this, x**(s-1) overflows double on [1/4, 4]
 _MAX_DEPTH = 14  # halvings of a panel before the quadrature gives up
 _MAX_INTERVALS = 1 << 20  # trapezoid intervals before the cross-check route gives up
 _TOL = 1e-10  # the Gauss-Legendre route's target for each moment integral
+_GRID_CHUNK = 1 << 11  # grid points per derivative call of max_abs_deriv: 16 KiB per array
 
 def _step_deriv(u: np.ndarray, c: float, j: int) -> np.ndarray:
     """j-th x-derivative of step(u + c*(x - x0)) at x0, elementwise in u.
@@ -108,9 +109,12 @@ class WindowFn:
         return self.deriv(0, x)
 
     def max_abs_deriv(self, j: int, samples: int = 20001) -> float:
-        """Grid maximum of |W^(j)| over the support."""
+        """Grid maximum of |W^(j)| over the support, the maximum of the
+        maxima over chunks of _GRID_CHUNK points, so that each chunk's
+        scratch arrays stay small."""
         xs = np.linspace(self.support[0], self.support[1], samples)
-        return float(np.max(np.abs(self.deriv(j, xs))))
+        chunks = (xs[i : i + _GRID_CHUNK] for i in range(0, samples, _GRID_CHUNK))
+        return max(float(np.max(np.abs(self.deriv(j, x)))) for x in chunks)
 
     def derivative_growth(self) -> list[tuple[int, float, float]]:
         """Rows (j, max|W^(j)|, max|W^(j)| / j^(3j)) for 1 <= j <= j_max.

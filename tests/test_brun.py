@@ -6,13 +6,14 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
-from omegalab.brun import _split_sum
+from omegalab.brun import _balanced, _split_sum
 from omegalab.cli import main
 from omegalab.errors import DomainError, ResourceError
 
@@ -144,6 +145,14 @@ class TestCompleteSieveProduct:
         chk = ol.complete_sieve_product(1, ol.PrimeInterval(3, 100))
         assert chk.divisor_sum is None and chk.sides_equal is None
         assert 0 < chk.product < 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(1, 8), lo=st.integers(9, 20000), span=st.integers(1, 20000))
+    def test_product_tree_matches_running_product(self, K, lo, span):
+        ps = ol.PrimeInterval(lo, lo + span).primes()
+        chk = ol.complete_sieve_product(K, ol.PrimeInterval(lo, lo + span))
+        assert chk.product == Fraction(math.prod(p - 1 - K for p in ps), math.prod(p - 1 for p in ps))
+        assert _balanced(mul, [p - 1 - K for p in ps], 1) == math.prod(p - 1 - K for p in ps)
 
     def test_interval_shape_checked(self):
         with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 import omegalab as ol
 from omegalab.cli import main
 from omegalab.errors import DomainError, ResourceError
-from omegalab.sieve import _iroot, _strike_bytes, _strikes
+from omegalab.sieve import _DEFAULT_BLOCK, _iroot, _strike_bytes, _strikes, _thresholds
 
 
 def _trial_omega(n: int) -> int:
@@ -283,6 +284,97 @@ class TestProductWidth:
             assert (om[n - lo], tau[n - lo], phi[n - lo]) == (5, 32, 2 * 4 * 16 * 256 * 65536)
 
 
+def _assert_tables_match_factorint(sv, tables, ns):
+    om, tau, phi = tables
+    for n in ns:
+        fac = sympy.factorint(n)
+        i = n - sv.lo
+        assert om[i] == len(fac), n
+        assert tau[i] == math.prod(e + 1 for e in fac.values()), n
+        assert phi[i] == math.prod((p - 1) * p ** (e - 1) for p, e in fac.items()), n
+
+
+@st.composite
+def _piece_windows(draw):
+    """(lo, hi, block): blocks of 8 to 4096 numbers from lo up to 12 blocks
+    in, where the log thresholds of one block change piece by piece, or
+    from lo up to 10**12, where each block is one piece."""
+    block = draw(st.integers(8, 4096))
+    lo = draw(st.one_of(st.integers(1, 12 * block), st.integers(1, 10**12)))
+    return lo, lo + draw(st.integers(0, min(3000, 16 * block))), block
+
+
+_PRIMORIAL_41 = math.prod(_trial_primes(41))  # ~3.04e14: omega = 13, the most below 2**50
+
+
+class TestLogThreshold:
+    # omega and tau find the prime left over above sqrt(block end) by a sum
+    # of rounded logs against a threshold that is constant on pieces of at
+    # most 1/8 bit: windows with the most strikes, windows with the least
+    # leftover primes, and windows whose blocks cut the pieces, against sympy
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (2**49 - 200, 2**49 + 200),
+            (3**31 - 200, 3**31 + 200),
+            (_PRIMORIAL_41 - 200, _PRIMORIAL_41 + 200),
+        ],
+        ids=["2^49", "3^31", "41#"],
+    )
+    def test_most_strikes_exhaustive(self, lo, hi):
+        # 2**49 takes 49 strikes; 3**31 has the largest rounding deficit of
+        # any prime power there (31 * 0.437 units of 1/64 bit)
+        sv = ol.build_factor_sieve(lo, hi)
+        tables = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
+        _assert_tables_match_factorint(sv, tables, range(lo, hi + 1))
+        if lo <= _PRIMORIAL_41 <= hi:
+            assert tables[0][_PRIMORIAL_41 - lo] == 13
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(1, 2), (1, 3), (1, 36), (1, 289), (1, 300), (1, 10**4), (1, 2**20 + 5), (2**32 - 3000, 2**32), (10**12 - 10**5, 10**12)],
+    )
+    def test_least_leftover_prime(self, lo, hi):
+        # q, the least prime a block [a, b) can leave over, is the least
+        # prime above 13 (the wheel) and above isqrt(b - 1): every multiple
+        # of it in the first block, 2q wherever the block reaches it, and
+        # 2**32 - 1 = 65535 * 65537 at the edge of 2**32
+        b = min(lo + _DEFAULT_BLOCK, hi + 1)
+        q = sympy.nextprime(max(13, math.isqrt(b - 1)))
+        ns = range(-(-lo // q) * q, b, q)
+        assert len(ns) or hi < 17
+        sv = ol.build_factor_sieve(lo, hi)
+        tables = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
+        _assert_tables_match_factorint(sv, tables, ns)
+        if hi <= 300:
+            _assert_tables_match_factorint(sv, tables, range(lo, hi + 1))
+
+    @settings(max_examples=50, deadline=None)
+    @given(window=_piece_windows(), data=st.data())
+    def test_blocks_across_pieces(self, window, data):
+        lo, hi, block = window
+        sv = ol.build_factor_sieve(lo, hi)
+        ref = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+            got = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
+        for r, g in zip(ref, got):
+            assert np.array_equal(r, g)
+        # the first and last n of each piece in the small blocks, where the
+        # threshold is farthest from 64 log2 n on either side
+        edges = sorted(
+            {
+                a + e
+                for a in range(lo, hi + 1, block)
+                for i, j, _ in _thresholds(a, min(a + block, hi + 1))
+                for e in (i, j - 1)
+            }
+        )
+        ns = data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=8))
+        _assert_tables_match_factorint(sv, got, ns)
+
+
 def _literal_search(spec):
     """The least n that search_n0 must return, by a plain scan with sympy."""
     for n in range(1, spec.n_max + 1):
@@ -428,6 +520,13 @@ _TABLE_DIGESTS = {
         "int32:84bf114c6cb1a05f60610aacbcd1b31273876c5bb5241f330a172aed716bf2ce",
         "int64:85c99a20ed3b8bf6b54fb02f837385991f0b97e05758556a687d3919d084c4b6",
     ),
+    # as the kernel computed it with the uint32/int64 product for all three
+    (2**50 - 3000, 2**50): (
+        "uint8:3f9d3a3c29ad0dcc0c9f0b4432d0db453ff229d581fafa4a092d7fb2402214a4",
+        "uint8:3f9d3a3c29ad0dcc0c9f0b4432d0db453ff229d581fafa4a092d7fb2402214a4",
+        "int32:e3879f41539c7235a012e705f861f1d01b0a51995e54c1bed3e8238ec9620bb9",
+        "int64:ff27be26e7f8063abb0771b3ec9605b97f6fd4949cdb93daeff4b4a59a2b4962",
+    ),
 }
 
 
@@ -544,6 +643,16 @@ class TestScalarFactorization:
             ol.factorize(7 * p * q)
         assert main(["brun-check", "--m", str(p * q), "--V", "1", "--no-timing"]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "resource"
+
+    def test_rho_steps_weighed_by_cofactor_words(self, monkeypatch):
+        # a 201-bit cofactor costs 4 units a step: refused past 4096 / 4 steps, not 4096
+        n = sympy.nextprime(2**100) * sympy.nextprime(3 * 2**99)
+        assert -(-n.bit_length() // 64) == 4
+        monkeypatch.setattr("omegalab.sieve._RHO_STEPS", 4096)
+        with pytest.raises(ResourceError, match=str(n)) as err:
+            ol.factorize(n)
+        steps = int(re.search(r"in (\d+) steps", str(err.value)).group(1))
+        assert 1024 < steps < 4096
 
     def test_trial_division_certifies_below_997_squared(self, monkeypatch):
         # the trial primes end at 997, so below 997**2 the loop always stops

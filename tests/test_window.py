@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 import omegalab as ol
 from omegalab.errors import DomainError, PrecisionError
-from omegalab.window import _mellin_panels
+from omegalab.window import _GRID_CHUNK, _mellin_panels
 
 
 class TestWindowGeometry:
@@ -46,6 +46,12 @@ class TestWindowGeometry:
         for j in range(0, 9):
             vals = window.deriv(j, xs)
             assert np.all(np.isfinite(vals))
+
+    @pytest.mark.parametrize("samples", [2, _GRID_CHUNK, _GRID_CHUNK + 1, 20001])
+    def test_grid_maximum_taken_in_chunks_is_the_whole_grid_maximum(self, window, samples):
+        xs = np.linspace(*window.support, samples)
+        for j in (0, 1, 6):
+            assert window.max_abs_deriv(j, samples) == float(np.max(np.abs(window.deriv(j, xs))))
 
     def test_derivative_matches_finite_difference(self, window):
         h = 1e-6
