@@ -110,11 +110,6 @@ def _balanced(op, terms: list, empty):
     return terms[0] if terms else empty
 
 
-def _split_sum(terms: list[Fraction]) -> Fraction:
-    """sum(terms) over a balanced tree: each node's Fraction is reduced."""
-    return _balanced(add, terms, Fraction(0))
-
-
 def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck:
     """Exact two-route evaluation over squarefree d supported on the interval.
 
@@ -173,7 +168,7 @@ def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> Truncatio
         raise DomainError("need K >= 1 and V >= 0")
     ps = interval.primes()
     _reserve(_TERM_BYTES * len(ps), f"S = sum K/(p-1) over {len(ps)} primes")
-    S = _split_sum([Fraction(K, p - 1) for p in ps])
+    S = _balanced(add, [Fraction(K, p - 1) for p in ps], Fraction(0))
     bound = S ** (V + 1) / math.factorial(V + 1)
     dropped = None
     dominates = None

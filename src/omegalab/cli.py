@@ -41,7 +41,7 @@ from .errors import DomainError, PrecisionError, PreconditionError, ResourceErro
 from .linforms import LinearFormSystem, is_admissible, singular_series
 from .params import derive_params, exponent_optimum
 from .series import alpha_enclosure, decompose_tail, integrality_probe
-from .sieve import factorize
+from .sieve import _reserve, factorize
 from .tuples import SearchSpec, hl_compare, count_prime_tuples, search_n0, verify_witness
 from .window import build_window, decay_profile
 
@@ -155,6 +155,8 @@ def _cmd_shiu_mean(f: dict) -> dict:
 
 
 def _cmd_window(f: dict) -> dict:
+    # the samples and the report's rows peak near 1.2 KiB per point (tracemalloc)
+    _reserve(1280 * f["points"], f"decay profile at {f['points']} points")
     ts = np.linspace(1.0, f["tmax"], f["points"])
     return decay_profile(build_window(), f["sigma"], ts).to_dict()
 

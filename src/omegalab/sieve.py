@@ -9,9 +9,9 @@ tables take the first power of the primes up to 13 from a wheel, one
 period of 30030 copied across each block.  The one prime factor of n
 above the square root of the block end is stepped in by one contiguous
 pass over the block: phi reads it off the product of the prime powers
-found (uint32 while the window ends below 2**32), and omega and tau only
-ask whether it exists, which a uint16 sum of rounded logs answers exactly
-for every window up to 2**50 (the margin is proved at ``_sieve_table``).
+found (uint32 below 2**32); omega and tau read one count of primes from a
+uint16 sum of rounded logs, which also tells where it exists, exactly up
+to 2**50 (the margin is proved at ``_sieve_table``).
 Every allocation is first reserved by ``_reserve`` against
 OMEGALAB_MEMORY_BUDGET, read anew at each call.
 
@@ -270,22 +270,23 @@ def _log_marks(ps: np.ndarray) -> np.ndarray:
     return np.rint(x, out=x).astype(np.uint16) * np.uint16(16)
 
 
-def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
+def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
     """The multiplicative (or additive) function f over the sieve window.
 
-    ``step(k, p)`` lists the updates ``(ufunc, x)`` that take f at the
-    multiples of p**k from the contribution of p**(k-1) to that of p**k;
-    f(1) = ``one``.  ``step`` None is omega, the count of distinct primes,
-    which the table takes from the accumulator alone.
+    ``step(k, p)`` lists the updates ``(ufunc, x)`` that take the table at
+    the multiples of p**k from the contribution of p**(k-1) to that of
+    p**k, from a table of ones.  ``step`` None is omega, the count of
+    distinct primes, which the table takes from the accumulator alone.
 
     Per block, an accumulator sits next to the table slice, allocated once
     per call and reused by every block.  For phi it is the product of the
     prime powers found: it divides some n <= hi, so it is a uint32 array
     when hi < 2**32 and an int64 one otherwise.  For omega and tau it is a
     uint16 sum: a strike of p**k adds 16 * l_p, l_p = round(64 log2 p),
-    and for omega a level-1 strike adds 1 more, so that the low 4 bits
-    count the distinct primes found (the log-sum sieve of the quadratic
-    sieve; Pomerance, EUROCRYPT '84).
+    and a level-1 strike adds 1 more, so that the low 4 bits count the
+    primes found (the log-sum sieve of the quadratic sieve; Pomerance,
+    EUROCRYPT '84).  tau's level-2 strikes take the 1 back: tau(n) = 2**c
+    * prod (e + 1) over p**e || n with e >= 2, c counting the first powers.
 
     - Level 1 of the wheel primes 2, 3, 5, 7, 11, 13 repeats with period
       30030 in f and in the accumulator: it is struck into the first
@@ -298,12 +299,11 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
       time.
     - At most one prime factor q of n is above sqrt(block end); it is
       stepped in with k = 1, in one contiguous pass over the block.  phi
-      reads it: n // product is q, or 1 where no prime is left over (n
-      is made _STRIKE_CHUNK numbers at a time), and the block is
-      multiplied by that quotient less 1 where it exceeds 1.
-      omega and tau only ask whether q exists: where the log sum
-      L = acc >> 4 is below a threshold T(n), omega adds 1 to the count
-      of primes found and tau doubles.
+      multiplies by q - 1 where n // product = q exceeds 1 (n is made
+      _STRIKE_CHUNK numbers at a time).  omega and tau only ask whether q
+      exists: where the log sum L = acc >> 4 is below a threshold T(n), q
+      adds 1 to the count c in the low 4 bits.  omega's table is c, and
+      tau's is shifted left by c.
 
     Why the log test is exact.  Let x = 64 log2 n.  n <= 2**50 takes at
     most log2 n <= 50 strikes, each l_p within 1/2 of 64 log2 p, so L is
@@ -315,8 +315,10 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
     less than 64 log2(13/12) < 7.4, so x - 7.4 - 31 < T(n) <= x - 30:
     both margins exceed one unit, far above the float error of the logs,
     and no log is taken per n.  The bits fit: L <= 64 * 50 + 25 = 3225,
-    and omega(n) <= 13 below 2**50 (41# < 2**50 < 43#), so 16 * L + 13 <
-    2**16; and 16 * L + c < 16 * T exactly when L < T, with no mask.
+    and tau's count c, like omega's, is at most omega(n) <= 13 below 2**50
+    (41# < 2**50 < 43#), so 16 * L + 13 < 2**16; and 16 * L + c < 16 * T
+    exactly when L < T, with no mask.  tau's take-back never borrows, as
+    level 1 runs before level 2 in every block.
 
     Blocks touch disjoint slices of the table, so the result is invariant
     under block size.
@@ -326,7 +328,7 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
     width = min(bs, size)  # of the longest block
     dtype = np.dtype(dtype)
     updates = step or (lambda k, p: ())
-    logs = updates(1, 2) == updates(1, 3)  # phi's level-1 update reads p; omega's and tau's do not
+    logs = step is not _phi_step  # omega and tau count primes; phi multiplies them out
     acc_type = np.dtype(np.uint16 if logs else np.uint32 if hi >> 32 == 0 else np.int64)
     scratch = (  # reused by every block
         (acc_type.itemsize + logs) * width  # the accumulator, and omega's and tau's mask
@@ -354,14 +356,14 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
         if not logs:
             return ps.astype(acc_type, copy=False)
         ls = ells[i : i + ps.size]
-        return ls + 1 if step is None and k == 1 else ls  # omega's count of distinct primes
+        return ls + 1 if k == 1 else ls - 1 if k == 2 and step else ls  # a prime found; tau's take-back
 
-    wheel = (_log_marks(np.array(_WHEEL_PRIMES)) + (step is None)).tolist() if logs else _WHEEL_PRIMES
+    wheel = (_log_marks(np.array(_WHEEL_PRIMES)) + 1).tolist() if logs else _WHEEL_PRIMES
     for a in range(lo, hi + 1, bs):
         b = min(a + bs, hi + 1)
         view, acc = out[a - lo : b - lo], accs[: b - a]
         w = min(b - a, _WHEEL)
-        acc[:w], view[:w] = 0 if logs else 1, one
+        acc[:w], view[:w] = 0 if logs else 1, 1
         for p, v in zip(_WHEEL_PRIMES, wheel):
             s = (-a) % p
             u = acc[s:w:p]
@@ -390,7 +392,7 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
                         op(u, x, out=u)
                 # ufunc.at, since two primes may hit one n; levels run in order
                 mark.at(acc, offsets, vs[which])
-                for op, x in updates(k, cp[which]) if step else ():
+                for op, x in updates(k, cp[which]):
                     op.at(view, offsets, np.asarray(x, dtype))  # a Python int slows ufunc.at
                 del vs, starts, offsets, which  # before the next chunk's hits
             keep = ms <= (b - 1) // ps  # p**(k+1) < b, without overflow
@@ -408,17 +410,18 @@ def _sieve_table(sieve: FactorSieve, dtype, one: int, step) -> np.ndarray:
         big = bigs[: b - a]
         for i, j, t in _thresholds(a, b):
             np.less(acc[i:j], t, out=big[i:j])  # L < T(n): a prime is left over
-        if step is None:  # omega: the count found, plus 1 where a prime is left over
-            np.bitwise_and(acc, 15, out=view, casting="unsafe")
-            view += big
-        else:  # tau doubles where a prime is left over
-            view <<= big
+        acc &= 15
+        acc += big  # the count c, the prime left over included
+        if step is None:
+            view[...] = acc
+        else:
+            view <<= acc
     return out
 
 
 def _tau_step(k: int, p):
-    # tau gains the factor e + 1 for p**e || n, one ratio (k + 1) / k at a time
-    return ((np.multiply, 2),) if k == 1 else ((np.floor_divide, k), (np.multiply, k + 1))
+    # the factor e + 1 for p**e || n with e >= 2, one ratio (k + 1) / k at a time
+    return () if k == 1 else ((np.multiply, 3),) if k == 2 else ((np.floor_divide, k), (np.multiply, k + 1))
 
 
 def _phi_step(k: int, p):
@@ -433,17 +436,17 @@ def omega_range(sieve: FactorSieve, threads: int | None = None) -> np.ndarray:
     threads is accepted and ignored so that existing callers that pass it
     keep working.
     """
-    return _sieve_table(sieve, np.uint8, 0, None)
+    return _sieve_table(sieve, np.uint8, None)
 
 
 def tau_range(sieve: FactorSieve) -> np.ndarray:
     """Divisor counts tau(n) over the window as an int32 array."""
-    return _sieve_table(sieve, np.int32, 1, _tau_step)
+    return _sieve_table(sieve, np.int32, _tau_step)
 
 
 def phi_range(sieve: FactorSieve) -> np.ndarray:
     """Euler phi(n) over the window as an int64 array."""
-    return _sieve_table(sieve, np.int64, 1, _phi_step)
+    return _sieve_table(sieve, np.int64, _phi_step)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
-from omegalab.brun import _balanced, _split_sum
+from omegalab.brun import _balanced
 from omegalab.cli import main
 from omegalab.errors import DomainError, ResourceError
 
@@ -186,7 +186,7 @@ class TestTruncationErrorBound:
         sequential = Fraction(0)
         for p in ps:
             sequential += Fraction(K, p - 1)
-        assert _split_sum([Fraction(K, p - 1) for p in ps]) == sequential
+        assert _balanced(add, [Fraction(K, p - 1) for p in ps], Fraction(0)) == sequential
 
     def test_domination_on_many_instances(self):
         for hi in (20, 30, 50):

@@ -422,6 +422,16 @@ class TestErrorReports:
         assert rc == 2
         assert json.loads(out)["error"]["code"] == "resource"
 
+    def test_window_points_budget_exits_two(self, capsys):
+        # 10**12 sample points would take terabytes before the first transform
+        rc, out = run_cli(
+            ["window", "--profile", "sigma=0.5", "--tmax", "200",
+             "--points", str(10**12), "--no-timing"],
+            capsys,
+        )
+        assert rc == 2
+        assert json.loads(out)["error"]["code"] == "resource"
+
     def test_probe_flags_must_pair(self, capsys):
         rc, out = run_cli(
             ["alpha", "--t", "2", "--N", "10", "--probe-a", "1", "--no-timing"],

@@ -350,6 +350,32 @@ class TestLogThreshold:
         if hi <= 300:
             _assert_tables_match_factorint(sv, tables, range(lo, hi + 1))
 
+    def test_squares_take_the_count_back_exhaustive(self):
+        # tau counts the primes to the first power: at (19#)**2 all 8 primes
+        # are squared, so every level-2 strike takes its level-1 unit back
+        # and the count returns to 0
+        c = math.prod(_trial_primes(19)) ** 2
+        lo, hi = c - 200, c + 200
+        sv = ol.build_factor_sieve(lo, hi)
+        tables = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
+        _assert_tables_match_factorint(sv, tables, range(lo, hi + 1))
+        assert tables[0][c - lo] == 8
+        assert tables[1][c - lo] == 3**8
+
+    @pytest.mark.parametrize("block", [None, 61])
+    def test_powers_of_two_and_three_exhaustive(self, block, monkeypatch):
+        # around 2**20 * 3**12, 2**k and 3**k (k >= 3) strike the same n in
+        # one ufunc.at call where both plan gathered hits: from k = 6 in one
+        # block, from k = 2 in blocks of 61
+        if block is not None:
+            monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+        c = 2**20 * 3**12
+        lo, hi = c - 2000, c + 2000
+        sv = ol.build_factor_sieve(lo, hi)
+        tables = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
+        _assert_tables_match_factorint(sv, tables, range(lo, hi + 1))
+        assert tables[1][c - lo] == 21 * 13
+
     @settings(max_examples=50, deadline=None)
     @given(window=_piece_windows(), data=st.data())
     def test_blocks_across_pieces(self, window, data):
