@@ -6,10 +6,12 @@ sieves strike residue classes block by block through one helper,
 ``_strikes``: a strided slice for a modulus with more than _DENSE_HITS
 (64) hits in the block, one gathered offset array for the rest.  The
 tables take the first power of the primes up to 13 from a wheel, one
-period of 30030 copied across each block.  The one prime factor of n
+period of 30030 copied across each block, and the exponent of each prime
+p from one pass over the multiples of p**2.  The one prime factor of n
 above the square root of the block end is stepped in by one contiguous
 pass over the block: phi reads it off the product of the prime powers
-found (uint32 below 2**32); omega and tau read one count of primes from a
+found, which below 2**32 shares phi's own 8-byte slot of n with the
+phi-part as a uint32 pair; omega and tau read one count of primes from a
 uint16 sum of rounded logs, which also tells where it exists, exactly up
 to 2**50 (the margin is proved at ``_sieve_table``).
 Every allocation is first reserved by ``_reserve`` against
@@ -55,8 +57,7 @@ _BUDGET_ENV = "OMEGALAB_MEMORY_BUDGET"
 _DEFAULT_BUDGET = 2_000_000_000  # bytes
 _DEFAULT_BLOCK = 1 << 20  # numbers per block of either sieve
 _DENSE_HITS = 64  # a modulus with more hits per block strikes by a strided slice
-_STRIKE_CHUNK = 1 << 13  # moduli per _strikes call of one table level, and n per step of phi's leftover pass
-_LEVEL_BYTES = 40  # per base prime: a table level's int64 moduli and primes, the next level's, keep
+_STRIKE_CHUNK = 1 << 13  # moduli per _strikes call of a table pass, and n per step of phi's leftover pass
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # level 1 of these is one periodic pattern of the tables
 _WHEEL = math.prod(_WHEEL_PRIMES)  # 30030
 _SMALL_LIMIT = 1000  # primes_up_to(n) for n up to this is a slice of _SMALL_PRIMES
@@ -270,55 +271,80 @@ def _log_marks(ps: np.ndarray) -> np.ndarray:
     return np.rint(x, out=x).astype(np.uint16) * np.uint16(16)
 
 
+def _marks_at(ps: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The log marks of ps[which], from no more logs than the fewer of the
+    primes and their hits."""
+    return _log_marks(ps[which]) if which.size < ps.size else _log_marks(ps)[which]
+
+
 def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
     """The multiplicative (or additive) function f over the sieve window.
 
-    ``step(k, p)`` lists the updates ``(ufunc, x)`` that take the table at
-    the multiples of p**k from the contribution of p**(k-1) to that of
-    p**k, from a table of ones.  ``step`` None is omega, the count of
-    distinct primes, which the table takes from the accumulator alone.
+    ``step`` None is omega, the count of distinct primes, which the table
+    takes from the log sum alone.  ``_tau_step`` and ``_phi_step`` give
+    tau's and phi's value at p**e || n, e >= 2, as the factor that the
+    exponent pass multiplies into the table over what level 1 put there.
 
-    Per block, an accumulator sits next to the table slice, allocated once
-    per call and reused by every block.  For phi it is the product of the
-    prime powers found: it divides some n <= hi, so it is a uint32 array
-    when hi < 2**32 and an int64 one otherwise.  For omega and tau it is a
-    uint16 sum: a strike of p**k adds 16 * l_p, l_p = round(64 log2 p),
-    and a level-1 strike adds 1 more, so that the low 4 bits count the
+    Per block, the strikes go into two arrays.  For omega and tau these
+    are a uint16 log sum and tau's table slice: a strike of p adds
+    16 * l_p + 1, l_p = round(64 log2 p), so that the low 4 bits count the
     primes found (the log-sum sieve of the quadratic sieve; Pomerance,
-    EUROCRYPT '84).  tau's level-2 strikes take the 1 back: tau(n) = 2**c
-    * prod (e + 1) over p**e || n with e >= 2, c counting the first powers.
+    EUROCRYPT '84), and tau(n) = 2**c * prod (e + 1) over p**e || n with
+    e >= 2, c counting the first powers.  For phi they are the product f
+    of the prime powers found and its phi-part g = phi(f).  Below 2**32
+    they live as a uint32 pair in the 8 bytes of phi's own int64 slot of
+    n, so a strike touches one slot; from 2**32 on, f is an int64 array of
+    its own and g is the table slice.  All block scratch is allocated once
+    per call and reused by every block.
 
     - Level 1 of the wheel primes 2, 3, 5, 7, 11, 13 repeats with period
-      30030 in f and in the accumulator: it is struck into the first
-      period of the block and copied forward, a doubling run of periods
-      per contiguous copy (the wheel of Pritchard, Acta Informatica 17
+      30030 in the strike arrays: it is struck into the first period of
+      the block and copied forward, a doubling run of periods per
+      contiguous copy (the wheel of Pritchard, Acta Informatica 17
       (1982)).
-    - Level k of every other base prime p <= sqrt(block end), and levels
-      k >= 2 of the wheel primes, strike the multiples of p**k below the
-      block end through ``_strikes``, at most _STRIKE_CHUNK moduli at a
-      time.
+    - Level 1 of every other base prime p <= sqrt(block end) strikes the
+      multiples of p through ``_strikes``, at most _STRIKE_CHUNK moduli
+      at a time.
+    - The exponent pass then strikes the multiples of p**2 once, for the
+      wheel primes too.  At n = p**2 (t + j), p**e || n with
+      e = 2 + v_p(t + j).  For a modulus with more than _DENSE_HITS hits,
+      x = e - 1 (omega, tau) or x = p**(e - 1) (phi) is built over its
+      progression in one compact array, by strided steps at p, p**2, ...
+      of the array; for the gathered hits, by a vectorised valuation loop
+      over n / p**2.  Each array then takes one write-back: omega adds
+      16 * l_p * (e - 1) to the log sum; tau adds 16 * l_p * (e - 1) - 1,
+      taking level 1's unit back, and multiplies its table by e + 1; phi
+      multiplies f and g by p**(e - 1).
     - At most one prime factor q of n is above sqrt(block end); it is
-      stepped in with k = 1, in one contiguous pass over the block.  phi
-      multiplies by q - 1 where n // product = q exceeds 1 (n is made
-      _STRIKE_CHUNK numbers at a time).  omega and tau only ask whether q
-      exists: where the log sum L = acc >> 4 is below a threshold T(n), q
-      adds 1 to the count c in the low 4 bits.  omega's table is c, and
-      tau's is shifted left by c.
+      stepped in by one contiguous pass over the block.  phi reads (f, g)
+      _STRIKE_CHUNK numbers at a time and writes g * max(n // f - 1, 1)
+      over them as int64: n // f is q where q exists and 1 where not.
+      omega and tau only ask whether q exists: where the log sum
+      L = acc >> 4 is below a threshold T(n), q adds 1 to the count c in
+      the low 4 bits.  omega's table is c, and tau's is shifted left by c.
 
-    Why the log test is exact.  Let x = 64 log2 n.  n <= 2**50 takes at
-    most log2 n <= 50 strikes, each l_p within 1/2 of 64 log2 p, so L is
-    within 25 of 64 log2 of the part of n that the strikes find.  With no
-    q, that part is n and L >= x - 25.  With q >= 2 it is n / q <= 2**49,
-    struck at most 49 times, so L <= x - 64 + 24.5 = x - 39.5.  Any T(n)
-    in (x - 39.5, x - 25] tells the two apart.  ``_thresholds`` takes
-    T(n) = floor(64 log2 c) - 30 on pieces [c, c') over which x grows by
-    less than 64 log2(13/12) < 7.4, so x - 7.4 - 31 < T(n) <= x - 30:
-    both margins exceed one unit, far above the float error of the logs,
-    and no log is taken per n.  The bits fit: L <= 64 * 50 + 25 = 3225,
-    and tau's count c, like omega's, is at most omega(n) <= 13 below 2**50
-    (41# < 2**50 < 43#), so 16 * L + 13 < 2**16; and 16 * L + c < 16 * T
-    exactly when L < T, with no mask.  tau's take-back never borrows, as
-    level 1 runs before level 2 in every block.
+    Why the log test is exact.  Let x = 64 log2 n.  The log sum adds
+    e * l_p for each p**e || n found, and n <= 2**50 has at most
+    log2 n <= 50 prime factors counted with multiplicity, each l_p within
+    1/2 of 64 log2 p, so L is within 25 of 64 log2 of the part of n that
+    the strikes find.  With no q, that part is n and L >= x - 25.  With
+    q >= 2 it is n / q <= 2**49, of at most 49 prime factors, so
+    L <= x - 64 + 24.5 = x - 39.5.  Any T(n) in (x - 39.5, x - 25] tells
+    the two apart.  ``_thresholds`` takes T(n) = floor(64 log2 c) - 30 on
+    pieces [c, c') over which x grows by less than 64 log2(13/12) < 7.4,
+    so x - 7.4 - 31 < T(n) <= x - 30: both margins exceed one unit, far
+    above the float error of the logs, and no log is taken per n.  The
+    bits fit: L <= 64 * 50 + 25 = 3225, and tau's count c, like omega's,
+    is at most omega(n) <= 13 below 2**50 (41# < 2**50 < 43#), so
+    16 * L + 13 < 2**16; and 16 * L + c < 16 * T exactly when L < T, with
+    no mask.  tau's take-back never borrows from the count: level 1 still
+    runs before the exponent pass in every block, so the unit of p is in
+    the low 4 bits of every multiple of p**2 when the pass takes it back.
+
+    Why phi's pair fits.  Below 2**32, f divides n < 2**32, g = phi(f)
+    <= f, and the exponent pass's factor p**(e - 1) divides n / p < 2**32,
+    so each stays a uint32 through every product; n and phi(n) fit int64
+    up to 2**50.
 
     Blocks touch disjoint slices of the table, so the result is invariant
     under block size.
@@ -326,107 +352,159 @@ def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
     lo, hi, base, bs = sieve.lo, sieve.hi, sieve.base_primes, _DEFAULT_BLOCK
     size = hi - lo + 1
     width = min(bs, size)  # of the longest block
+    span = -(-width // 4)  # hits of the densest p**2 progression, that of 4
     dtype = np.dtype(dtype)
-    updates = step or (lambda k, p: ())
     logs = step is not _phi_step  # omega and tau count primes; phi multiplies them out
-    acc_type = np.dtype(np.uint16 if logs else np.uint32 if hi >> 32 == 0 else np.int64)
-    scratch = (  # reused by every block
-        (acc_type.itemsize + logs) * width  # the accumulator, and omega's and tau's mask
-        + acc_type.itemsize * min(width, _STRIKE_CHUNK)  # phi's n, a chunk at a time
-        + 2 * base.size  # the log marks
-        # the first chunk of level 1 plans the most hits: later chunks and
-        # higher levels strike larger moduli
-        + _strike_bytes(base[:_STRIKE_CHUNK], width)
-        + _LEVEL_BYTES * base.size
-    )
+    pairs = not logs and hi >> 32 == 0  # phi's product and phi-part fit its own 8 bytes per n
+    part = np.dtype(np.uint32 if pairs else np.int64)
+    if logs:  # the log sum, tau's leftover mask; e - 1 over one p**2 progression, and its log operand
+        scratch = (3 if step else 2) * width + 3 * span
+    else:  # p**(e - 1) over one progression; a leftover chunk's n, q and phi; the product apart from 2**32 on
+        scratch = part.itemsize * span + (2 * part.itemsize + 8) * min(width, _STRIKE_CHUNK)
+        scratch += 0 if pairs else 8 * width
+    # the first chunk of level 1 plans the most hits, and the operands made
+    # from a plan take no more than it
+    scratch += 2 * _strike_bytes(base[:_STRIKE_CHUNK], width)
     _reserve(dtype.itemsize * size + scratch, f"{dtype.name} table for [{lo}, {hi}]")
     out = np.empty(size, dtype=dtype)
-    accs = np.empty(width, dtype=acc_type)
-    mark = np.add if logs else np.multiply  # how a strike enters the accumulator
     if logs:
-        bigs = np.empty(width, dtype=bool)  # where a prime is left over
-        ells = np.empty(base.size, dtype=np.uint16)  # a chunk at a time, so the float scratch stays small
-        for i in range(0, base.size, _STRIKE_CHUNK):
-            ells[i : i + _STRIKE_CHUNK] = _log_marks(base[i : i + _STRIKE_CHUNK])
-
-    def marks(k: int, i: int, ps: np.ndarray) -> np.ndarray:
-        """What a strike of p**k adds to (or multiplies into) the
-        accumulator, for the primes ps = base[i : i + ps.size]: each level
-        keeps a prefix of the base primes, those with p**(k+1) < b."""
-        if not logs:
-            return ps.astype(acc_type, copy=False)
-        ls = ells[i : i + ps.size]
-        return ls + 1 if k == 1 else ls - 1 if k == 2 and step else ls  # a prime found; tau's take-back
-
+        accs = np.empty(width, dtype=np.uint16)  # the log sum and count
+        bigs = np.empty(width, dtype=bool) if step else None  # where a prime is left over; omega's table holds it
+        exps = np.empty(span, dtype=np.uint8)  # e - 1 over one p**2 progression
+        ops = np.empty(span, dtype=np.uint16)  # its log sum operand
+    else:
+        accs = None if pairs else np.empty(width, dtype=np.int64)  # the product, 2**32 and above
+        ops = np.empty(span, dtype=part)  # p**(e - 1) over one p**2 progression
+    mark = np.add if logs else np.multiply  # how a strike enters f
     wheel = (_log_marks(np.array(_WHEEL_PRIMES)) + 1).tolist() if logs else _WHEEL_PRIMES
     for a in range(lo, hi + 1, bs):
         b = min(a + bs, hi + 1)
-        view, acc = out[a - lo : b - lo], accs[: b - a]
+        view = out[a - lo : b - lo]
+        if pairs:
+            f, g = view.view(np.uint32).reshape(-1, 2).T
+        else:
+            f, g = accs[: b - a], view if step else None
         w = min(b - a, _WHEEL)
-        acc[:w], view[:w] = 0 if logs else 1, 1
+        f[:w] = 0 if logs else 1
+        if g is not None:
+            g[: b - a if logs else w] = 1  # level 1 leaves tau's table alone
         for p, v in zip(_WHEEL_PRIMES, wheel):
             s = (-a) % p
-            u = acc[s:w:p]
+            u = f[s:w:p]
             mark(u, v, out=u)
-            u = view[s:w:p]
-            for op, x in updates(1, p):
-                op(u, x, out=u)
+            if not logs:
+                u = g[s:w:p]
+                u *= p - 1
+        period = (f,) if logs else (view,) if pairs else (f, g)
         while w < b - a:  # [0, w) is a whole number of periods
             c = min(w, b - a - w)
-            view[w : w + c], acc[w : w + c] = view[:c], acc[:c]
+            for x in period:
+                x[w : w + c] = x[:c]
             w += c
         ps = base[: np.searchsorted(base, math.isqrt(b - 1), side="right")]
-        ms, k = ps, 1
-        while ms.size:
-            for i in range(len(_WHEEL_PRIMES) if k == 1 else 0, ms.size, _STRIKE_CHUNK):
-                cm, cp = ms[i : i + _STRIKE_CHUNK], ps[i : i + _STRIKE_CHUNK]
-                vs = marks(k, i, cp)
-                starts = (-a) % cm
-                dense, offsets, which = _strikes(cm, starts, b - a)
-                dense_cols = cm[dense].tolist(), starts[dense].tolist(), cp[dense].tolist(), vs[dense].tolist()
-                for m, s, p, v in zip(*dense_cols):
-                    u = acc[s::m]
-                    mark(u, v, out=u)
-                    u = view[s::m]
-                    for op, x in updates(k, p):
-                        op(u, x, out=u)
-                # ufunc.at, since two primes may hit one n; levels run in order
-                mark.at(acc, offsets, vs[which])
-                for op, x in updates(k, cp[which]):
-                    op.at(view, offsets, np.asarray(x, dtype))  # a Python int slows ufunc.at
-                del vs, starts, offsets, which  # before the next chunk's hits
-            keep = ms <= (b - 1) // ps  # p**(k+1) < b, without overflow
-            ps, ms = ps[keep], ms[keep]
-            ms *= ps
-            k += 1
-        if not logs:  # phi: n // prod is the prime left over, or 1 where none is
+        for i in range(len(_WHEEL_PRIMES), ps.size, _STRIKE_CHUNK):  # level 1
+            cp = ps[i : i + _STRIKE_CHUNK]
+            starts = (-a) % cp
+            dense, offsets, which = _strikes(cp, starts, b - a)
+            dps = cp[dense]
+            vs = _log_marks(dps) + 1 if logs else dps
+            for p, s, v in zip(dps.tolist(), starts[dense].tolist(), vs.tolist()):
+                u = f[s::p]
+                mark(u, v, out=u)
+                if not logs:
+                    u = g[s::p]
+                    u *= p - 1
+            # ufunc.at, since two primes may hit one n
+            x = _marks_at(cp, which) + 1 if logs else cp[which].astype(part)
+            mark.at(f, offsets, x)
+            if not logs:
+                x -= 1
+                np.multiply.at(g, offsets, x)
+            del starts, offsets, which, x  # before the next chunk's hits
+        for i in range(0, ps.size, _STRIKE_CHUNK):  # the exponent pass
+            cp = ps[i : i + _STRIKE_CHUNK]
+            cm = cp * cp
+            starts = (-a) % cm
+            dense, offsets, which = _strikes(cm, starts, b - a)
+            dps = cp[dense]
+            ells = _log_marks(dps) if logs else dps
+            for p, m, s, ell in zip(dps.tolist(), cm[dense].tolist(), starts[dense].tolist(), ells):
+                h = (b - a - s - 1) // m + 1  # n = a + s + j * m < b
+                t = (a + s) // m
+                x = exps[:h] if logs else ops[:h]
+                x[...] = 1 if logs else p
+                r = p
+                while (j := (-t) % r) < h:  # p**k divides t + j
+                    u = x[j::r]
+                    if logs:
+                        u += 1
+                    else:
+                        u *= p
+                    r *= p
+                y = np.multiply(x, ell, out=ops[:h]) if logs else x
+                if step is _tau_step:
+                    y -= 1  # the take-back
+                u = f[s::m]
+                mark(u, y, out=u)
+                if g is not None:
+                    u = g[s::m]
+                    u *= step(x)
+            if offsets.size:
+                ph = cp[which]
+                q = offsets + a
+                q //= cm[which]  # n / p**2
+                x = np.ones(q.size, dtype=np.uint8) if logs else ph.copy()
+                k = np.flatnonzero(q % ph == 0)
+                while k.size:
+                    pk = ph[k]
+                    if logs:
+                        x[k] += 1
+                    else:
+                        x[k] *= pk
+                    qk = q[k] // pk
+                    q[k] = qk
+                    k = k[qk % pk == 0]
+                del q, k
+                if not logs:
+                    x = x.astype(part, copy=False)
+                y = _marks_at(cp, which) * x if logs else x
+                if step is _tau_step:
+                    y -= 1
+                mark.at(f, offsets, y)
+                if g is not None:
+                    np.multiply.at(g, offsets, step(x))
+            del starts, offsets, which
+        if not logs:  # n // f is the prime left over, or 1 where none is
             for i in range(0, b - a, _STRIKE_CHUNK):
-                u = acc[i : i + _STRIKE_CHUNK]
-                np.floor_divide(np.arange(a + i, a + i + u.size, dtype=acc_type), u, out=u)
-            acc -= 1
-            np.maximum(acc, 1, out=acc)  # q - 1 for a prime q, and 1 stays 1
-            view *= acc
+                j = min(i + _STRIKE_CHUNK, b - a)
+                q = np.arange(a + i, a + j, dtype=part) // f[i:j]
+                q -= 1
+                np.maximum(q, 1, out=q)  # q - 1 for a prime q, and 1 stays 1
+                view[i:j] = np.multiply(g[i:j], q, dtype=np.int64)
             continue
-        big = bigs[: b - a]
+        big = bigs[: b - a] if step else view.view(bool)
         for i, j, t in _thresholds(a, b):
-            np.less(acc[i:j], t, out=big[i:j])  # L < T(n): a prime is left over
-        acc &= 15
-        acc += big  # the count c, the prime left over included
+            np.less(f[i:j], t, out=big[i:j])  # L < T(n): a prime is left over
+        f &= 15
         if step is None:
-            view[...] = acc
+            np.add(f, view, out=view, casting="unsafe")  # the count c, the prime left over included
         else:
-            view <<= acc
+            f += big
+            view <<= f
     return out
 
 
-def _tau_step(k: int, p):
-    # the factor e + 1 for p**e || n with e >= 2, one ratio (k + 1) / k at a time
-    return () if k == 1 else ((np.multiply, 3),) if k == 2 else ((np.floor_divide, k), (np.multiply, k + 1))
+def _tau_step(x: np.ndarray) -> np.ndarray:
+    # tau(p**e) = e + 1 at p**e || n, e >= 2, from x = e - 1 (in place; the
+    # 2 of a first power is in the count)
+    x += 2
+    return x
 
 
-def _phi_step(k: int, p):
-    # phi gains (p - 1) * p**(e - 1) for p**e || n
-    return ((np.multiply, p - 1 if k == 1 else p),)
+def _phi_step(x: np.ndarray) -> np.ndarray:
+    # phi(p**e) = (p - 1) * p**(e - 1) at p**e || n, e >= 2: level 1 put in
+    # p - 1, and x = p**(e - 1) is the rest
+    return x
 
 
 def omega_range(sieve: FactorSieve, threads: int | None = None) -> np.ndarray:

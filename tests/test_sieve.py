@@ -364,9 +364,10 @@ class TestLogThreshold:
 
     @pytest.mark.parametrize("block", [None, 61])
     def test_powers_of_two_and_three_exhaustive(self, block, monkeypatch):
-        # around 2**20 * 3**12, 2**k and 3**k (k >= 3) strike the same n in
-        # one ufunc.at call where both plan gathered hits: from k = 6 in one
-        # block, from k = 2 in blocks of 61
+        # around 2**20 * 3**12, the exponent pass finds e = 20 and 12 at c:
+        # by strided steps over the progressions of 4 and 9 in one block,
+        # and in blocks of 61, where both plan gathered hits, by the
+        # valuation loop with their hits in one ufunc.at call
         if block is not None:
             monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
         c = 2**20 * 3**12
@@ -375,6 +376,19 @@ class TestLogThreshold:
         tables = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
         _assert_tables_match_factorint(sv, tables, range(lo, hi + 1))
         assert tables[1][c - lo] == 21 * 13
+
+    @pytest.mark.parametrize("block", [None, 61])
+    @pytest.mark.parametrize("c", [131**7, 1021**5, 32749**3], ids=["131^7", "1021^5", "32749^3"])
+    def test_gathered_high_powers_exhaustive(self, c, block, monkeypatch):
+        # p**2 plans gathered hits for these p > 127 in one block and in
+        # blocks of 61, so the valuation loop finds e = 7, 5 and 3 at c over
+        # several rounds (the base primes are listed in the default blocks)
+        lo, hi = c - 300, c + 300
+        sv = ol.build_factor_sieve(lo, hi)
+        if block is not None:
+            monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+        tables = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
+        _assert_tables_match_factorint(sv, tables, range(lo, hi + 1))
 
     @settings(max_examples=50, deadline=None)
     @given(window=_piece_windows(), data=st.data())
