@@ -193,10 +193,13 @@ class LambdaMeanReport:
     ratio: float | None
 
     def to_dict(self) -> dict:
+        # the exact route's Fractions go out as they are, for the report to
+        # print in hex past the decimal-digit limit
+        exact = isinstance(self.lam, Fraction)
         return {
-            "lambda": str(self.lam),
+            "lambda": self.lam if exact else str(self.lam),
             "n_max": self.n_max,
-            "value": str(self.value),
+            "value": self.value if exact else str(self.value),
             "value_decimal": float(self.value),
             "float_error_bound": self.float_error_bound,
             "reference": self.reference,

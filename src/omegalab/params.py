@@ -44,8 +44,10 @@ def _scale(xs: str) -> tuple[float, Decimal, int]:
         m, e = Decimal(mantissa), int(exponent or 0)
     except (ValueError, InvalidOperation) as exc:
         raise DomainError(str(exc)) from None
+    if not m.is_finite():
+        raise DomainError(f"x={xs} is not finite")
     too_small = DomainError(f"x={xs} too small: need x > {MIN_SCALE:.3f} so that K >= 1")
-    if not m.is_finite() or m <= 0:
+    if m <= 0:
         raise too_small
     digits = m.as_tuple().digits
     k = e + m.adjusted()

@@ -5,15 +5,19 @@ linear forms a*n + b (behind the primes themselves, as the odd numbers
 sieves strike residue classes block by block through one helper,
 ``_strikes``: a strided slice for a modulus with more than _DENSE_HITS
 (64) hits in the block, one gathered offset array for the rest.  The
-tables take the first power of the primes up to 13 from a wheel, one
-period of 30030 copied across each block, and the exponent of each prime
-p from one pass over the multiples of p**2.  The one prime factor of n
-above the square root of the block end is stepped in by one contiguous
-pass over the block: phi reads it off the product of the prime powers
-found, which below 2**32 shares phi's own 8-byte slot of n with the
-phi-part as a uint32 pair; omega and tau read one count of primes from a
-uint16 sum of rounded logs, which also tells where it exists, exactly up
-to 2**50 (the margin is proved at ``_sieve_table``).
+table kernel is told which table it builds, omega, tau or phi, and takes
+no step callback.  One level-1 routine strikes the first power of each
+base prime: over the first period of 30030 of each block for the primes
+up to 13, a wheel then copied across the block, and over the whole block
+for the others.  The exponent of each prime p comes from one pass over
+the multiples of p**2.  The one prime factor of n above the square root
+of the block end is stepped in by one contiguous pass over the block:
+phi reads it off the product of the prime powers found, which below
+2**32 shares phi's own 8-byte slot of n with the phi-part as a uint32
+pair; omega and tau read one count of primes from a uint16 sum of
+rounded logs, which also tells where it exists, exactly up to 2**50 (the
+margin is proved at ``_sieve_table``).  tau's mask of where it exists
+lives in the exponent pass's scratch, and omega's in its own table.
 Every allocation is first reserved by ``_reserve`` against
 OMEGALAB_MEMORY_BUDGET, read anew at each call.
 
@@ -58,8 +62,8 @@ _DEFAULT_BUDGET = 2_000_000_000  # bytes
 _DEFAULT_BLOCK = 1 << 20  # numbers per block of either sieve
 _DENSE_HITS = 64  # a modulus with more hits per block strikes by a strided slice
 _STRIKE_CHUNK = 1 << 13  # moduli per _strikes call of a table pass, and n per step of phi's leftover pass
-_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)  # level 1 of these is one periodic pattern of the tables
-_WHEEL = math.prod(_WHEEL_PRIMES)  # 30030
+_WHEEL_PRIMES = np.array([2, 3, 5, 7, 11, 13])  # level 1 of these is one periodic pattern of the tables
+_WHEEL = math.prod(_WHEEL_PRIMES.tolist())  # 30030
 _SMALL_LIMIT = 1000  # primes_up_to(n) for n up to this is a slice of _SMALL_PRIMES
 _SMALL_PRIMES: list[int] = []  # the primes up to _SMALL_LIMIT, filled in at import below
 _RHO_STEPS = 1 << 22  # rho work allowed per cofactor, in steps on 64-bit words; see CHANGES.md
@@ -277,13 +281,8 @@ def _marks_at(ps: np.ndarray, which: np.ndarray) -> np.ndarray:
     return _log_marks(ps[which]) if which.size < ps.size else _log_marks(ps)[which]
 
 
-def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
-    """The multiplicative (or additive) function f over the sieve window.
-
-    ``step`` None is omega, the count of distinct primes, which the table
-    takes from the log sum alone.  ``_tau_step`` and ``_phi_step`` give
-    tau's and phi's value at p**e || n, e >= 2, as the factor that the
-    exponent pass multiplies into the table over what level 1 put there.
+def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
+    """The table of omega, tau or phi (``kind``) over the sieve window.
 
     Per block, the strikes go into two arrays.  For omega and tau these
     are a uint16 log sum and tau's table slice: a strike of p adds
@@ -297,24 +296,24 @@ def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
     its own and g is the table slice.  All block scratch is allocated once
     per call and reused by every block.
 
-    - Level 1 of the wheel primes 2, 3, 5, 7, 11, 13 repeats with period
-      30030 in the strike arrays: it is struck into the first period of
-      the block and copied forward, a doubling run of periods per
-      contiguous copy (the wheel of Pritchard, Acta Informatica 17
-      (1982)).
-    - Level 1 of every other base prime p <= sqrt(block end) strikes the
-      multiples of p through ``_strikes``, at most _STRIKE_CHUNK moduli
-      at a time.
+    - Level 1 strikes the multiples of each prime p once through one
+      routine, ``level1``, which plans them by ``_strikes``, at most
+      _STRIKE_CHUNK moduli at a time.  It runs first over the wheel primes
+      2, 3, 5, 7, 11, 13 in the first period of 30030 of the block, which
+      is then copied forward, a doubling run of periods per contiguous
+      copy (the wheel of Pritchard, Acta Informatica 17 (1982)); then over
+      every other base prime p <= sqrt(block end) in the whole block.
     - The exponent pass then strikes the multiples of p**2 once, for the
       wheel primes too.  At n = p**2 (t + j), p**e || n with
-      e = 2 + v_p(t + j).  For a modulus with more than _DENSE_HITS hits,
-      x = e - 1 (omega, tau) or x = p**(e - 1) (phi) is built over its
-      progression in one compact array, by strided steps at p, p**2, ...
-      of the array; for the gathered hits, by a vectorised valuation loop
-      over n / p**2.  Each array then takes one write-back: omega adds
-      16 * l_p * (e - 1) to the log sum; tau adds 16 * l_p * (e - 1) - 1,
-      taking level 1's unit back, and multiplies its table by e + 1; phi
-      multiplies f and g by p**(e - 1).
+      e = 2 + v_p(t + j).  x = e - 1 (omega, tau) or x = p**(e - 1) (phi)
+      starts at 1 or p and takes one ``mark`` by that step for each
+      further power of p: for a modulus with more than _DENSE_HITS hits,
+      by strided steps at p, p**2, ... of one compact array over its
+      progression (the scratch ``exps``); for the gathered hits, by a
+      vectorised valuation loop over n / p**2.  Each x then takes one
+      write-back: omega adds 16 * l_p * (e - 1) to the log sum; tau adds
+      16 * l_p * (e - 1) - 1, taking level 1's unit back, and multiplies
+      its table by e + 1; phi multiplies f and g by p**(e - 1).
     - At most one prime factor q of n is above sqrt(block end); it is
       stepped in by one contiguous pass over the block.  phi reads (f, g)
       _STRIKE_CHUNK numbers at a time and writes g * max(n // f - 1, 1)
@@ -322,6 +321,8 @@ def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
       omega and tau only ask whether q exists: where the log sum
       L = acc >> 4 is below a threshold T(n), q adds 1 to the count c in
       the low 4 bits.  omega's table is c, and tau's is shifted left by c.
+      The mask of q is held by omega's own table, and by tau's ``exps``,
+      which for tau spans the block.
 
     Why the log test is exact.  Let x = 64 log2 n.  The log sum adds
     e * l_p for each p**e || n found, and n <= 2**50 has at most
@@ -353,12 +354,13 @@ def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
     size = hi - lo + 1
     width = min(bs, size)  # of the longest block
     span = -(-width // 4)  # hits of the densest p**2 progression, that of 4
-    dtype = np.dtype(dtype)
-    logs = step is not _phi_step  # omega and tau count primes; phi multiplies them out
-    pairs = not logs and hi >> 32 == 0  # phi's product and phi-part fit its own 8 bytes per n
+    phi, tau = kind == "phi", kind == "tau"
+    logs = not phi  # omega and tau count primes; phi multiplies them out
+    dtype = np.dtype(np.int64 if phi else np.int32 if tau else np.uint8)
+    pairs = phi and hi >> 32 == 0  # phi's product and phi-part fit its own 8 bytes per n
     part = np.dtype(np.uint32 if pairs else np.int64)
-    if logs:  # the log sum, tau's leftover mask; e - 1 over one p**2 progression, and its log operand
-        scratch = (3 if step else 2) * width + 3 * span
+    if logs:  # the log sum; e - 1 over one p**2 progression, or tau's block; its log operand
+        scratch = 2 * width + (width if tau else span) + 2 * span
     else:  # p**(e - 1) over one progression; a leftover chunk's n, q and phi; the product apart from 2**32 on
         scratch = part.itemsize * span + (2 * part.itemsize + 8) * min(width, _STRIKE_CHUNK)
         scratch += 0 if pairs else 8 * width
@@ -367,34 +369,47 @@ def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
     scratch += 2 * _strike_bytes(base[:_STRIKE_CHUNK], width)
     _reserve(dtype.itemsize * size + scratch, f"{dtype.name} table for [{lo}, {hi}]")
     out = np.empty(size, dtype=dtype)
-    if logs:
-        accs = np.empty(width, dtype=np.uint16)  # the log sum and count
-        bigs = np.empty(width, dtype=bool) if step else None  # where a prime is left over; omega's table holds it
-        exps = np.empty(span, dtype=np.uint8)  # e - 1 over one p**2 progression
-        ops = np.empty(span, dtype=np.uint16)  # its log sum operand
-    else:
-        accs = None if pairs else np.empty(width, dtype=np.int64)  # the product, 2**32 and above
-        ops = np.empty(span, dtype=part)  # p**(e - 1) over one p**2 progression
+    # the log sum and count, or phi's product from 2**32 on
+    accs = None if pairs else np.empty(width, dtype=np.uint16 if logs else np.int64)
+    # x over one p**2 progression; tau's spans the block, for its leftover mask
+    exps = np.empty(width if tau else span, dtype=part if phi else np.uint8)
+    ops = np.empty(span, dtype=np.uint16) if logs else None  # the log sum operand of x
     mark = np.add if logs else np.multiply  # how a strike enters f
-    wheel = (_log_marks(np.array(_WHEEL_PRIMES)) + 1).tolist() if logs else _WHEEL_PRIMES
+
+    def level1(ps: np.ndarray, n: int) -> None:
+        # strike each p of ps at its multiples in [0, n) of the block at a
+        for i in range(0, ps.size, _STRIKE_CHUNK):
+            cp = ps[i : i + _STRIKE_CHUNK]
+            starts = (-a) % cp
+            dense, offsets, which = _strikes(cp, starts, n)
+            dps = cp[dense]
+            vs = _log_marks(dps) + 1 if logs else dps
+            for p, s, v in zip(dps.tolist(), starts[dense].tolist(), vs.tolist()):
+                u = f[s:n:p]
+                mark(u, v, out=u)
+                if phi:
+                    u = g[s:n:p]
+                    u *= p - 1
+            # ufunc.at, since two primes may hit one n
+            x = _marks_at(cp, which) + 1 if logs else cp[which].astype(part)
+            mark.at(f, offsets, x)
+            if phi:
+                x -= 1
+                np.multiply.at(g, offsets, x)
+            del starts, offsets, which, x  # before the next chunk's hits
+
     for a in range(lo, hi + 1, bs):
         b = min(a + bs, hi + 1)
         view = out[a - lo : b - lo]
         if pairs:
             f, g = view.view(np.uint32).reshape(-1, 2).T
         else:
-            f, g = accs[: b - a], view if step else None
+            f, g = accs[: b - a], None if kind == "omega" else view
         w = min(b - a, _WHEEL)
         f[:w] = 0 if logs else 1
         if g is not None:
-            g[: b - a if logs else w] = 1  # level 1 leaves tau's table alone
-        for p, v in zip(_WHEEL_PRIMES, wheel):
-            s = (-a) % p
-            u = f[s:w:p]
-            mark(u, v, out=u)
-            if not logs:
-                u = g[s:w:p]
-                u *= p - 1
+            g[: w if phi else b - a] = 1  # level 1 leaves tau's table alone
+        level1(_WHEEL_PRIMES, w)
         period = (f,) if logs else (view,) if pairs else (f, g)
         while w < b - a:  # [0, w) is a whole number of periods
             c = min(w, b - a - w)
@@ -402,25 +417,7 @@ def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
                 x[w : w + c] = x[:c]
             w += c
         ps = base[: np.searchsorted(base, math.isqrt(b - 1), side="right")]
-        for i in range(len(_WHEEL_PRIMES), ps.size, _STRIKE_CHUNK):  # level 1
-            cp = ps[i : i + _STRIKE_CHUNK]
-            starts = (-a) % cp
-            dense, offsets, which = _strikes(cp, starts, b - a)
-            dps = cp[dense]
-            vs = _log_marks(dps) + 1 if logs else dps
-            for p, s, v in zip(dps.tolist(), starts[dense].tolist(), vs.tolist()):
-                u = f[s::p]
-                mark(u, v, out=u)
-                if not logs:
-                    u = g[s::p]
-                    u *= p - 1
-            # ufunc.at, since two primes may hit one n
-            x = _marks_at(cp, which) + 1 if logs else cp[which].astype(part)
-            mark.at(f, offsets, x)
-            if not logs:
-                x -= 1
-                np.multiply.at(g, offsets, x)
-            del starts, offsets, which, x  # before the next chunk's hits
+        level1(ps[_WHEEL_PRIMES.size :], b - a)
         for i in range(0, ps.size, _STRIKE_CHUNK):  # the exponent pass
             cp = ps[i : i + _STRIKE_CHUNK]
             cm = cp * cp
@@ -431,50 +428,46 @@ def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
             for p, m, s, ell in zip(dps.tolist(), cm[dense].tolist(), starts[dense].tolist(), ells):
                 h = (b - a - s - 1) // m + 1  # n = a + s + j * m < b
                 t = (a + s) // m
-                x = exps[:h] if logs else ops[:h]
-                x[...] = 1 if logs else p
+                up = p if phi else 1
+                x = exps[:h]
+                x[...] = up
                 r = p
                 while (j := (-t) % r) < h:  # p**k divides t + j
                     u = x[j::r]
-                    if logs:
-                        u += 1
-                    else:
-                        u *= p
+                    mark(u, up, out=u)
                     r *= p
                 y = np.multiply(x, ell, out=ops[:h]) if logs else x
-                if step is _tau_step:
+                if tau:
                     y -= 1  # the take-back
+                    x += 2  # tau(p**e) = e + 1
                 u = f[s::m]
                 mark(u, y, out=u)
                 if g is not None:
                     u = g[s::m]
-                    u *= step(x)
+                    u *= x
             if offsets.size:
                 ph = cp[which]
                 q = offsets + a
                 q //= cm[which]  # n / p**2
-                x = np.ones(q.size, dtype=np.uint8) if logs else ph.copy()
+                ups = ph.astype(part, copy=False) if phi else np.ones(ph.size, dtype=np.uint8)
+                x = ups.copy()
                 k = np.flatnonzero(q % ph == 0)
                 while k.size:
+                    x[k] = mark(x[k], ups[k])
                     pk = ph[k]
-                    if logs:
-                        x[k] += 1
-                    else:
-                        x[k] *= pk
                     qk = q[k] // pk
                     q[k] = qk
                     k = k[qk % pk == 0]
-                del q, k
-                if not logs:
-                    x = x.astype(part, copy=False)
+                del q, k, ups
                 y = _marks_at(cp, which) * x if logs else x
-                if step is _tau_step:
+                if tau:
                     y -= 1
+                    x += 2
                 mark.at(f, offsets, y)
                 if g is not None:
-                    np.multiply.at(g, offsets, step(x))
+                    np.multiply.at(g, offsets, x)
             del starts, offsets, which
-        if not logs:  # n // f is the prime left over, or 1 where none is
+        if phi:  # n // f is the prime left over, or 1 where none is
             for i in range(0, b - a, _STRIKE_CHUNK):
                 j = min(i + _STRIKE_CHUNK, b - a)
                 q = np.arange(a + i, a + j, dtype=part) // f[i:j]
@@ -482,29 +475,16 @@ def _sieve_table(sieve: FactorSieve, dtype, step) -> np.ndarray:
                 np.maximum(q, 1, out=q)  # q - 1 for a prime q, and 1 stays 1
                 view[i:j] = np.multiply(g[i:j], q, dtype=np.int64)
             continue
-        big = bigs[: b - a] if step else view.view(bool)
+        big = (exps if tau else view)[: b - a].view(bool)
         for i, j, t in _thresholds(a, b):
             np.less(f[i:j], t, out=big[i:j])  # L < T(n): a prime is left over
         f &= 15
-        if step is None:
-            np.add(f, view, out=view, casting="unsafe")  # the count c, the prime left over included
-        else:
+        if tau:
             f += big
             view <<= f
+        else:
+            np.add(f, view, out=view, casting="unsafe")  # the count c, the prime left over included
     return out
-
-
-def _tau_step(x: np.ndarray) -> np.ndarray:
-    # tau(p**e) = e + 1 at p**e || n, e >= 2, from x = e - 1 (in place; the
-    # 2 of a first power is in the count)
-    x += 2
-    return x
-
-
-def _phi_step(x: np.ndarray) -> np.ndarray:
-    # phi(p**e) = (p - 1) * p**(e - 1) at p**e || n, e >= 2: level 1 put in
-    # p - 1, and x = p**(e - 1) is the rest
-    return x
 
 
 def omega_range(sieve: FactorSieve, threads: int | None = None) -> np.ndarray:
@@ -514,17 +494,17 @@ def omega_range(sieve: FactorSieve, threads: int | None = None) -> np.ndarray:
     threads is accepted and ignored so that existing callers that pass it
     keep working.
     """
-    return _sieve_table(sieve, np.uint8, None)
+    return _sieve_table(sieve, "omega")
 
 
 def tau_range(sieve: FactorSieve) -> np.ndarray:
     """Divisor counts tau(n) over the window as an int32 array."""
-    return _sieve_table(sieve, np.int32, _tau_step)
+    return _sieve_table(sieve, "tau")
 
 
 def phi_range(sieve: FactorSieve) -> np.ndarray:
     """Euler phi(n) over the window as an int64 array."""
-    return _sieve_table(sieve, np.int64, _phi_step)
+    return _sieve_table(sieve, "phi")
 
 
 # ---------------------------------------------------------------------------

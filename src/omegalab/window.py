@@ -337,7 +337,7 @@ def decay_profile(w: WindowFn, sigma: float, ts) -> DecayProfile:
     reported envelope constant is inflated so that every sampled point
     sits on or below the envelope.
     """
-    ts = np.asarray(list(ts), dtype=float)
+    ts = np.array(ts, dtype=float)
     if ts.size < 2:
         raise DomainError("need at least two sample points to fit a decay rate")
     if not np.all(ts > 0):

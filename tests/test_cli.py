@@ -7,6 +7,7 @@ import json
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from omegalab.brun import PrimeInterval, complete_sieve_product, truncation_error_bound
 from omegalab.cli import _DISPATCH, _dumps, _parser, _to_csv, build_parser, main
 from omegalab.series import decompose_tail, integrality_probe, partial_sum, tail_bound
+from omegalab.sieve import omega
 
 
 def run_cli(argv, capsys):
@@ -216,6 +218,19 @@ class TestReports:
         assert doc["result"]["value"] == "22/9"
         assert doc["result"]["float_error_bound"] is None
 
+    def test_shiu_mean_past_the_decimal_digit_limit(self, capsys):
+        # lambda = 10**-1000: the value's denominator, 10**5000 for the
+        # largest omega(n) = 5 up to 10**4, has more than 4300 decimal
+        # digits, so the value comes in hex
+        lam = Fraction(1, 10**1000)
+        rc, doc = run_json(["shiu-mean", "--lambda", f"1/{10**1000}", "--n-max", "10000"], capsys)
+        assert rc == 0
+        r = doc["result"]
+        assert Fraction(r["lambda"]) == lam  # 1001 digits fit in decimal
+        assert r["value"].startswith("0x")
+        counts = Counter(omega(n) for n in range(1, 10001))
+        assert read(r["value"]) == sum(c * lam**j for j, c in counts.items())
+
     def test_shiu_mean_float_route(self, capsys):
         rc, doc = run_json(["shiu-mean", "--lambda", "0.5", "--n-max", "1000"], capsys)
         assert rc == 0
@@ -326,6 +341,13 @@ class TestOutputPlumbing:
         rc, out = run_cli(["params", "--x", x, "--no-timing"], capsys)
         assert rc == 1
         assert json.loads(out)["error"]["code"] == "domain"
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "Infinity"])
+    def test_non_finite_scale_says_so(self, x, capsys):
+        rc, out = run_cli(["params", "--x", x, "--no-timing"], capsys)
+        assert rc == 1
+        err = json.loads(out)["error"]
+        assert err["code"] == "domain" and err["message"] == f"x={x} is not finite"
 
     def test_window_profile_error_goes_to_output(self, tmp_path, capsys):
         path = tmp_path / "err.json"

@@ -141,8 +141,9 @@ class TestOmegaRange:
             tracemalloc.stop()
 
     def test_short_window_near_2_50_within_budget(self, monkeypatch):
-        # 2 063 689 base primes for 3001 numbers: each level plans its moduli
-        # in chunks, so only a few int64 arrays grow with the base primes
+        # 2 063 689 base primes for 3001 numbers: level 1 and the exponent
+        # pass plan their moduli in chunks of _STRIKE_CHUNK through
+        # _strikes, so only a few int64 arrays grow with the base primes
         budget = 150_000_000
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
         sv = ol.build_factor_sieve(2**50 - 3000, 2**50)
@@ -367,12 +368,13 @@ class TestLogThreshold:
         # around 2**20 * 3**12, the exponent pass finds e = 20 and 12 at c:
         # by strided steps over the progressions of 4 and 9 in one block,
         # and in blocks of 61, where both plan gathered hits, by the
-        # valuation loop with their hits in one ufunc.at call
-        if block is not None:
-            monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+        # valuation loop with their hits in one ufunc.at call (the base
+        # primes are listed in the default blocks)
         c = 2**20 * 3**12
         lo, hi = c - 2000, c + 2000
         sv = ol.build_factor_sieve(lo, hi)
+        if block is not None:
+            monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
         tables = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
         _assert_tables_match_factorint(sv, tables, range(lo, hi + 1))
         assert tables[1][c - lo] == 21 * 13
