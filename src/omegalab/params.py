@@ -238,25 +238,70 @@ def family_singular_series(K: int, truncation_prime: int = 10**7) -> FamilySingu
     )
 
 
+def _bounded_brent(f):
+    """Brent's FMIN (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5) on [1e-12, 1 - 1e-12] at xatol 1e-13 and at most 500
+    evaluations of f: the best point and its value.  Operation for
+    operation the loop of scipy's minimize_scalar(method="bounded"), down
+    to its sign rule: a zero step, -0.0 included, moves by +tol1."""
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = 1e-12, 1 - 1e-12
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    ffulc = fnfc = fx = f(xf)
+    rat = e = 0.0
+    num, xm = 1, 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + 1e-13 / 3.0
+    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden, rat = False, p / q
+                if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (max(abs(rat), tol1) if rat >= 0 else -max(abs(rat), tol1))
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + 1e-13 / 3.0
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def exponent_optimum(weight: float = 0.1):
     """Minimise f(lambda) = lambda + weight * log(1/lambda) on (0, 1).
 
     Returns (lambda_star, c0) where c0 = 1 - f(lambda_star) is the
     exponent saving.  For the default weight 1/10 the exact optimum is
-    lambda_star = 1/10 and c0 = (9 - log 10)/10 = 0.66974...; the bounded
-    scalar minimiser is run at tight tolerance and f is quadratically
-    flat at the optimum, so c0 carries far more correct digits than
-    lambda_star itself.
+    lambda_star = 1/10 and c0 = (9 - log 10)/10 = 0.66974...; the search
+    is Brent's bounded minimiser on [1e-12, 1 - 1e-12] at xatol 1e-13,
+    iterate for iterate the one of scipy's minimize_scalar(method=
+    "bounded"), and f is quadratically flat at the optimum, so c0
+    carries far more correct digits than lambda_star itself.
     """
     if not 0 < weight < 1:
         raise DomainError("weight must lie in (0, 1)")
-    # scipy stays, imported lazily, because the census benchmark pins this minimiser's digits
-    from scipy.optimize import minimize_scalar
 
     def f(lam: float) -> float:
         return lam + weight * math.log(1.0 / lam)
 
-    res = minimize_scalar(f, bounds=(1e-12, 1 - 1e-12), method="bounded", options={"xatol": 1e-13})
-    lam_star = float(res.x)
-    c0 = 1.0 - float(f(lam_star))
-    return lam_star, c0
+    lam_star, f_star = _bounded_brent(f)
+    return lam_star, 1.0 - f_star

@@ -171,7 +171,9 @@ class SearchSpec:
             raise DomainError(f"need 1 <= K < L, got K={self.K}, L={self.L}")
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
-        if self.theta3 < 0:
+        if math.isnan(self.theta2):
+            raise DomainError("theta2 must be a number")
+        if not self.theta3 >= 0:  # NaN fails this test too
             raise DomainError("theta3 must be nonnegative")
         form_family(self.K, self.Q)  # raises unless k^2 | Q for every k <= K
 

@@ -16,11 +16,13 @@ adaptive Gauss-Legendre scheme with panels split at the structural
 breakpoints and at the oscillation scale 2*pi/|Im s|.  Refinement is
 level-batched: each level halves every panel that has not settled and
 evaluates all their halves in one integrand call, and the values are
-summed as the depth-first recursion would sum them.  An independent
-route for cross-checks is the trapezoid rule in u = log x, which
-converges exponentially because W(e^u) e^(su) vanishes to all orders at
-both ends (Trefethen & Weideman, SIAM Review 56 (2014)).  The transform
-decays like exp(-c |s|^(1/3)) along vertical lines.
+summed as the depth-first recursion would sum them; the first grid and
+each level reserve their panels against the memory budget before they
+are built.  An independent route for cross-checks is the trapezoid rule
+in u = log x, which converges exponentially because W(e^u) e^(su)
+vanishes to all orders at both ends (Trefethen & Weideman, SIAM Review
+56 (2014)).  The transform decays like exp(-c |s|^(1/3)) along vertical
+lines.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError
+from .sieve import _reserve
 
 __all__ = [
     "DecayProfile",
@@ -47,6 +50,10 @@ _MAX_RE_S = 256.0  # beyond this, x**(s-1) overflows double on [1/4, 4]
 _MAX_DEPTH = 14  # halvings of a panel before the quadrature gives up
 _MAX_INTERVALS = 1 << 20  # trapezoid intervals before the cross-check route gives up
 _TOL = 1e-10  # the Gauss-Legendre route's target for each moment integral
+# bytes per panel held by the Gauss-Legendre route: its tracemalloc peak was
+# 0.27 KiB per panel at 136 183 first-grid panels and 0.12-0.16 KiB per
+# panel once refinement levels held more than 10^6
+_PANEL_BYTES = 320
 _GRID_CHUNK = 1 << 11  # grid points per derivative call of max_abs_deriv: 16 KiB per array
 
 def _step_deriv(u: np.ndarray, c: float, j: int) -> np.ndarray:
@@ -161,14 +168,17 @@ def _level_quadrature(f, pts: list[float], tol: float) -> complex:
     """int f over [pts[0], pts[-1]], each panel between consecutive pts
     refined by halving until its share of tol is met."""
     a, b = np.array(pts[:-1]), np.array(pts[1:])
-    return sum(_settle(f, a, b, _gauss_legendre(f, a, b), tol / len(a), _MAX_DEPTH))
+    return sum(_settle(f, a, b, _gauss_legendre(f, a, b), tol / len(a), _MAX_DEPTH, len(a)))
 
 
-def _settle(f, a: np.ndarray, b: np.ndarray, whole: list[complex], tol: float, depth: int) -> list:
+def _settle(
+    f, a: np.ndarray, b: np.ndarray, whole: list[complex], tol: float, depth: int, held: int
+) -> list:
     """The integral of f over each panel [a[i], b[i]], whose 16-point value
     is whole[i]: left + right once the halves agree with it to tol, else
     each half settled to tol / 2.  One call of f evaluates the halves of
-    every panel, and one recursive call settles every open half."""
+    every panel, and one recursive call settles every open half, once
+    they and the held panels of the levels above fit the memory budget."""
     m = 0.5 * (a + b)
     a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
     halves = _gauss_legendre(f, a, b)
@@ -194,25 +204,40 @@ def _settle(f, a: np.ndarray, b: np.ndarray, whole: list[complex], tol: float, d
         out.append(None)
         open_halves += [2 * j, 2 * j + 1]
     if open_halves:
+        held += len(open_halves)
+        _reserve(_PANEL_BYTES * held, f"Mellin quadrature refined to {held} panels")
         opened = [halves[i] for i in open_halves]
-        sub = iter(_settle(f, a[open_halves], b[open_halves], opened, tol / 2, depth - 1))
+        sub = iter(_settle(f, a[open_halves], b[open_halves], opened, tol / 2, depth - 1, held))
         out = [next(sub) + next(sub) if v is None else v for v in out]
     return out
 
 
 def _mellin_panels(s: complex) -> list[float]:
+    """The first grid: {1/4, 1/2, 2, 4}, each gap split into panels at most
+    2*pi/|Im s| wide in log x, counted and reserved before they are built."""
     pts = [0.25, 0.5, 2.0, 4.0]
     t = abs(s.imag)
     if t <= 2.0:
         return pts
     max_log_width = 2 * math.pi / t
+    n_subs = [max(1, math.ceil(math.log(b / a) / max_log_width)) for a, b in zip(pts, pts[1:])]
+    n = sum(n_subs)
+    _reserve(_PANEL_BYTES * n, f"Mellin quadrature at s = {s} on {n} panels")
     out = [pts[0]]
-    for a, b in zip(pts, pts[1:]):
-        n_sub = max(1, math.ceil(math.log(b / a) / max_log_width))
+    for a, b, n_sub in zip(pts, pts[1:], n_subs):
         ratio = (b / a) ** (1.0 / n_sub)
         out.extend(a * ratio ** (i + 1) for i in range(n_sub))
         out[-1] = b  # kill accumulated rounding at the breakpoint
     return out
+
+
+def _checked_s(s) -> complex:
+    """s as a complex, or DomainError unless |Re s| <= _MAX_RE_S and Im s is
+    finite; the test is written so that a NaN real part fails it too."""
+    s = complex(s)
+    if not (abs(s.real) <= _MAX_RE_S and math.isfinite(s.imag)):
+        raise DomainError(f"s = {s}: need |Re s| <= {_MAX_RE_S} and a finite Im s")
+    return s
 
 
 def mellin_transform(w: WindowFn, s: complex) -> complex:
@@ -225,7 +250,8 @@ def mellin_transform(w: WindowFn, s: complex) -> complex:
     one integrand call per level evaluates the halves of every panel
     still open.  Raises PrecisionError if a panel still misses its share
     after _MAX_DEPTH = 14 halvings, DomainError when |Re s| is large
-    enough to overflow doubles on the support.
+    enough to overflow doubles on the support or Im s is not finite, and
+    ResourceError when the panels held would pass the memory budget.
     """
     return mellin_via_parts(w, s, 0)
 
@@ -238,11 +264,9 @@ def mellin_transform_quad(w: WindowFn, s: complex) -> complex:
     of e^(i Im(s) u)); each halving then evaluates only the new midpoints,
     and the sum is returned once two successive sums differ by at most
     1e-13 * h * sum|f|.  Raises PrecisionError past _MAX_INTERVALS = 2^20
-    intervals, DomainError when |Re s| is large enough to overflow doubles.
+    intervals, DomainError as for mellin_transform.
     """
-    s = complex(s)
-    if abs(s.real) > _MAX_RE_S:
-        raise DomainError(f"|Re s| = {abs(s.real)} too large; magnitudes overflow double")
+    s = _checked_s(s)
 
     def f(u: np.ndarray) -> np.ndarray:
         return w(np.exp(u)) * np.exp(s * u)
@@ -275,9 +299,7 @@ def mellin_via_parts(w: WindowFn, s: complex, k: int) -> complex:
     (2.2e-8 from W~ at s = 1, k = 8).  DomainError as for mellin_transform,
     and for k outside 0..8 or s at a pole 0, -1, ..., 1-k.
     """
-    s = complex(s)
-    if abs(s.real) > _MAX_RE_S:
-        raise DomainError(f"|Re s| = {abs(s.real)} too large; magnitudes overflow double")
+    s = _checked_s(s)
     if not 0 <= k <= w.j_max:
         raise DomainError(f"k={k} outside [0, {w.j_max}]")
     denom = 1 + 0j

@@ -368,6 +368,13 @@ class TestOutputPlumbing:
             "a342a526c5eca9403fb107f59a44e5e7cd51dcefc9890cd4e1172138161e92c4"
         )
 
+    def test_window_profile_nan_sigma_is_a_domain_error(self, capsys):
+        rc, out = run_cli(
+            ["window", "--profile", "sigma=nan", "--tmax", "10", "--points", "3", "--no-timing"], capsys
+        )
+        assert rc == 1
+        assert json.loads(out)["error"]["code"] == "domain"
+
     def test_window_profile_flag_validated(self, capsys):
         rc, out = run_cli(
             ["window", "--profile", "tau=0.5", "--tmax", "10", "--no-timing"], capsys
@@ -449,6 +456,15 @@ class TestErrorReports:
         rc, out = run_cli(
             ["window", "--profile", "sigma=0.5", "--tmax", "200",
              "--points", str(10**12), "--no-timing"],
+            capsys,
+        )
+        assert rc == 2
+        assert json.loads(out)["error"]["code"] == "resource"
+
+    def test_window_panel_budget_exits_two(self, capsys):
+        # the Gauss-Legendre first grid at Im s = 1e9 holds 4.4e8 panels
+        rc, out = run_cli(
+            ["window", "--profile", "sigma=0.5", "--tmax", "1e9", "--points", "2", "--no-timing"],
             capsys,
         )
         assert rc == 2
@@ -538,13 +554,17 @@ def test_import_leaves_sympy_unloaded():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only exponent_optimum, which imports it when called
-    code = "import sys, omegalab, omegalab.cli; print('scipy' in sys.modules)"
+    # scipy is a test oracle only: exponent_optimum runs its own bounded search
+    code = (
+        "import sys, omegalab, omegalab.cli\n"
+        "assert omegalab.cli.main(['optimum', '--no-timing']) == 0\n"
+        "print('scipy' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_runs_leave_mpmath_unloaded():

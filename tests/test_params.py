@@ -7,10 +7,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 import omegalab as ol
 from omegalab.errors import DomainError, PreconditionError
-from omegalab.params import MIN_SCALE
+from omegalab.params import MIN_SCALE, _bounded_brent
 
 
 class TestDeriveParams:
@@ -220,6 +221,46 @@ class TestExponentOptimum:
             lam, c0 = ol.exponent_optimum(w)
             assert abs(lam - w) < 1e-6  # minimiser of lam + w log(1/lam) is w
             assert c0 == pytest.approx(1 - (w + w * math.log(1 / w)), abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(w=0.1)
+    @example(w=0.05)
+    @example(w=0.25)
+    @example(w=0.5)
+    @example(w=1e-9)
+    @example(w=1 - 1e-9)
+    def test_bit_identical_to_scipy_bounded(self, w):
+        # the in-tree search is scipy's bounded Brent loop, operation for operation
+        def f(lam):
+            return lam + w * math.log(1.0 / lam)
+
+        res = minimize_scalar(f, bounds=(1e-12, 1 - 1e-12), method="bounded", options={"xatol": 1e-13})
+        assert ol.exponent_optimum(w) == (float(res.x), 1.0 - float(res.fun))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda x: x + 0.1 * math.log(1.0 / x),
+            lambda x: abs(x - 0.3),
+            lambda x: (x - 0.5) ** 2,  # a parabolic step of exactly 0: the sign rule's +tol1
+            lambda x: 0.0,  # every comparison is a tie
+            lambda x: math.sin(1e6 * x),
+            lambda x: -x,
+        ],
+        ids=["optimum", "kink", "zero-step", "flat", "oscillating", "edge"],
+    )
+    def test_same_iterates_as_scipy_bounded(self, g):
+        ours, theirs = [], []
+        best = _bounded_brent(lambda x: ours.append(x) or g(x))
+        res = minimize_scalar(
+            lambda x: theirs.append(float(x)) or g(x),
+            bounds=(1e-12, 1 - 1e-12),
+            method="bounded",
+            options={"xatol": 1e-13},
+        )
+        assert ours == theirs
+        assert best == (float(res.x), float(res.fun))
 
     def test_weight_domain(self):
         with pytest.raises(DomainError):

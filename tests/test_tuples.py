@@ -212,6 +212,11 @@ class TestSearchN0:
             ol.SearchSpec(K=2, Q=4, L=2, theta2=2, theta3=1, n_max=10)  # L <= K
         with pytest.raises(DomainError):
             ol.SearchSpec(K=2, Q=4, L=4, theta2=2, theta3=-1, n_max=10)
+        # a NaN ceiling or floor compares false everywhere and would switch its test off
+        with pytest.raises(DomainError):
+            ol.SearchSpec(K=2, Q=4, L=4, theta2=math.nan, theta3=1, n_max=10)
+        with pytest.raises(DomainError):
+            ol.SearchSpec(K=2, Q=4, L=4, theta2=2, theta3=math.nan, n_max=10)
 
     @settings(max_examples=60, deadline=None)
     @given(

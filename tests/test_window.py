@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import omegalab as ol
-from omegalab.errors import DomainError, PrecisionError
-from omegalab.window import _GRID_CHUNK, _mellin_panels
+from omegalab.errors import DomainError, PrecisionError, ResourceError
+from omegalab.window import _GRID_CHUNK, _PANEL_BYTES, _mellin_panels
 
 
 class TestWindowGeometry:
@@ -350,6 +350,43 @@ class TestMellinTransform:
     def test_overflow_guard_in_parts_route(self, window, s, k):
         with pytest.raises(DomainError):
             ol.mellin_via_parts(window, s, k)
+
+    @pytest.mark.parametrize(
+        "s",
+        [complex(math.nan, 1.0), complex(0.5, math.inf), complex(0.5, -math.inf), complex(0.5, math.nan)],
+        ids=["nan-re", "inf-im", "minus-inf-im", "nan-im"],
+    )
+    @pytest.mark.parametrize("route", [ol.mellin_transform, ol.mellin_transform_quad])
+    def test_non_finite_s_is_a_domain_error(self, window, route, s):
+        def refuse(j, x):
+            raise AssertionError("integrand evaluated at a non-finite s")
+
+        w = ol.build_window()
+        w.deriv = refuse
+        with pytest.raises(DomainError):
+            route(w, s)
+
+    def test_first_grid_reserved_before_it_is_built(self, window, monkeypatch):
+        # about 0.44 |Im s| panels: 4.4e11 of them at Im s = 1e12
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
+
+        def refuse(j, x):
+            raise AssertionError("integrand evaluated past the budget")
+
+        w = ol.build_window()
+        w.deriv = refuse
+        with pytest.raises(ResourceError):
+            ol.mellin_transform(w, 0.5 + 1e12j)
+
+    def test_refinement_levels_reserved(self, window, monkeypatch):
+        # k = 8 at 1/2 + 1000i: 443 first-grid panels, 667 held once refined
+        s = 0.5 + 1000j
+        want = ol.mellin_via_parts(window, s, 8)
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(500 * _PANEL_BYTES))
+        with pytest.raises(ResourceError):
+            ol.mellin_via_parts(window, s, 8)
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(700 * _PANEL_BYTES))
+        assert ol.mellin_via_parts(window, s, 8) == want
 
     def test_pole_guard_in_parts_route(self, window):
         with pytest.raises(DomainError):
