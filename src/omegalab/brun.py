@@ -35,6 +35,7 @@ __all__ = [
 _MAX_INTERVAL_HI = 10**8
 _SUBSET_LIMIT = 12  # exhaustive divisor enumeration cap (4096 subsets)
 _PRIME_BYTES = 48  # per entry of primes(): the int, its slot and the int64 it is read from
+_HIST_CHUNK = 1 << 16  # n per bincount of lambda_omega_mean
 _TERM_BYTES = 240  # per prime of truncation_error_bound: that list, the terms of S and their sums
 
 
@@ -55,7 +56,9 @@ class PrimeInterval:
     def primes(self) -> list[int]:
         ps = primes_up_to(int(math.floor(self.hi)))
         _reserve(_PRIME_BYTES * len(ps), f"list of the primes up to {self.hi}")
-        return [int(p) for p in ps if self.lo < p and p not in self.excluded]
+        ps = ps[ps > self.lo]
+        dropped = [x for x in self.excluded if self.lo < x <= self.hi]
+        return (ps[~np.isin(ps, dropped)] if dropped else ps).tolist()
 
 
 def brun_truncated_divisor_sum(m: int, V: int) -> int:
@@ -121,9 +124,8 @@ def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck
     if K < 1:
         raise DomainError("K must be >= 1")
     ps = interval.primes()
-    for p in ps:
-        if p <= K + 1:
-            raise DomainError(f"interval prime {p} <= K+1 = {K + 1} makes a factor vanish or flip")
+    if ps and ps[0] <= K + 1:  # the least of the ascending primes
+        raise DomainError(f"interval prime {ps[0]} <= K+1 = {K + 1} makes a factor vanish or flip")
     product = Fraction(_balanced(mul, [p - 1 - K for p in ps], 1), _balanced(mul, [p - 1 for p in ps], 1))
     if len(ps) > _SUBSET_LIMIT:
         return SieveProductCheck(K, len(ps), product, None, None)
@@ -222,8 +224,11 @@ def lambda_omega_mean(lam, n_max: int) -> LambdaMeanReport:
     if not 0 < lam_val <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
     om = omega_range(build_factor_sieve(1, n_max))
-    hist = np.bincount(om)
-    counts = [int(c) for c in hist]
+    # bincount casts its input to intp, so it counts a chunk at a time
+    hist = np.zeros(14, dtype=np.int64)  # omega <= 13 up to 2**50, the sieve's limit: 41# < 2**50 < 43#
+    for i in range(0, om.size, _HIST_CHUNK):
+        hist += np.bincount(om[i : i + _HIST_CHUNK], minlength=hist.size)
+    counts = np.trim_zeros(hist, "b").tolist()
     if exact:
         value = sum(c * lam_val**j for j, c in enumerate(counts))
         err = None

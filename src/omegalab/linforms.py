@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .sieve import factorize, is_prime, primes_up_to
+from .sieve import _block_primes, _prime_blocks, _reserve, factorize, is_prime, primes_up_to
 
 __all__ = [
     "Admissibility",
@@ -173,7 +173,7 @@ def _local_factor_exact(p: int, nroots: int, K: int) -> Fraction:
     return Fraction((p - nroots) * p ** (K - 1), (p - 1) ** K)
 
 
-_LOG_CHUNK = 1 << 16  # primes per chunk of Euler-product log terms
+_TERM_BYTES = 72  # per prime a block may hold: its int64, log term and scratch (62-65 measured, masks included)
 
 
 def _exact_sum(chunks) -> float:
@@ -212,14 +212,16 @@ def _exact_sum(chunks) -> float:
 def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
     """prod (1 - K/p)(1 - 1/p)^(-K) over the primes p <= P outside
     exceptional, and the tail bound for the primes beyond P (see
-    singular_series)."""
-    ps = primes_up_to(P)
-    if exceptional:
-        ps = ps[~np.isin(ps, exceptional)]
+    singular_series).  The primes come a block at a time, with their
+    terms' scratch reserved before the first."""
+    top = max(exceptional, default=0)
+    _reserve(_TERM_BYTES * _block_primes(P), f"Euler product over the primes up to {P}")
 
-    def logs():  # chunked, so the float terms never exist all at once
-        for i in range(0, ps.size, _LOG_CHUNK):
-            q = ps[i : i + _LOG_CHUNK].astype(np.float64)
+    def logs():
+        for ps in _prime_blocks(P):
+            if ps.size and ps[0] <= top:
+                ps = ps[~np.isin(ps, exceptional)]
+            q = ps.astype(np.float64)
             yield np.log1p(-K / q) - K * np.log1p(-1.0 / q)
 
     return math.exp(_exact_sum(logs())), (0.0 if K == 1 else 2.0 * K * K / P)

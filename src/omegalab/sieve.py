@@ -1,7 +1,10 @@
 """Exact multiplicative backbone: one blocked multiplicative sieve for the
 omega/tau/phi range tables, one block sieve over n for the values of
 linear forms a*n + b (behind the primes themselves, as the odd numbers
-2i + 1, and omegalab.tuples), and certified scalar factorization.  Both
+2i + 1, and omegalab.tuples), and certified scalar factorization.  The
+primes come block by block from ``_prime_blocks``: ``primes_up_to`` joins
+the blocks, and the Euler products of omegalab.linforms read them one at
+a time, in O(block) memory, so only this module lists primes.  Both
 sieves strike residue classes block by block through one helper,
 ``_strikes``: a strided slice for a modulus with more than _DENSE_HITS
 (64) hits in the block, one gathered offset array for the rest.  The
@@ -87,17 +90,34 @@ def _pi_bound(x: int) -> int:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array: 2, then the odd primes as the form
-    2i + 1 sieved block by block over i by primes_up_to(isqrt(n)) (2 divides
-    no value, so only the odd numbers are ever struck), down to the primes
-    up to 1000 that are sieved once, at import."""
+    """All primes <= n as an int64 array: the join of _prime_blocks(n),
+    down to the primes up to 1000 that are sieved once, at import."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     if n <= _SMALL_LIMIT and _SMALL_PRIMES:
         return np.array(_SMALL_PRIMES[: bisect.bisect_right(_SMALL_PRIMES, n)], dtype=np.int64)
     _reserve(16 * _pi_bound(n), f"primes up to {n}")  # the blocks' primes, then their join
-    blocks = _form_blocks([(2, 1)], math.isqrt(n), (n - 1) // 2)
-    return np.concatenate([[2], *(2 * (np.flatnonzero(mask) + lo) + 1 for lo, mask in blocks)])
+    return np.concatenate(list(_prime_blocks(n)))
+
+
+def _prime_blocks(n: int):
+    """The primes <= n as ascending int64 arrays: [2], then the odd primes
+    of each block of the form 2i + 1, sieved over i by primes_up_to(isqrt(n))
+    (2 divides no value, so only the odd numbers are ever struck).  No
+    array holds more than _block_primes(n) primes."""
+    if n < 2:
+        return
+    yield np.array([2], dtype=np.int64)
+    for lo, mask in _form_blocks([(2, 1)], math.isqrt(n), (n - 1) // 2):
+        yield 2 * (np.flatnonzero(mask) + lo) + 1
+
+
+def _block_primes(n: int) -> int:
+    """A bound on the size of each array of _prime_blocks(n): _pi_bound of
+    the first block's end.  Later blocks lie where primes are sparser; the
+    proved bound 2y / ln y on the primes among any y consecutive numbers
+    (Montgomery & Vaughan, Mathematika 20 (1973)) is 1.6 times this one."""
+    return _pi_bound(min(n, 2 * _DEFAULT_BLOCK + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,25 @@ class TestBrunTruncatedSum:
             ol.brun_truncated_divisor_sum(6, -1)
 
 
+_ENDS = st.one_of(st.integers(-50, 30000), st.floats(-50, 30000))
+_WIDTHS = st.one_of(st.integers(1, 20000), st.floats(0.01, 20000))
+
+
+class TestPrimeInterval:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_primerange(self, data):
+        # float ends, and exclusions in range or not, prime or not, past 2**63 or not
+        lo = data.draw(_ENDS)
+        hi = lo + data.draw(_WIDTHS)
+        want = list(sympy.primerange(math.floor(lo) + 1, math.floor(hi) + 1))
+        entries = [st.integers(-100, 60000), st.integers(2**63, 2**70)]
+        excluded = data.draw(st.frozensets(st.one_of(st.sampled_from(want or [0]), *entries), max_size=12))
+        got = ol.PrimeInterval(lo, hi, excluded).primes()
+        assert got == [p for p in want if p not in excluded]
+        assert all(type(p) is int for p in got)
+
+
 class TestCompleteSieveProduct:
     def test_empty_interval(self):
         chk = ol.complete_sieve_product(2, ol.PrimeInterval(23, 28))
@@ -138,7 +157,7 @@ class TestCompleteSieveProduct:
         assert hand == Fraction(1, 3)
 
     def test_zero_factor_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"interval prime 5 <= K\+1 = 5 "):
             ol.complete_sieve_product(4, ol.PrimeInterval(4, 10))  # p=5=K+1
 
     def test_large_support_skips_brute_side(self):

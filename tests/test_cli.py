@@ -7,6 +7,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -434,7 +435,8 @@ class TestErrorReports:
         assert json.loads(out)["error"]["code"] == "resource"
 
     def test_prime_list_budget_exits_two(self, capsys, monkeypatch):
-        # the Euler product lists the primes up to 1e7, 5.3e6 bytes or more
+        # the Euler product reserves the scratch of one block of primes,
+        # 1.3e7 bytes, before its first block
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(10**6))
         rc, out = run_cli(
             ["singular-series", "--forms", '[{"a":1,"b":0},{"a":1,"b":2}]',
@@ -443,6 +445,34 @@ class TestErrorReports:
         )
         assert rc == 2
         assert json.loads(out)["error"]["code"] == "resource"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shiu-mean", "--lambda", "1/2", "--n-max", "2000000"],
+            ["singular-series", "--forms", '[{"a":1,"b":0},{"a":1,"b":2}]', "--truncation-prime", "30000000"],
+            ["hl-compare", "--forms", '[{"a":1,"b":0},{"a":1,"b":2}]', "--n-max", "100000",
+             "--truncation-prime", "30000000"],
+            ["euler-identity", "--K", "2", "--lo", "4", "--hi", "300000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_budget_refused_or_kept(self, argv, capsys, monkeypatch):
+        # each command allocates from a few MB to tens of MB: it is
+        # refused with a resource body, or it peaks within the budget
+        budget = 8_000_000
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        tracemalloc.start()
+        try:
+            rc, out = run_cli(argv + ["--no-timing"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if rc == 2:
+            assert json.loads(out)["error"]["code"] == "resource"
+        else:
+            assert rc == 0
+            assert peak <= budget
 
     def test_numerator_budget_exits_two(self, capsys, monkeypatch):
         # the sieve's reservation fits 5e7 bytes, the t = 2^10 bit planes do not

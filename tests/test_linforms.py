@@ -7,6 +7,7 @@ for the singular series is an exact Fraction product using that loop.
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
+from omegalab import sieve
 from omegalab.errors import DomainError, PreconditionError
-from omegalab.linforms import _exact_sum
+from omegalab.linforms import _exact_sum, _generic_product
 
 
 def brute_roots(system, d: int) -> int:
@@ -154,6 +156,23 @@ class TestSingularSeries:
             ol.singular_series(TWINS, 5)
         assert "minimum" in str(err.value)
 
+    def test_twin_value_pinned(self):
+        assert ol.singular_series(TWINS, 3 * 10**7).value.hex() == "0x1.5200baccaa26bp+0"
+
+    def test_streamed_product_within_budget(self, monkeypatch):
+        # a list of all 1.86e6 primes up to 3e7 would take ~1.5e7 bytes and
+        # their float terms as much again; the product holds one block
+        budget = 16_000_000
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        tracemalloc.start()
+        try:
+            ss = ol.singular_series(TWINS, 3 * 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ss.value.hex() == "0x1.5200baccaa26bp+0"
+        assert peak <= budget
+
     def test_proportional_forms_rejected(self):
         # a proportional pair (a,b), (ca,cb) is inadmissible at any p | c,
         # so the zero-resultant divergence can never be reached silently
@@ -215,6 +234,46 @@ class TestExactSum:
             terms = np.log1p(-K / q[q > K]) - K * np.log1p(-1.0 / q[q > K])
             chunks = np.array_split(terms, 7)
             assert _exact_sum(chunks).hex() == math.fsum(terms.tolist()).hex()
+
+
+def _eratosthenes(n: int) -> list[int]:
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, f in enumerate(flags) if f]
+
+
+_PRIMES_TO_1E5 = _eratosthenes(10**5)
+
+
+@st.composite
+def _product_case(draw):
+    """(K, P, exceptional): every prime up to K is exceptional, as in both
+    Euler products, and so are a few primes drawn from all of [2, P]."""
+    K = draw(st.integers(1, 12))
+    P = draw(st.integers(max(2, K), 10**5))
+    below = [p for p in _PRIMES_TO_1E5 if p <= P]
+    drawn = draw(st.lists(st.sampled_from(below), max_size=8))
+    return K, P, sorted({p for p in below if p <= K} | set(drawn))
+
+
+class TestGenericProduct:
+    @pytest.mark.parametrize("block", [61, 1000, None])
+    @settings(max_examples=40, deadline=None)
+    @given(case=_product_case())
+    def test_matches_fsum_of_literal_terms(self, block, case):
+        # blocks of 61 or 1000 odd numbers put most drawn primes past the first
+        K, P, exceptional = case
+        q = np.array([p for p in _PRIMES_TO_1E5 if p <= P and p not in exceptional], dtype=np.float64)
+        terms = np.log1p(-K / q) - K * np.log1p(-1.0 / q)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(sieve, "_DEFAULT_BLOCK", block)
+            value, tail = _generic_product(K, P, exceptional)
+        assert value.hex() == math.exp(math.fsum(terms.tolist())).hex()
+        assert tail == (0.0 if K == 1 else 2.0 * K * K / P)
 
 
 class TestSystemPlumbing:

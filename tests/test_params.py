@@ -170,6 +170,11 @@ class TestFamilySingularSeries:
         other *= math.exp(math.fsum(terms))
         assert abs(fss.value - other) < 1e-10
 
+    def test_k_eight_pinned(self):
+        fss = ol.family_singular_series(8, 10**7)
+        assert fss.value.hex() == "0x1.e76f637828db7p+14"
+        assert fss.piece_large.hex() == "0x1.16f6e0bef8964p-1"
+
     def test_pieces_multiply_to_value(self):
         for K in (2, 3, 5, 8):
             fss = ol.family_singular_series(K, 10**5)
