@@ -19,7 +19,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .sieve import _reserve, build_factor_sieve, factorize, omega_range, primes_up_to
+from .sieve import MAX_SIEVE_HI, _omega_blocks, _reserve, factorize, primes_up_to
 
 __all__ = [
     "LambdaMeanReport",
@@ -113,6 +113,17 @@ def _balanced(op, terms: list, empty):
     return terms[0] if terms else empty
 
 
+def _support(K: int, interval: PrimeInterval) -> list[int]:
+    """The interval's primes, once complete_sieve_product's checks on K
+    and on them pass."""
+    if K < 1:
+        raise DomainError("K must be >= 1")
+    ps = interval.primes()
+    if ps and ps[0] <= K + 1:  # the least of the ascending primes
+        raise DomainError(f"interval prime {ps[0]} <= K+1 = {K + 1} makes a factor vanish or flip")
+    return ps
+
+
 def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck:
     """Exact two-route evaluation over squarefree d supported on the interval.
 
@@ -121,11 +132,7 @@ def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck
     there are at most _SUBSET_LIMIT = 12 primes; both routes are exact
     rationals.
     """
-    if K < 1:
-        raise DomainError("K must be >= 1")
-    ps = interval.primes()
-    if ps and ps[0] <= K + 1:  # the least of the ascending primes
-        raise DomainError(f"interval prime {ps[0]} <= K+1 = {K + 1} makes a factor vanish or flip")
+    ps = _support(K, interval)
     product = Fraction(_balanced(mul, [p - 1 - K for p in ps], 1), _balanced(mul, [p - 1 for p in ps], 1))
     if len(ps) > _SUBSET_LIMIT:
         return SieveProductCheck(K, len(ps), product, None, None)
@@ -158,6 +165,11 @@ class TruncationBound:
         }
 
 
+def _reserve_terms(ps: list[int]) -> None:
+    """Reserve truncation_error_bound's scratch over the primes ps."""
+    _reserve(_TERM_BYTES * len(ps), f"S = sum K/(p-1) over {len(ps)} primes")
+
+
 def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> TruncationBound:
     """Bound the omega(d) = V+1 layer of K^omega(d)/phi(d) by S^(V+1)/(V+1)!.
 
@@ -169,7 +181,7 @@ def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> Truncatio
     if K < 1 or V < 0:
         raise DomainError("need K >= 1 and V >= 0")
     ps = interval.primes()
-    _reserve(_TERM_BYTES * len(ps), f"S = sum K/(p-1) over {len(ps)} primes")
+    _reserve_terms(ps)
     S = _balanced(add, [Fraction(K, p - 1) for p in ps], Fraction(0))
     bound = S ** (V + 1) / math.factorial(V + 1)
     dropped = None
@@ -212,10 +224,11 @@ class LambdaMeanReport:
 def lambda_omega_mean(lam, n_max: int) -> LambdaMeanReport:
     """sum_{n=1}^{n_max} lambda^omega(n) via the omega histogram.
 
-    The histogram (bincount of omega over [1, n_max]) makes the sum a
-    short polynomial in lambda, so rational lambda gives an exact value
-    independent of summation order; float lambda gets a rounding bound.
-    lambda = 1 returns n_max exactly.
+    The histogram (bincount of omega over [1, n_max], added up over the
+    blocks of omegalab.sieve's omega source, in O(block) memory) makes the
+    sum a short polynomial in lambda, so rational lambda gives an exact
+    value independent of summation order; float lambda gets a rounding
+    bound.  lambda = 1 returns n_max exactly.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -223,11 +236,13 @@ def lambda_omega_mean(lam, n_max: int) -> LambdaMeanReport:
     lam_val = Fraction(lam) if exact else float(lam)
     if not 0 < lam_val <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
-    om = omega_range(build_factor_sieve(1, n_max))
-    # bincount casts its input to intp, so it counts a chunk at a time
+    if n_max > MAX_SIEVE_HI:
+        raise DomainError(f"n_max={n_max} exceeds supported limit 2**50")
+    # bincount casts its input to intp, so it counts a chunk of a block at a time
     hist = np.zeros(14, dtype=np.int64)  # omega <= 13 up to 2**50, the sieve's limit: 41# < 2**50 < 43#
-    for i in range(0, om.size, _HIST_CHUNK):
-        hist += np.bincount(om[i : i + _HIST_CHUNK], minlength=hist.size)
+    for om in _omega_blocks(1, n_max):
+        for i in range(0, om.size, _HIST_CHUNK):
+            hist += np.bincount(om[i : i + _HIST_CHUNK], minlength=hist.size)
     counts = np.trim_zeros(hist, "b").tolist()
     if exact:
         value = sum(c * lam_val**j for j, c in enumerate(counts))

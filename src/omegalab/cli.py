@@ -32,6 +32,8 @@ import numpy as np
 from . import __version__
 from .brun import (
     PrimeInterval,
+    _reserve_terms,
+    _support,
     brun_truncated_divisor_sum,
     complete_sieve_product,
     lambda_omega_mean,
@@ -138,6 +140,10 @@ def _cmd_brun_check(f: dict) -> dict:
 def _cmd_euler_identity(f: dict) -> dict:
     excluded = frozenset(int(s) for s in f["excluded"].split(",") if s) if f.get("excluded") else frozenset()
     interval = PrimeInterval(lo=f["lo"], hi=f["hi"], excluded=excluded)
+    if f.get("V") is not None and f["V"] >= 0:
+        # the truncation's scratch is refused before the exact products,
+        # which take seconds, and after the checks that come before them
+        _reserve_terms(_support(f["K"], interval))
     out = complete_sieve_product(f["K"], interval).to_dict()
     out["interval"] = {"lo": f["lo"], "hi": f["hi"], "excluded": sorted(excluded)}
     if f.get("V") is not None:
@@ -259,6 +265,22 @@ def _fits_decimal(*xs: int) -> bool:
     return not limit or all(abs(x).bit_length() <= 3 * limit or abs(x) < 10**limit for x in xs)
 
 
+def _text_bytes(obj) -> int:
+    """About the characters that the exact values in obj print as: a
+    quarter of each int's bits, its length in hex.  An int short enough
+    to print in decimal takes at most 4300 digits, so there the estimate
+    is off by a few KB at most."""
+    if isinstance(obj, dict):
+        return sum(map(_text_bytes, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_text_bytes, obj))
+    if isinstance(obj, Fraction):
+        return _text_bytes(obj.numerator) + _text_bytes(obj.denominator)
+    if isinstance(obj, int):
+        return obj.bit_length() // 4 + 3
+    return 0
+
+
 def _render(obj):
     """obj with every exact value and non-finite float in its report form.
 
@@ -356,6 +378,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         result = _DISPATCH[ns.subcommand](flags)
+        # rendering holds about 3 copies of the text: the rendered strings,
+        # the dumped body and its copy with the newline; csv's about 6
+        copies = 6 if ns.format == "csv" else 3
+        _reserve(copies * _text_bytes(result), f"{ns.format} report of {ns.subcommand}")
     except PreconditionError as exc:
         error, status = ("precondition", exc), 1
     except (DomainError, ValueError) as exc:

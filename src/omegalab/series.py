@@ -6,11 +6,14 @@ geometric-series closed form.  The bounds nest: the enclosure at N+1 is
 contained in the enclosure at N.
 
 Every sum is one integer numerator over a power of t, formed by _horner:
-for t = 2^k with k <= 8 it adds the bit planes of the weights, read
-straight from omega_range's uint8 table, and for every other t it splits
-the terms in balanced halves, with one power of t per split level (Haible
-& Papanikolaou, ANTS-III, 1998; Brent & Zimmermann, Modern Computer
-Arithmetic, 2010, sections 1.6-1.7).  A SeriesEnclosure computes t^N
+for t = 2^k with k <= 8 it adds the bit planes of the weights, and for
+every other t it splits the terms in balanced halves, with one power of t
+per split level (Haible & Papanikolaou, ANTS-III, 1998; Brent &
+Zimmermann, Modern Computer Arithmetic, 2010, sections 1.6-1.7).  The
+weights are omega's uint8 blocks from omegalab.sieve's _omega_blocks: the
+partial sums join the numerators of the blocks pairwise, in the same
+balanced way, and decompose_tail slices omega over [N+1, N+M], read once,
+at K and L.  A SeriesEnclosure computes t^N
 once, so its upper end is one integer numerator over tail_bound's
 denominator S t^N; Fraction comparison, as in nested_in, cross-multiplies.
 No Fraction here is reduced by a gcd of two large integers.
@@ -37,9 +40,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import sieve
 from .errors import DomainError
 from .params import form_family
-from .sieve import _reserve, build_factor_sieve, factorize, is_prime, omega_range
+from .sieve import _omega_blocks, _reserve, is_prime
 
 __all__ = [
     "SeriesEnclosure",
@@ -114,8 +118,37 @@ def _horner(ws, t: int) -> int:
 
 
 def _omega_numerator(t: int, N: int) -> int:
-    """sum_{n=1}^{N} omega(n) t^(N-n), that is t^N * partial_sum(t, N)."""
-    return _horner(omega_range(build_factor_sieve(1, N)), t) if N else 0
+    """sum_{n=1}^{N} omega(n) t^(N-n), that is t^N * partial_sum(t, N).
+
+    Each block of _omega_blocks(1, N) gives its _horner numerator, and the
+    parts join pairwise as in a binary counter: a part joins the one before
+    it once that one is no longer, so each join a t^m + b is of like-sized
+    operands.  It is a shift for t = 2^k and a product by t^m otherwise,
+    each t^m computed once.  When [1, N] spans more than one block, the
+    join is reserved before the first block: the parts and the few
+    numerator-sized integers built from them, seven numerators in all.
+    """
+    k = t.bit_length() - 1
+    if N > sieve._DEFAULT_BLOCK:
+        _reserve(7 * (N * (k + 1) // 8 + 16), f"numerator of {N} terms at t={t}, joined by blocks")
+    powers: dict[int, int] = {}
+
+    def join(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
+        (a, n), (b, m) = left, right
+        if t == 1 << k:
+            return (a << k * m) + b, n + m
+        if m not in powers:
+            powers[m] = t**m
+        return a * powers[m] + b, n + m
+
+    parts: list[tuple[int, int]] = []  # (numerator, terms) of consecutive runs of n
+    for block in _omega_blocks(1, N):
+        parts.append((_horner(block, t), block.size))
+        while len(parts) > 1 and parts[-2][1] <= parts[-1][1]:
+            parts[-2:] = [join(*parts[-2:])]
+    while len(parts) > 1:
+        parts[-2:] = [join(*parts[-2:])]
+    return parts[0][0] if parts else 0
 
 
 # _coprime(n, d) is n/d for coprime n and d > 0, built without Fraction's gcd
@@ -146,6 +179,21 @@ def _over_power(num: int, t: int, power: int, small: int = 1) -> Fraction:
         num, power = num // g, power // g
     g = math.gcd(num, small)
     return _coprime(num // g, small // g * power)
+
+
+def _sum_over_power(xs, t: int, power: int, small: int = 1) -> Fraction:
+    """The sum of the Fractions xs as one integer numerator over
+    small * power, reduced by _over_power, when every denominator divides
+    small * power (power = t^e); otherwise, as for a hand-built report,
+    the Fractions are added."""
+    D = small * power
+    num = 0
+    for x in xs:
+        q, r = divmod(D, x.denominator)
+        if r:
+            return sum(xs, Fraction(0))
+        num += x.numerator * q
+    return _over_power(num, t, power, small)
 
 
 def partial_sum(t: int, N: int) -> Fraction:
@@ -204,15 +252,9 @@ class SeriesEnclosure:
 
     @property
     def hi(self) -> Fraction:
-        """partial + tail_hi as one integer numerator over tail_bound's
-        denominator S t^N, reduced by _over_power.  A hand-built enclosure
-        whose denominators do not divide S t^N adds the Fractions."""
+        """partial + tail_hi over tail_bound's denominator S t^N."""
         S = _tail_terms(self.t, self.N)[1]
-        D = S * self._power
-        (x, r), (y, s) = divmod(D, self.partial.denominator), divmod(D, self.tail_hi.denominator)
-        if r or s:
-            return self.partial + self.tail_hi
-        return _over_power(self.partial.numerator * x + self.tail_hi.numerator * y, self.t, self._power, S)
+        return _sum_over_power((self.partial, self.tail_hi), self.t, self._power, S)
 
     @property
     def width(self) -> Fraction:
@@ -265,13 +307,20 @@ class TailDecomposition:
     identity_holds: bool | None
     identity_rhs: Fraction | None
 
+    @cached_property
+    def _power(self) -> int:
+        return self.t**self.M
+
     @property
     def total_lo(self) -> Fraction:
-        return self.S1 + self.S2 + self.S3_truncated
+        """S1 + S2 + S3_truncated over t^M."""
+        return _sum_over_power((self.S1, self.S2, self.S3_truncated), self.t, self._power)
 
     @property
     def total_hi(self) -> Fraction:
-        return self.total_lo + self.S3_tail_hi
+        """total_lo + S3_tail_hi over the tail bound's denominator S t^M."""
+        S = _tail_terms(self.t, self.N + self.M)[1]
+        return _sum_over_power((self.S1, self.S2, self.S3_truncated, self.S3_tail_hi), self.t, self._power, S)
 
     def to_dict(self) -> dict:
         return {
@@ -295,12 +344,6 @@ class TailDecomposition:
         }
 
 
-def _block_sum(t: int, N: int, b: int, lo_k: int, hi_k: int) -> Fraction:
-    """b * sum_{k=lo_k}^{hi_k} omega(N+k)/t^k, omega via certified factorize."""
-    ws = [factorize(N + k).omega for k in range(lo_k, hi_k + 1)]
-    return _over_power(b * _horner(ws, t), t, t**hi_k)
-
-
 def decompose_tail(
     t: int, b: int, n0: int, K: int, Q: int, L: int, M: int | None = None
 ) -> TailDecomposition:
@@ -322,9 +365,13 @@ def decompose_tail(
         M = L + 32
     N = n0 * Q
 
-    S1 = _block_sum(t, N, b, 1, K)
-    S2 = _block_sum(t, N, b, K + 1, L)
-    S3_trunc = _block_sum(t, N, b, L + 1, M)
+    _reserve(2 * M, f"omega over [{N + 1}, {N + M}]")  # the blocks and their join
+    om = np.concatenate(list(_omega_blocks(N + 1, N + M)))  # omega(N + k) at k - 1
+
+    def block_sum(i: int, j: int) -> Fraction:  # b * sum_{k=i+1}^{j} omega(N+k)/t^k
+        return _over_power(b * _horner(om[i:j], t), t, t**j)
+
+    S1, S2, S3_trunc = block_sum(0, K), block_sum(K, L), block_sum(L, M)
 
     A, S = _tail_terms(t, N + M)  # N >= 1 and M >= 2, so N + M >= 3
     S3_tail = _over_power(b * A, t, t**M, S)
@@ -333,8 +380,8 @@ def decompose_tail(
     rhs = None
     holds = None
     if applicable:
-        ws = [factorize(k).omega + 1 for k in range(1, K + 1)]
-        rhs = _over_power(b * _horner(ws, t), t, t**K)
+        # sum_{k<=K} (omega(k) + 1) t^(K-k), the units summing to (t^K - 1)/(t - 1)
+        rhs = _over_power(b * (_omega_numerator(t, K) + (t**K - 1) // (t - 1)), t, t**K)
         holds = rhs == S1
     return TailDecomposition(
         t=t,

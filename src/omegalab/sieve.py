@@ -4,12 +4,16 @@ linear forms a*n + b (behind the primes themselves, as the odd numbers
 2i + 1, and omegalab.tuples), and certified scalar factorization.  The
 primes come block by block from ``_prime_blocks``: ``primes_up_to`` joins
 the blocks, and the Euler products of omegalab.linforms read them one at
-a time, in O(block) memory, so only this module lists primes.  Both
-sieves strike residue classes block by block through one helper,
-``_strikes``: a strided slice for a modulus with more than _DENSE_HITS
-(64) hits in the block, one gathered offset array for the rest.  The
-table kernel is told which table it builds, omega, tau or phi, and takes
-no step callback.  One level-1 routine strikes the first power of each
+a time, in O(block) memory, so only this module lists primes.  omega
+over a run of integers streams the same way, from ``_omega_blocks``: one
+omega table of the kernel per block up to 2**50, and ``factorize`` past
+it.  The series numerators and the omega histogram read it block by
+block, so only this module decides how and in what memory omega is
+obtained.  Both sieves strike residue classes block by block through one
+helper, ``_strikes``: a strided slice for a modulus with more than
+_DENSE_HITS (64) hits in the block, one gathered offset array for the
+rest.  The table kernel is told which table it builds, omega, tau or
+phi, and takes no step callback.  One level-1 routine strikes the first power of each
 base prime: over the first period of 30030 of each block for the primes
 up to 13, a wheel then copied across the block, and over the whole block
 for the others.  The exponent of each prime p comes from one pass over
@@ -515,6 +519,25 @@ def omega_range(sieve: FactorSieve, threads: int | None = None) -> np.ndarray:
     keep working.
     """
     return _sieve_table(sieve, "omega")
+
+
+def _omega_blocks(lo: int, hi: int):
+    """omega over [lo, hi] (1 <= lo) as consecutive uint8 arrays of at most
+    _DEFAULT_BLOCK numbers: the one source of omega for code that reads a
+    run of integers in turn.  Up to 2**50 each array is one omega table of
+    _sieve_table, by the base primes up to isqrt(min(hi, 2**50)), listed
+    (and reserved by primes_up_to) once per call; past 2**50, where the
+    log test is not proved, each n is factorized."""
+    base = primes_up_to(math.isqrt(min(hi, MAX_SIEVE_HI))) if lo <= MAX_SIEVE_HI else None
+    a = lo
+    while a <= hi:
+        b = min(a + _DEFAULT_BLOCK - 1, hi)
+        if a <= MAX_SIEVE_HI:
+            b = min(b, MAX_SIEVE_HI)
+            yield _sieve_table(FactorSieve(a, b, base), "omega")
+        else:
+            yield np.fromiter((factorize(n).omega for n in range(a, b + 1)), np.uint8, b - a + 1)
+        a = b + 1
 
 
 def tau_range(sieve: FactorSieve) -> np.ndarray:

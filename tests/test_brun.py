@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.brun import _balanced
-from omegalab.cli import main
+from omegalab.cli import _parser, main
 from omegalab.errors import DomainError, ResourceError
 
 
@@ -245,6 +245,38 @@ class TestMemoryBudget:
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "resource"
 
 
+    def test_cli_refusal_comes_before_the_products(self, monkeypatch, capsys):
+        # the truncation's ~1.9e7 bytes of terms are refused once the primes
+        # are listed (~3.8e6 bytes), before the exact products are taken
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", "4000000")
+        argv = ["euler-identity", "--K", "2", "--lo", "4", "--hi", "1000000", "--V", "0", "--no-timing"]
+        _parser()  # built once per process, outside the traced peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "S = sum K/(p-1)" in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert peak <= 4_000_000
+
+    @pytest.mark.parametrize(
+        "K, V, message",
+        [
+            (0, 1, "K must be >= 1"),
+            (4, 1, "interval prime 5 <= K+1 = 5 makes a factor vanish or flip"),
+            (2, -1, "need K >= 1 and V >= 0"),
+        ],
+    )
+    def test_cli_checks_win_over_the_budget(self, K, V, message, monkeypatch, capsys):
+        # the checks on K, on the primes and on V come first, as without
+        # the early reservation
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", "4000000")
+        argv = ["euler-identity", "--K", str(K), "--lo", "4", "--hi", "1000", "--V", str(V), "--no-timing"]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+
+
 class TestLambdaOmegaMean:
     def test_lambda_one_counts_integers(self):
         rep = ol.lambda_omega_mean(1, 1000)
@@ -267,6 +299,12 @@ class TestLambdaOmegaMean:
         om = ol.omega_range(ol.build_factor_sieve(1, 5000))
         reversed_sum = sum(lam ** int(w) for w in om[::-1])
         assert rep.value == reversed_sum
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), 0.5])
+    def test_histogram_invariant_under_block_size(self, lam, monkeypatch):
+        want = ol.lambda_omega_mean(lam, 5000)
+        monkeypatch.setattr("omegalab.sieve._DEFAULT_BLOCK", 61)
+        assert ol.lambda_omega_mean(lam, 5000) == want
 
     def test_ratio_against_yardstick_tracks_shiu_shape(self):
         lam = Fraction(1, 10)

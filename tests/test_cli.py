@@ -454,12 +454,24 @@ class TestErrorReports:
             ["hl-compare", "--forms", '[{"a":1,"b":0},{"a":1,"b":2}]', "--n-max", "100000",
              "--truncation-prime", "30000000"],
             ["euler-identity", "--K", "2", "--lo", "4", "--hi", "300000"],
+            ["params", "--x", "1e300"],
+            ["admissible", "--forms", '[{"a":1,"b":0},{"a":1,"b":2},{"a":1,"b":6}]'],
+            ["tuple-count", "--forms", '[{"a":1,"b":0},{"a":1,"b":2}]', "--n-max", "10000000"],
+            ["search-n0", "--K", "2", "--Q", "4", "--L", "4", "--theta2", "2", "--theta3", "1",
+             "--n-max", "3000000"],
+            ["alpha", "--t", "2", "--N", "4000000"],
+            ["decompose", "--t", "2", "--b", "1", "--n0", "3", "--Q", "4", "--K", "2", "--L", "4",
+             "--M", "600000"],
+            ["brun-check", "--m", str(1009 * 1013 * 1019 * 1021 * 1031 * 1033), "--V", "3"],
+            ["window", "--profile", "sigma=0.5", "--tmax", "200", "--points", "20000"],
+            ["optimum", "--weight", "0.1"],
         ],
         ids=lambda argv: argv[0],
     )
     def test_budget_refused_or_kept(self, argv, capsys, monkeypatch):
-        # each command allocates from a few MB to tens of MB: it is
-        # refused with a resource body, or it peaks within the budget
+        # each command allocates from a few MB to tens of MB (params,
+        # admissible, brun-check and optimum stay small at any input): it
+        # is refused with a resource body, or it peaks within the budget
         budget = 8_000_000
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
         tracemalloc.start()
@@ -480,6 +492,17 @@ class TestErrorReports:
         rc, out = run_cli(["alpha", "--t", "1024", "--N", "10000000", "--no-timing"], capsys)
         assert rc == 2
         assert json.loads(out)["error"]["code"] == "resource"
+
+    def test_report_text_budget_exits_two(self, capsys, monkeypatch):
+        # the enclosure fits 2e6 bytes (its numerator reserves ~0.83 MB);
+        # its report, ~0.96 MB of hex held about three times over while it
+        # is rendered, does not
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(2_000_000))
+        assert _DISPATCH["alpha"]({"t": 2**64, "N": 2 * 10**4})["N"] == 2 * 10**4
+        rc, out = run_cli(["alpha", "--t", str(2**64), "--N", "20000", "--no-timing"], capsys)
+        assert rc == 2
+        err = json.loads(out)["error"]
+        assert err["code"] == "resource" and "report" in err["message"]
 
     def test_window_points_budget_exits_two(self, capsys):
         # 10**12 sample points would take terabytes before the first transform

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, ResourceError
-from omegalab.series import _horner, _over_power
+from omegalab.series import _horner, _omega_numerator, _over_power
+from omegalab.sieve import build_factor_sieve, factorize, omega_range
 
 
 def _trial_omega(n: int) -> int:
@@ -87,6 +89,29 @@ class TestPartialSum:
         # 2^8 is the last bit-plane base, 2^9 the first split one
         literal = sum(w * t ** (len(ws) - 1 - i) for i, w in enumerate(ws))
         assert _horner(ws, t) == literal
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        t=st.sampled_from([2, 3, 4, 10, 256, 1024, 2**64]),
+        block=st.sampled_from([61, None]),
+        blocks=st.integers(0, 8),
+        edge=st.integers(-1, 1),
+    )
+    def test_block_joined_numerator_matches_literal_sum(self, t, block, blocks, edge):
+        # N at the edges of blocks of 61: one block, or several joined
+        N = max(0, 61 * blocks + edge)
+        literal = sum(factorize(n).omega * t ** (N - n) for n in range(1, N + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+            assert _omega_numerator(t, N) == literal
+
+    @pytest.mark.parametrize("N", [2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5])
+    def test_numerator_at_default_block_edges(self, N):
+        # against the whole-window table of the same kernel
+        om = omega_range(build_factor_sieve(1, N))
+        for t in (2, 4, 16, 256):
+            assert _omega_numerator(t, N) == _horner(om, t)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -172,6 +197,19 @@ class TestTailBound:
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(1_000_000))
         assert ol.alpha_enclosure(2**64, 2 * 10**4).N == 2 * 10**4
 
+    def test_paper_scale_within_budget(self, monkeypatch):
+        # the blocks' join reserves ~1.75e7 bytes and the call peaks near
+        # 1e7; a whole-window numerator reserved ~3e7 and was refused
+        budget = 24_000_000
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        tracemalloc.start()
+        try:
+            assert ol.alpha_enclosure(2, 10**7).N == 10**7
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
     def test_nesting_requires_n_at_least_two(self):
         with pytest.raises(DomainError):
             ol.tail_bound(2, 1)
@@ -217,13 +255,17 @@ class TestDecomposeTail:
         n0=st.integers(1, 10**6),
         K=st.integers(1, 4),
         q_mult=st.integers(1, 30),
-        gaps=st.tuples(st.integers(1, 20), st.integers(0, 60)),
+        gaps=st.tuples(st.integers(1, 20), st.integers(0, 200)),
+        block=st.sampled_from([61, None]),
     )
-    def test_blocks_match_factorint_loops(self, t, b, n0, K, q_mult, gaps):
+    def test_blocks_match_factorint_loops(self, t, b, n0, K, q_mult, gaps, block):
         Q = math.lcm(*range(1, K + 1)) ** 2 * q_mult
         L = K + gaps[0]
         M = L + gaps[1]
-        dec = ol.decompose_tail(t, b, n0, K, Q, L, M)
+        with pytest.MonkeyPatch.context() as mp:
+            if block:  # omega(N + k) over several blocks of 61
+                mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+            dec = ol.decompose_tail(t, b, n0, K, Q, L, M)
         N = n0 * Q
 
         def block(lo, hi):
@@ -235,6 +277,19 @@ class TestDecomposeTail:
         if dec.identity_applicable:
             rhs = sum(Fraction(b * (len(sympy.factorint(k)) + 1), t**k) for k in range(1, K + 1))
             assert dec.identity_rhs == rhs and dec.identity_holds
+
+    @pytest.mark.parametrize("n0", [2**48 - 10, 2**48 + 1], ids=["straddling", "past"])
+    def test_blocks_across_the_sieve_limit(self, n0):
+        # N + k crosses 2**50, or lies wholly past it, where factorize is
+        # the route: the table's slices must agree with it on either side
+        t, b, K, Q, L, M = 3, 2, 2, 4, 5, 60
+        dec = ol.decompose_tail(t, b, n0, K, Q, L, M)
+        N = n0 * Q
+
+        def block(lo, hi):
+            return sum(Fraction(b * factorize(N + k).omega, t**k) for k in range(lo, hi + 1))
+
+        assert (dec.S1, dec.S2, dec.S3_truncated) == (block(1, K), block(K + 1, L), block(L + 1, M))
 
     def test_tail_bound_covers_extension(self):
         dec = ol.decompose_tail(2, 1, 3, 2, 4, 4, M=20)

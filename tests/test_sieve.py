@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 import omegalab as ol
 from omegalab.cli import main
 from omegalab.errors import DomainError, ResourceError
-from omegalab.sieve import _DEFAULT_BLOCK, _iroot, _strike_bytes, _strikes, _thresholds
+from omegalab.sieve import _DEFAULT_BLOCK, _iroot, _omega_blocks, _strike_bytes, _strikes, _thresholds
 
 
 def _trial_omega(n: int) -> int:
@@ -262,6 +262,31 @@ class TestRangeProperties:
         assert ol.omega_range(sv)[4000] == 3
         assert ol.tau_range(sv)[4000] == 8
         assert ol.phi_range(sv)[4000] == 1008 * 1012 * 1018
+
+
+class TestOmegaBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(block=st.integers(8, 4096), lo=st.integers(1, 10**8), span=st.integers(0, 3000))
+    def test_blocks_join_to_the_table(self, block, lo, span):
+        # the base primes are listed at the patched block too, so lo stays
+        # where they are few
+        want = ol.omega_range(ol.build_factor_sieve(lo, lo + span))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+            blocks = list(_omega_blocks(lo, lo + span))
+        sizes = [b.size for b in blocks]
+        assert sizes[:-1] == [block] * (len(sizes) - 1) and 1 <= sizes[-1] <= block
+        assert all(b.dtype == np.uint8 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), want)
+
+    @pytest.mark.parametrize(
+        "lo, hi, sizes", [(2**50 - 40, 2**50 + 40, [41, 40]), (2**50 + 1, 2**50 + 60, [60])]
+    )
+    def test_past_the_sieve_limit_by_factorize(self, lo, hi, sizes):
+        # a block ends at 2**50, the last n the table reads
+        blocks = list(_omega_blocks(lo, hi))
+        assert [b.size for b in blocks] == sizes
+        assert np.concatenate(blocks).tolist() == [len(sympy.factorint(n)) for n in range(lo, hi + 1)]
 
 
 class TestProductWidth:
