@@ -1,0 +1,81 @@
+"""Record the benchmark's end-to-end metrics for this tree in one JSON file.
+
+    python3 bench_record.py --out BENCH_<n>.json [--seeds 901 902 903]
+        [--workloads tables census analytic] [--seconds 16]
+
+Runs the unchanged ``perfbench/run.py --trace 0`` once per seed and
+workload, one after another, from the root of this tree, and keeps the
+JSON object that each run prints last.  The file holds, per workload, the
+median, q1 and q3 of each end-to-end metric over the seeds (quartiles as
+perfbench/run.py takes them), its unit, the number of runs and whether
+every run was correct; and beside the workloads, the host's nproc, the
+git commit and whether ``src/`` differs from it.  A run that prints no
+result is recorded by its seed and exit status, and the script exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.abspath(__file__))
+
+
+def quartiles(xs: list[float]) -> dict:
+    q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
+    return {"median": statistics.median(xs), "q1": q[0], "q3": q[2], "n": len(xs)}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+
+
+def record(workload: str, seeds: list[int], seconds: float) -> dict:
+    runs, failures = [], []
+    for seed in seeds:
+        cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        lines = proc.stdout.strip().splitlines()
+        if not lines:
+            failures.append({"seed": seed, "status": proc.returncode})
+            continue
+        runs.append(json.loads(lines[-1]))
+    out = {"seeds": seeds, "correct": bool(runs) and all(r["correct"] for r in runs)}
+    if failures:
+        out["no_result"] = failures
+    names = runs[0]["metrics"] if runs else {}
+    out["metrics"] = {
+        name: {"unit": runs[0]["metrics"][name]["unit"], **quartiles([r["metrics"][name]["value"] for r in runs])}
+        for name in names
+    }
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[901, 902, 903])
+    ap.add_argument("--workloads", nargs="+", default=["tables", "census", "analytic"])
+    ap.add_argument("--seconds", type=float, default=16)
+    args = ap.parse_args()
+    doc = {
+        "command": "perfbench/run.py --trace 0",
+        "seconds": args.seconds,
+        "nproc": os.cpu_count(),
+        "git_commit": git("rev-parse", "HEAD") or None,
+        "src_differs_from_commit": bool(git("status", "--porcelain", "--", "src")),
+        "workloads": {w: record(w, args.seeds, args.seconds) for w in args.workloads},
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return 0 if all("no_result" not in w for w in doc["workloads"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,8 +42,8 @@ from .brun import (
 from .errors import DomainError, PrecisionError, PreconditionError, ResourceError
 from .linforms import LinearFormSystem, is_admissible, singular_series
 from .params import derive_params, exponent_optimum
-from .series import alpha_enclosure, decompose_tail, integrality_probe
-from .sieve import _reserve, factorize
+from .series import _tail_terms, alpha_enclosure, decompose_tail, integrality_probe
+from .sieve import MAX_SIEVE_HI, _reserve, factorize
 from .tuples import SearchSpec, hl_compare, count_prime_tuples, search_n0, verify_witness
 from .window import build_window, decay_profile
 
@@ -281,6 +281,40 @@ def _text_bytes(obj) -> int:
     return 0
 
 
+def _alpha_text_floor(t: int, N: int) -> int:
+    """A lower bound on _text_bytes of the alpha report, from t, N and
+    omega of the last few n <= N, so that the report can be refused before
+    the sum.  With L = N (bitlen(t) - 1) <= log2 t^N:
+
+    - tail_hi's denominator is at least S t^N / A (_tail_terms), of at
+      least L + bitlen(S) - bitlen(A) bits;
+    - the partial sum is num / t^N reduced, num = sum omega(n) t^(N - n).
+      The last j terms give num mod t^j, hence g = gcd(num, t^j).  Once
+      every prime of t divides t^j / g, no prime of t divides num as often
+      as t^j does, so gcd(num, t^N) = g: the denominator t^N / g has at
+      least L + 1 - bitlen(g) bits, and the numerator, at least
+      omega(2) / t^2 of it, 2 bitlen(t) fewer.
+    """
+    if t < 2 or N < 2:
+        return 0
+    L = N * (t.bit_length() - 1)
+    A, S = _tail_terms(t, N)
+    bits = [L + S.bit_length() - A.bit_length()]
+    r = 0
+    # past 2**50 the tail alone asks for terabytes, and no omega is read
+    for j in range(1, min(N, 16) + 1) if N <= MAX_SIEVE_HI else ():
+        r += factorize(N + 1 - j).omega * t ** (j - 1)
+        g = math.gcd(r, t**j)
+        rest, cut = t, t**j // g
+        while (c := math.gcd(rest, cut)) > 1:  # drop the primes of t that divide t^j / g
+            rest //= c
+        if rest == 1:
+            d = L + 1 - g.bit_length()
+            bits += [d, d - 2 * t.bit_length()]
+            break
+    return sum(max(b, 0) // 4 + 3 for b in bits)
+
+
 def _render(obj):
     """obj with every exact value and non-finite float in its report form.
 
@@ -376,12 +410,15 @@ def main(argv=None) -> int:
             return 1
 
     t0 = time.perf_counter()
+    # rendering holds about 3 copies of the text: the rendered strings,
+    # the dumped body and its copy with the newline; csv's about 6
+    copies = 6 if ns.format == "csv" else 3
+    what = f"{ns.format} report of {ns.subcommand}"
     try:
+        if ns.subcommand == "alpha":  # its text follows from t and N: refused before the sum
+            _reserve(copies * _alpha_text_floor(flags["t"], flags["N"]), what)
         result = _DISPATCH[ns.subcommand](flags)
-        # rendering holds about 3 copies of the text: the rendered strings,
-        # the dumped body and its copy with the newline; csv's about 6
-        copies = 6 if ns.format == "csv" else 3
-        _reserve(copies * _text_bytes(result), f"{ns.format} report of {ns.subcommand}")
+        _reserve(copies * _text_bytes(result), what)
     except PreconditionError as exc:
         error, status = ("precondition", exc), 1
     except (DomainError, ValueError) as exc:

@@ -173,7 +173,9 @@ def _local_factor_exact(p: int, nroots: int, K: int) -> Fraction:
     return Fraction((p - nroots) * p ** (K - 1), (p - 1) ** K)
 
 
-_TERM_BYTES = 72  # per prime a block may hold: its int64, log term and scratch (62-65 measured, masks included)
+_LOG_CHUNK = 1 << 15  # primes per chunk of log terms
+_PRIME_BYTES = 16  # per prime a block may hold: its int64 and the arrays that make it (14 measured)
+_TERM_BYTES = 64  # per prime of a chunk: its log term and _exact_sum's scratch (29 measured, masks included)
 
 
 def _exact_sum(chunks) -> float:
@@ -212,17 +214,21 @@ def _exact_sum(chunks) -> float:
 def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
     """prod (1 - K/p)(1 - 1/p)^(-K) over the primes p <= P outside
     exceptional, and the tail bound for the primes beyond P (see
-    singular_series).  The primes come a block at a time, with their
-    terms' scratch reserved before the first."""
+    singular_series).  The primes come a block at a time, and their log
+    terms _LOG_CHUNK primes at a time, with the scratch of one block and
+    one chunk reserved before the first."""
     top = max(exceptional, default=0)
-    _reserve(_TERM_BYTES * _block_primes(P), f"Euler product over the primes up to {P}")
+    block = _block_primes(P)
+    chunk = min(block, _LOG_CHUNK)
+    _reserve(_PRIME_BYTES * block + _TERM_BYTES * chunk, f"Euler product over the primes up to {P}")
 
     def logs():
         for ps in _prime_blocks(P):
             if ps.size and ps[0] <= top:
                 ps = ps[~np.isin(ps, exceptional)]
-            q = ps.astype(np.float64)
-            yield np.log1p(-K / q) - K * np.log1p(-1.0 / q)
+            for i in range(0, ps.size, _LOG_CHUNK):
+                q = ps[i : i + _LOG_CHUNK].astype(np.float64)
+                yield np.log1p(-K / q) - K * np.log1p(-1.0 / q)
 
     return math.exp(_exact_sum(logs())), (0.0 if K == 1 else 2.0 * K * K / P)
 

@@ -276,11 +276,18 @@ class SeriesEnclosure:
 
 
 def alpha_enclosure(t: int, N: int) -> SeriesEnclosure:
-    """Exact enclosure of alpha_t from the first N terms (N >= 2)."""
+    """Exact enclosure of alpha_t from the first N terms (N >= 2).
+
+    Once the numerator is summed (under its own reservation), the call
+    holds at most eight integers of the size of t^N: the numerator, t^N
+    and the copies that _over_power reduces for the partial sum and the
+    tail.  They are reserved before the sum."""
     t, N = _validate_t(t), int(N)
     if N < 0:
         raise DomainError("N must be >= 0")
     A, S = _tail_terms(t, N)
+    power_bytes = int(N * math.log2(t)) // 8 + 16
+    _reserve(8 * power_bytes, f"numerator of {N} terms at t={t}, t^N and their reduced copies")
     num, power = _omega_numerator(t, N), t**N
     enc = SeriesEnclosure(t, N, _over_power(num, t, power), _over_power(A, t, power, S))
     enc.__dict__["_power"] = power  # the cached t^N, already computed

@@ -12,20 +12,23 @@ block, so only this module decides how and in what memory omega is
 obtained.  Both sieves strike residue classes block by block through one
 helper, ``_strikes``: a strided slice for a modulus with more than
 _DENSE_HITS (64) hits in the block, one gathered offset array for the
-rest.  The table kernel is told which table it builds, omega, tau or
-phi, and takes no step callback.  One level-1 routine strikes the first power of each
-base prime: over the first period of 30030 of each block for the primes
-up to 13, a wheel then copied across the block, and over the whole block
-for the others.  The exponent of each prime p comes from one pass over
-the multiples of p**2.  The one prime factor of n above the square root
-of the block end is stepped in by one contiguous pass over the block:
-phi reads it off the product of the prime powers found, which below
-2**32 shares phi's own 8-byte slot of n with the phi-part as a uint32
-pair; omega and tau read one count of primes from a uint16 sum of
-rounded logs, which also tells where it exists, exactly up to 2**50 (the
-margin is proved at ``_sieve_table``).  tau's mask of where it exists
-lives in the exponent pass's scratch, and omega's in its own table.
-Every allocation is first reserved by ``_reserve`` against
+rest; ``_plan_chunks`` cuts the moduli so that no call plans more than
+_PLAN_BYTES (2 MiB).  The table kernel is told which table it builds,
+omega, tau or phi, and takes no step callback.  One level-1 routine
+strikes the first power of each base prime: over the first period of
+30030 of each block for the primes up to 13, a wheel then copied across
+the block, and over the whole block for the others.  The exponent of
+each prime p comes from one pass over the multiples of p**2.  The one
+prime factor of n above the square root of the block end is stepped in
+by one contiguous pass over the block: phi reads it off the product of
+the prime powers found, which below 2**32 shares phi's own 8-byte slot
+of n with the phi-part as a uint32 pair, and from 2**32 on is a uint32
+of its own that wraps, read only where the phi-part is below 2**29;
+omega and tau read one count of primes from a uint16 sum of rounded
+logs, which also tells where it exists, exactly up to 2**50 (the margin
+is proved at ``_sieve_table``).  tau's mask of where it exists lives in
+the exponent pass's scratch, and omega's in its own table.  Every
+allocation is first reserved by ``_reserve`` against
 OMEGALAB_MEMORY_BUDGET, read anew at each call.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
@@ -68,7 +71,9 @@ _BUDGET_ENV = "OMEGALAB_MEMORY_BUDGET"
 _DEFAULT_BUDGET = 2_000_000_000  # bytes
 _DEFAULT_BLOCK = 1 << 20  # numbers per block of either sieve
 _DENSE_HITS = 64  # a modulus with more hits per block strikes by a strided slice
-_STRIKE_CHUNK = 1 << 13  # moduli per _strikes call of a table pass, and n per step of phi's leftover pass
+_STRIKE_CHUNK = 1 << 13  # most moduli per _strikes call
+_PLAN_BYTES = 1 << 21  # most _strike_bytes per _strikes call, as _plan_chunks cuts the moduli
+_LEFTOVER_STEP = 1 << 13  # n per step of phi's leftover pass
 _WHEEL_PRIMES = np.array([2, 3, 5, 7, 11, 13])  # level 1 of these is one periodic pattern of the tables
 _WHEEL = math.prod(_WHEEL_PRIMES.tolist())  # 30030
 _SMALL_LIMIT = 1000  # primes_up_to(n) for n up to this is a slice of _SMALL_PRIMES
@@ -154,6 +159,27 @@ def _strike_bytes(ms: np.ndarray, n: int) -> int:
     return 64 * ms.size + 40 * int(np.minimum(-(-n // ms), _DENSE_HITS).sum())
 
 
+def _plan_chunks(ps: np.ndarray, n: int, k: int = 1):
+    """Slices that tile the ascending ps, each of at most _STRIKE_CHUNK
+    primes whose moduli p**k plan at most _PLAN_BYTES over [0, n) (or are
+    one modulus): as many moduli as the cap holds at the plan of the
+    least, which plans the most.  Where every modulus has few hits, as
+    near 2**50, no chunk is cut."""
+    i = 0
+    while i < ps.size:
+        most = 64 + 40 * min(_DENSE_HITS, -(-n // int(ps[i]) ** k))  # _strike_bytes of ps[i] ** k
+        j = min(i + max(1, min(_STRIKE_CHUNK, _PLAN_BYTES // most)), ps.size)
+        yield slice(i, j)
+        i = j
+
+
+def _plan_bytes(ps: np.ndarray, n: int) -> int:
+    """A bound on the plan of any chunk of ``_plan_chunks(ps, n, k)``: the
+    cap (or the plan of the least modulus alone, where that passes it), or
+    the plan of the first chunk of k = 1 where that is less."""
+    return min(_strike_bytes(ps[:_STRIKE_CHUNK], n), max(_PLAN_BYTES, _strike_bytes(ps[:1], n)))
+
+
 def _residues(x: int, ps: np.ndarray) -> np.ndarray:
     """x mod p for every p in ps, exact for any x >= 0 and every p < 2**32:
     Horner over the 31-bit limbs of x keeps each step below 2**63."""
@@ -175,7 +201,8 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
     p divides a*n + b exactly when n = -b * a^-1 (mod p); these roots are
     found once for all base primes.  A prime dividing a but not b never
     divides a value, and one dividing both divides every value.  Per
-    block, ``_strikes`` plans the hits of the roots.
+    block, ``_strikes`` plans the hits of the roots, one chunk of
+    ``_plan_chunks`` at a time.
     """
     if base.size and base[-1] >> 32:
         raise DomainError(f"base prime {base[-1]} is not below 2**32")
@@ -197,10 +224,13 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
     def mask(lo: int, hi: int) -> np.ndarray:
         out = np.full(hi - lo, not covers)
         starts = (roots - lo % ps) % ps
-        dense, offsets, _ = _strikes(ps, starts, hi - lo)
-        for p, s in zip(ps[dense].tolist(), starts[dense].tolist()):
-            out[s::p] = False
-        out[offsets] = False
+        for chunk in _plan_chunks(ps, hi - lo):
+            cp, cs = ps[chunk], starts[chunk]
+            dense, offsets, _ = _strikes(cp, cs, hi - lo)
+            for p, s in zip(cp[dense].tolist(), cs[dense].tolist()):
+                out[s::p] = False
+            out[offsets] = False
+            del dense, offsets  # before the next chunk's plan
         if a * lo + b <= top_base:  # a value may be a base prime itself
             own = base[(base >= a * lo + b) & (base <= min(a * (hi - 1) + b, top_base))]
             own = own[(own - b) % a == 0]
@@ -215,7 +245,7 @@ def _form_blocks(pairs, bound: int, n_max: int):
     """(lo, mask) over ascending blocks [lo, lo + len(mask)) of [1, n_max];
     mask is True where no value a*n + b of the forms (a, b) in ``pairs`` is
     below 2 or has a prime factor up to ``bound`` other than itself.  Once
-    the base primes are listed, their roots for each form, one form's
+    the base primes are listed, their roots for each form, one plan of
     strikes and two block masks are reserved before the first block.
     """
     base = primes_up_to(bound)
@@ -223,7 +253,7 @@ def _form_blocks(pairs, bound: int, n_max: int):
     _reserve(
         # int64 entries per base prime: the base, each form's primes and
         # roots, and the transient root arithmetic
-        8 * (2 * len(pairs) + 6) * base.size + _strike_bytes(base, block) + 2 * block,
+        8 * (2 * len(pairs) + 6) * base.size + _plan_bytes(base, block) + 2 * block,
         f"block sieve of {len(pairs)} forms by the primes up to {bound}",
     )
     sieves = [_form_sieve(a, b, base) for a, b in pairs]
@@ -316,13 +346,14 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
     e >= 2, c counting the first powers.  For phi they are the product f
     of the prime powers found and its phi-part g = phi(f).  Below 2**32
     they live as a uint32 pair in the 8 bytes of phi's own int64 slot of
-    n, so a strike touches one slot; from 2**32 on, f is an int64 array of
-    its own and g is the table slice.  All block scratch is allocated once
-    per call and reused by every block.
+    n, so a strike touches one slot; from 2**32 on, f is a uint32 array of
+    its own that wraps modulo 2**32, and g is the table slice.  All block
+    scratch is allocated once per call and reused by every block, and
+    each plan of strikes is cut by ``_plan_chunks`` to _PLAN_BYTES.
 
     - Level 1 strikes the multiples of each prime p once through one
-      routine, ``level1``, which plans them by ``_strikes``, at most
-      _STRIKE_CHUNK moduli at a time.  It runs first over the wheel primes
+      routine, ``level1``, which plans them by ``_strikes``, one chunk of
+      ``_plan_chunks`` at a time.  It runs first over the wheel primes
       2, 3, 5, 7, 11, 13 in the first period of 30030 of the block, which
       is then copied forward, a doubling run of periods per contiguous
       copy (the wheel of Pritchard, Acta Informatica 17 (1982)); then over
@@ -333,16 +364,23 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
       starts at 1 or p and takes one ``mark`` by that step for each
       further power of p: for a modulus with more than _DENSE_HITS hits,
       by strided steps at p, p**2, ... of one compact array over its
-      progression (the scratch ``exps``); for the gathered hits, by a
-      vectorised valuation loop over n / p**2.  Each x then takes one
+      progression (the scratch ``exps``, uint32 for phi: x stops below
+      2**32, and each further power of p, whose multiples lie at least
+      2**33 apart, is struck straight into f and g); for the gathered
+      hits, by a vectorised valuation loop over n / p**2, whose powers
+      are int64 from 2**32 on and wrap into f.  Each x then takes one
       write-back: omega adds 16 * l_p * (e - 1) to the log sum; tau adds
       16 * l_p * (e - 1) - 1, taking level 1's unit back, and multiplies
       its table by e + 1; phi multiplies f and g by p**(e - 1).
     - At most one prime factor q of n is above sqrt(block end); it is
       stepped in by one contiguous pass over the block.  phi reads (f, g)
-      _STRIKE_CHUNK numbers at a time and writes g * max(n // f - 1, 1)
-      over them as int64: n // f is q where q exists and 1 where not.
-      omega and tau only ask whether q exists: where the log sum
+      _LEFTOVER_STEP numbers at a time and writes g * max(q - 1, 1) over
+      them as int64.  Below 2**32, q = n // f is the prime where it exists
+      and 1 where not.  From 2**32 on, q exists where g < 2**29, and there
+      q = n / f in float64, exact since f divides n and the quotient of
+      two integers below 2**53 that is itself an integer is rounded to
+      itself; elsewhere the divisor is 2**51 and n / 2**51 < 1 truncates
+      to 0.  omega and tau only ask whether q exists: where the log sum
       L = acc >> 4 is below a threshold T(n), q adds 1 to the count c in
       the low 4 bits.  omega's table is c, and tau's is shifted left by c.
       The mask of q is held by omega's own table, and by tau's ``exps``,
@@ -366,10 +404,20 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
     runs before the exponent pass in every block, so the unit of p is in
     the low 4 bits of every multiple of p**2 when the pass takes it back.
 
-    Why phi's pair fits.  Below 2**32, f divides n < 2**32, g = phi(f)
-    <= f, and the exponent pass's factor p**(e - 1) divides n / p < 2**32,
-    so each stays a uint32 through every product; n and phi(n) fit int64
-    up to 2**50.
+    Why phi's product fits.  Below 2**32, f divides n < 2**32,
+    g = phi(f) <= f, and the exponent pass's factor p**(e - 1) divides
+    n / p < 2**32, so each stays a uint32 through every product; n and
+    phi(n) fit int64 up to 2**50.  From 2**32 on, f is only known modulo
+    2**32, and the test g < 2**29 tells where it is exact up to 2**50.
+    With a prime q > r = isqrt(b - 1) left over in the block [a, b),
+    f = n / q <= (b - 1) / (r + 1) < r + 1, so f <= r < 2**25 is held
+    exactly and g <= f.  With none, g = phi(n), and
+    phi(n) > n / (e**gamma ln ln n + 3 / ln ln n) for every n >= 3
+    (Rosser & Schoenfeld, Illinois J. Math. 6 (1962), Theorem 15, there
+    with 2.50637 in place of 3 but at n = 23#), which exceeds 6.6e8 > 2**29
+    for 2**32 <= n <= 2**50.  A window that reaches 2**32 from below takes
+    this route for all its n; below 2**32, f is exact, so where g < 2**29
+    and no prime is left over, n / f = 1 leaves g as it is.
 
     Blocks touch disjoint slices of the table, so the result is invariant
     under block size.
@@ -382,28 +430,27 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
     logs = not phi  # omega and tau count primes; phi multiplies them out
     dtype = np.dtype(np.int64 if phi else np.int32 if tau else np.uint8)
     pairs = phi and hi >> 32 == 0  # phi's product and phi-part fit its own 8 bytes per n
-    part = np.dtype(np.uint32 if pairs else np.int64)
+    part = np.dtype(np.uint32 if pairs else np.int64)  # of the gathered powers
+    step = min(width, _LEFTOVER_STEP)
     if logs:  # the log sum; e - 1 over one p**2 progression, or tau's block; its log operand
         scratch = 2 * width + (width if tau else span) + 2 * span
-    else:  # p**(e - 1) over one progression; a leftover chunk's n, q and phi; the product apart from 2**32 on
-        scratch = part.itemsize * span + (2 * part.itemsize + 8) * min(width, _STRIKE_CHUNK)
-        scratch += 0 if pairs else 8 * width
-    # the first chunk of level 1 plans the most hits, and the operands made
-    # from a plan take no more than it
-    scratch += 2 * _strike_bytes(base[:_STRIKE_CHUNK], width)
+    else:  # p**(e - 1) over one progression; a leftover step's n, q and phi; the wrapping product
+        scratch = 4 * span + 25 * step + (0 if pairs else 4 * width)
+    # a plan's arrays and the operands made from them, which take no more
+    scratch += 2 * _plan_bytes(base, width)
     _reserve(dtype.itemsize * size + scratch, f"{dtype.name} table for [{lo}, {hi}]")
     out = np.empty(size, dtype=dtype)
-    # the log sum and count, or phi's product from 2**32 on
-    accs = None if pairs else np.empty(width, dtype=np.uint16 if logs else np.int64)
+    # the log sum and count, or phi's wrapping product from 2**32 on
+    accs = None if pairs else np.empty(width, dtype=np.uint16 if logs else np.uint32)
     # x over one p**2 progression; tau's spans the block, for its leftover mask
-    exps = np.empty(width if tau else span, dtype=part if phi else np.uint8)
+    exps = np.empty(width if tau else span, dtype=np.uint32 if phi else np.uint8)
     ops = np.empty(span, dtype=np.uint16) if logs else None  # the log sum operand of x
     mark = np.add if logs else np.multiply  # how a strike enters f
 
     def level1(ps: np.ndarray, n: int) -> None:
         # strike each p of ps at its multiples in [0, n) of the block at a
-        for i in range(0, ps.size, _STRIKE_CHUNK):
-            cp = ps[i : i + _STRIKE_CHUNK]
+        for chunk in _plan_chunks(ps, n):
+            cp = ps[chunk]
             starts = (-a) % cp
             dense, offsets, which = _strikes(cp, starts, n)
             dps = cp[dense]
@@ -414,12 +461,13 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
                 if phi:
                     u = g[s:n:p]
                     u *= p - 1
-            # ufunc.at, since two primes may hit one n
-            x = _marks_at(cp, which) + 1 if logs else cp[which].astype(part)
+            # ufunc.at, since two primes may hit one n; its operands take
+            # their array's dtype, as a cast leaves numpy's fast loop
+            x = _marks_at(cp, which) + 1 if logs else cp[which].astype(f.dtype)
             mark.at(f, offsets, x)
             if phi:
                 x -= 1
-                np.multiply.at(g, offsets, x)
+                np.multiply.at(g, offsets, x.astype(g.dtype, copy=False))
             del starts, offsets, which, x  # before the next chunk's hits
 
     for a in range(lo, hi + 1, bs):
@@ -442,8 +490,8 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
             w += c
         ps = base[: np.searchsorted(base, math.isqrt(b - 1), side="right")]
         level1(ps[_WHEEL_PRIMES.size :], b - a)
-        for i in range(0, ps.size, _STRIKE_CHUNK):  # the exponent pass
-            cp = ps[i : i + _STRIKE_CHUNK]
+        for chunk in _plan_chunks(ps, b - a, 2):  # the exponent pass
+            cp = ps[chunk]
             cm = cp * cp
             starts = (-a) % cm
             dense, offsets, which = _strikes(cm, starts, b - a)
@@ -457,8 +505,12 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
                 x[...] = up
                 r = p
                 while (j := (-t) % r) < h:  # p**k divides t + j
-                    u = x[j::r]
-                    mark(u, up, out=u)
+                    if phi and p * r >> 32:  # x would reach 2**32: straight into f and g
+                        for u in (f[s + j * m :: r * m], g[s + j * m :: r * m]):
+                            u *= p
+                    else:
+                        u = x[j::r]
+                        mark(u, up, out=u)
                     r *= p
                 y = np.multiply(x, ell, out=ops[:h]) if logs else x
                 if tau:
@@ -487,17 +539,27 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
                 if tau:
                     y -= 1
                     x += 2
-                mark.at(f, offsets, y)
+                mark.at(f, offsets, y.astype(f.dtype, copy=False))  # phi's f wraps from 2**32 on
                 if g is not None:
-                    np.multiply.at(g, offsets, x)
+                    np.multiply.at(g, offsets, x.astype(g.dtype, copy=False))
             del starts, offsets, which
-        if phi:  # n // f is the prime left over, or 1 where none is
-            for i in range(0, b - a, _STRIKE_CHUNK):
-                j = min(i + _STRIKE_CHUNK, b - a)
-                q = np.arange(a + i, a + j, dtype=part) // f[i:j]
+        if pairs:  # n // f is the prime left over, or 1 where none is
+            for i in range(0, b - a, step):
+                j = min(i + step, b - a)
+                q = np.arange(a + i, a + j, dtype=np.uint32) // f[i:j]
                 q -= 1
                 np.maximum(q, 1, out=q)  # q - 1 for a prime q, and 1 stays 1
                 view[i:j] = np.multiply(g[i:j], q, dtype=np.int64)
+            continue
+        if phi:  # g < 2**29 where a prime q is left over, and there q = n // f
+            for i in range(0, b - a, step):
+                j = min(i + step, b - a)
+                d = np.where(g[i:j] < 1 << 29, f[i:j], 2.0**51)  # n / 2**51 < 1 elsewhere
+                np.divide(np.arange(a + i, a + j, dtype=np.float64), d, out=d)
+                q = d.astype(np.int64)
+                q -= 1
+                np.maximum(q, 1, out=q)  # q - 1 for a prime q; 1 and 0 give 1
+                g[i:j] *= q
             continue
         big = (exps if tau else view)[: b - a].view(bool)
         for i, j, t in _thresholds(a, b):

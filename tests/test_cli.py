@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from omegalab.brun import PrimeInterval, complete_sieve_product, truncation_error_bound
-from omegalab.cli import _DISPATCH, _dumps, _parser, _to_csv, build_parser, main
+from omegalab.cli import _DISPATCH, _alpha_text_floor, _dumps, _parser, _text_bytes, _to_csv, build_parser, main
 from omegalab.series import decompose_tail, integrality_probe, partial_sum, tail_bound
 from omegalab.sieve import omega
 
@@ -503,6 +503,30 @@ class TestErrorReports:
         assert rc == 2
         err = json.loads(out)["error"]
         assert err["code"] == "resource" and "report" in err["message"]
+
+    def test_alpha_report_refused_before_the_sum(self, capsys, monkeypatch):
+        # 3 copies of ~7.5e6 hex digits do not fit 2e7 bytes, and t and N
+        # alone tell so: the enclosure is never computed
+        def no_sum(t, N):
+            raise AssertionError("alpha_enclosure ran")
+
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(20_000_000))
+        monkeypatch.setattr("omegalab.cli.alpha_enclosure", no_sum)
+        rc, out = run_cli(["alpha", "--t", "2", "--N", "10000000", "--no-timing"], capsys)
+        assert rc == 2
+        err = json.loads(out)["error"]
+        assert err["code"] == "resource" and "report" in err["message"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.one_of(st.integers(2, 64), st.sampled_from([210, 30030, 2**64, 3**41])),
+        N=st.integers(2, 400),
+    )
+    @example(t=2, N=10)
+    @example(t=6, N=2)
+    def test_alpha_text_floor_below_the_report(self, t, N):
+        # what main reserves before the sum never exceeds what it reserves after it
+        assert _alpha_text_floor(t, N) <= _text_bytes(_DISPATCH["alpha"]({"t": t, "N": N}))
 
     def test_window_points_budget_exits_two(self, capsys):
         # 10**12 sample points would take terabytes before the first transform

@@ -161,8 +161,9 @@ class TestSingularSeries:
 
     def test_streamed_product_within_budget(self, monkeypatch):
         # a list of all 1.86e6 primes up to 3e7 would take ~1.5e7 bytes and
-        # their float terms as much again; the product holds one block
-        budget = 16_000_000
+        # their float terms as much again; the product holds one block of
+        # primes and the log terms of 2**15 of them
+        budget = 8_000_000
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
         tracemalloc.start()
         try:

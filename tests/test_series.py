@@ -193,9 +193,21 @@ class TestTailBound:
     def test_large_power_of_two_splits(self, monkeypatch):
         # past t = 2^8, k bytes of plane scratch per term would outgrow the
         # splitting's 8-byte list entry: t = 2^64 at N = 2e4 reserves ~0.83 MB
-        # by splitting, where planes would need ~1.95 MB
-        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(1_000_000))
-        assert ol.alpha_enclosure(2**64, 2 * 10**4).N == 2 * 10**4
+        # by splitting, where planes would need ~1.95 MB.  The enclosure
+        # then holds t^N and its reduced copies beside the numerator: it is
+        # refused, or it peaks within the budget
+        budget = 1_000_000
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        assert _omega_numerator(2**64, 2 * 10**4).bit_length() == 64 * (2 * 10**4 - 2) + 1
+        tracemalloc.start()
+        try:
+            enc = ol.alpha_enclosure(2**64, 2 * 10**4)
+        except ResourceError:
+            enc = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert enc is None or (enc.N == 2 * 10**4 and peak <= budget)
 
     def test_paper_scale_within_budget(self, monkeypatch):
         # the blocks' join reserves ~1.75e7 bytes and the call peaks near

@@ -310,6 +310,57 @@ class TestProductWidth:
             assert (om[n - lo], tau[n - lo], phi[n - lo]) == (5, 32, 2 * 4 * 16 * 256 * 65536)
 
 
+@st.composite
+def _wide_windows(draw):
+    """(lo, hi, block): up to 201 numbers from 2**32 - 2000 (straddling
+    2**32) to 2**50, at magnitudes spread evenly in bits, in blocks of
+    64 to 4096."""
+    top = 2 ** draw(st.integers(33, 50))
+    lo = draw(st.integers(2**32 - 2000, top - 200))
+    return lo, lo + draw(st.integers(0, 200)), draw(st.integers(64, 4096))
+
+
+_P25 = sympy.prevprime(2**25)  # near 2**50, n = _P25 (_P25 - 1) has f = r = _P25 - 1, next to 2**25
+_PRIMORIAL_23 = math.prod(_trial_primes(23))
+
+
+class TestWrappedProduct:
+    # from 2**32 on phi keeps the product f of the prime powers found as a
+    # uint32 that wraps, and reads the prime left over, n / f, only where
+    # its phi-part is below 2**29: against sympy's totient up to 2**50
+    @settings(max_examples=20, deadline=None)
+    @given(window=_wide_windows())
+    @example(window=(3 * 2**32 - 100, 3 * 2**32 + 100, 64))  # f wraps to 0 at 3 * 2**32
+    @example(window=(20 * _PRIMORIAL_23 - 100, 20 * _PRIMORIAL_23 + 100, 64))  # the least phi(n)/n
+    @example(window=(_P25 * (_P25 - 1) - 10, _P25 * (_P25 - 1) + 10, 64))  # f = r, q the next prime
+    def test_phi_against_totient(self, window):
+        lo, hi, block = window
+        sv = ol.build_factor_sieve(lo, hi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+            got = ol.phi_range(sv)
+        assert got.tolist() == [int(sympy.totient(n)) for n in range(lo, hi + 1)]
+
+    def test_pinned_cases_are_what_they_pin(self):
+        n = 20 * _PRIMORIAL_23
+        assert 2**32 < n and 2**29 < sympy.totient(n) < 2**30
+        n = _P25 * (_P25 - 1)
+        assert n < 2**50 and math.isqrt(n + 10) == _P25 - 1
+
+    def test_table_peaks(self):
+        # the table and a block of scratch: a uint16 log sum (omega), an
+        # exponent mask (tau), a uint32 product (phi), and a plan under the cap
+        sv = ol.build_factor_sieve(10**12, 10**12 + 10**6)
+        for table, bound in ((ol.omega_range, 6), (ol.tau_range, 10), (ol.phi_range, 15)):
+            tracemalloc.start()
+            try:
+                table(sv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 2**20, table.__name__
+
+
 def _assert_tables_match_factorint(sv, tables, ns):
     om, tau, phi = tables
     for n in ns:
@@ -533,6 +584,38 @@ class TestStrikePlan:
             finally:
                 tracemalloc.stop()
             assert peak <= _strike_bytes(ms, n)
+
+
+@pytest.fixture(scope="module")
+def cap_oracle():
+    """sympy's omega, tau and phi over [10**12, 10**12 + 3000]."""
+    facs = [sympy.factorint(n) for n in range(10**12, 10**12 + 3001)]
+    return (
+        [len(f) for f in facs],
+        [math.prod(e + 1 for e in f.values()) for f in facs],
+        [math.prod((p - 1) * p ** (e - 1) for p, e in f.items()) for f in facs],
+    )
+
+
+class TestPlanCap:
+    # every _strikes call plans at most _PLAN_BYTES: a chunk of moduli is
+    # cut to the cap, and the results do not move
+    @pytest.mark.parametrize("cap", [3000, 10**4])
+    def test_every_plan_within_the_cap(self, cap, plan_oracle, cap_oracle, monkeypatch):
+        plans = []
+
+        def recorded(ms, starts, n):
+            plans.append(_strike_bytes(ms, n))
+            return _strikes(ms, starts, n)
+
+        monkeypatch.setattr("omegalab.sieve._PLAN_BYTES", cap)
+        monkeypatch.setattr("omegalab.sieve._strikes", recorded)
+        for window, want in (((1, 4000), plan_oracle["tables"][1, 4000]), ((10**12, 10**12 + 3000), cap_oracle)):
+            sv = ol.build_factor_sieve(*window)
+            got = (ol.omega_range(sv), ol.tau_range(sv), ol.phi_range(sv))
+            assert [t.tolist() for t in got] == list(want)
+        assert ol.primes_up_to(30011).tolist() == plan_oracle["primes"]
+        assert plans and max(plans) <= cap
 
 
 @st.composite
