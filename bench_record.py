@@ -11,6 +11,10 @@ perfbench/run.py takes them), its unit, the number of runs and whether
 every run was correct; and beside the workloads, the host's nproc, the
 git commit and whether ``src/`` differs from it.  A run that prints no
 result is recorded by its seed and exit status, and the script exits 1.
+
+It then runs the Tier-1 suite (ROADMAP.md's command) once and records its
+wall time and its counts of passed and failed tests; it exits 1 too when
+the suite does not pass.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
 
@@ -56,6 +62,22 @@ def record(workload: str, seeds: list[int], seconds: float) -> dict:
     return out
 
 
+def tier1() -> dict:
+    """Run ROADMAP.md's Tier-1 command once: its wall time, exit status and
+    the counts of its summary line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    out = {"command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
+           "wall_s": round(time.perf_counter() - start, 2), "status": proc.returncode,
+           "passed": 0, "failed": 0, "error": 0}
+    lines = proc.stdout.strip().splitlines()
+    for n, kind in re.findall(r"(\d+) (passed|failed|error)", lines[-1] if lines else ""):
+        out[kind] = int(n)
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True)
@@ -70,11 +92,13 @@ def main() -> int:
         "git_commit": git("rev-parse", "HEAD") or None,
         "src_differs_from_commit": bool(git("status", "--porcelain", "--", "src")),
         "workloads": {w: record(w, args.seeds, args.seconds) for w in args.workloads},
+        "tier1": tier1(),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return 0 if all("no_result" not in w for w in doc["workloads"].values()) else 1
+    ok = all("no_result" not in w for w in doc["workloads"].values()) and doc["tier1"]["status"] == 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

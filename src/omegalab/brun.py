@@ -19,6 +19,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import DomainError, ResourceError
+from .series import _balanced
 from .sieve import MAX_SIEVE_HI, _omega_blocks, _reserve, factorize, primes_up_to
 
 __all__ = [
@@ -55,8 +56,8 @@ class PrimeInterval:
 
     def primes(self) -> list[int]:
         ps = primes_up_to(int(math.floor(self.hi)))
-        _reserve(_PRIME_BYTES * len(ps), f"list of the primes up to {self.hi}")
         ps = ps[ps > self.lo]
+        _reserve(_PRIME_BYTES * len(ps), f"list of the primes in ({self.lo}, {self.hi}]")
         dropped = [x for x in self.excluded if self.lo < x <= self.hi]
         return (ps[~np.isin(ps, dropped)] if dropped else ps).tolist()
 
@@ -100,17 +101,7 @@ def _layer(ps: list[int], r: int) -> Fraction:
     """Sum of 1/phi(d) = 1/prod (p - 1) over the squarefree d made of r
     of the primes ps."""
     subsets = combinations(ps, r)
-    return sum((Fraction(1, math.prod(p - 1 for p in sub)) for sub in subsets), Fraction(0))
-
-
-def _balanced(op, terms: list, empty):
-    """op folded over terms by rounds of pairwise op, a balanced tree: each
-    node joins operands of like size, where a running fold joins a large
-    one with each small one.  For Fraction sums each node's gcd stays
-    small; for integer products each multiplication is balanced."""
-    while len(terms) > 1:
-        terms = [op(a, b) for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
-    return terms[0] if terms else empty
+    return _balanced(add, [Fraction(1, math.prod(p - 1 for p in sub)) for sub in subsets], Fraction(0))
 
 
 def _support(K: int, interval: PrimeInterval) -> list[int]:

@@ -7,13 +7,13 @@ contained in the enclosure at N.
 
 Every sum is one integer numerator over a power of t, formed by _horner:
 for t = 2^k with k <= 8 it adds the bit planes of the weights, and for
-every other t it splits the terms in balanced halves, with one power of t
-per split level (Haible & Papanikolaou, ANTS-III, 1998; Brent &
-Zimmermann, Modern Computer Arithmetic, 2010, sections 1.6-1.7).  The
-weights are omega's uint8 blocks from omegalab.sieve's _omega_blocks: the
-partial sums join the numerators of the blocks pairwise, in the same
-balanced way, and decompose_tail slices omega over [N+1, N+M], read once,
-at K and L.  A SeriesEnclosure computes t^N
+every other t it folds the numerators of short runs of terms by
+_balanced, each join a t^m + b of like-sized operands (Haible &
+Papanikolaou, ANTS-III, 1998; Brent & Zimmermann, Modern Computer
+Arithmetic, 2010, sections 1.6-1.7).  The weights are omega's uint8
+blocks from omegalab.sieve's _omega_blocks: the partial sums fold the
+blocks' numerators by the same join, and decompose_tail slices omega
+over [N+1, N+M], read once, at K and L.  A SeriesEnclosure computes t^N
 once, so its upper end is one integer numerator over tail_bound's
 denominator S t^N; Fraction comparison, as in nested_in, cross-multiplies.
 No Fraction here is reduced by a gcd of two large integers.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,7 +55,7 @@ __all__ = [
     "tail_bound",
 ]
 
-_LEAF = 64  # terms per plain Horner leaf of the binary splitting
+_LEAF = 64  # terms per plain Horner leaf of _horner's fold
 
 
 def _validate_t(t: int) -> int:
@@ -63,6 +63,33 @@ def _validate_t(t: int) -> int:
     if t < 2:
         raise DomainError(f"base t must be an integer >= 2, got {t}")
     return t
+
+
+def _balanced(op, terms: list, empty):
+    """op folded over terms by rounds of pairwise op, a balanced tree whose
+    nodes join operands of like size, where a running fold joins a large
+    one with each small one: Fraction sums keep each gcd small, and
+    integer products and numerator joins balance each multiplication.
+    Callers pass terms unnamed, so that it can be freed after one round."""
+    while len(terms) > 1:
+        terms = [op(a, b) for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    return terms[0] if terms else empty
+
+
+def _join(t: int):
+    """(a, n), (b, m) -> (a t^m + b, n + m) for the numerators of runs of n
+    and m terms: a shift for t = 2^k, else a product by t^m, which is kept,
+    as all joins of a round of _balanced but its last share one m."""
+    k = t.bit_length() - 1
+    if t == 1 << k:
+        return lambda x, y: ((x[0] << k * y[1]) + y[0], x[1] + y[1])
+    power = lru_cache(maxsize=1)(t.__pow__)
+    return lambda x, y: (x[0] * power(y[1]) + y[0], x[1] + y[1])
+
+
+def _power_bytes(t: int, N: int) -> int:
+    """Bytes of an integer of the size of t^N, with a margin."""
+    return int(N * math.log2(t)) // 8 + 16
 
 
 def _horner(ws, t: int) -> int:
@@ -73,11 +100,9 @@ def _horner(ws, t: int) -> int:
       plane is one np.packbits of a k-bytes-per-term scratch, read big-endian
       so that the weights keep their order, and one int.from_bytes;
       weights of any size, t or more included, work.  Past k = 8 the
-      scratch would outgrow the 8 bytes per term of the splitting's list.
-    - other t: binary splitting.  Leaves of _LEAF terms are aligned to the
-      end, so every right operand at level l spans _LEAF * 2^l terms and
-      each level multiplies by one power of t, the square of the one
-      below; plain Horner would cost O(n^2).
+      scratch would outgrow the 8 bytes per term of the weight list below.
+    - other t: plain Horner over leaves of _LEAF terms, which
+      _balanced(_join(t), ...) folds; plain Horner over all n is O(n^2).
 
     One _reserve call covers what the sum holds at once: the weights, the
     plane scratch or the weight list, and a few numerator-sized integers.
@@ -101,54 +126,27 @@ def _horner(ws, t: int) -> int:
             num += int.from_bytes(np.packbits(bits), "big") << j
         return num >> (-k * n) % 8  # packbits pads the last byte on the right
     ws = w.tolist()
-    r = n % _LEAF or _LEAF
-    nodes = []
-    for i in range(-(_LEAF - r), n, _LEAF):
-        num = 0
-        for x in ws[max(i, 0) : i + _LEAF]:
-            num = num * t + x
-        nodes.append(num)
-    power = t**_LEAF
-    while len(nodes) > 1:
-        odd = len(nodes) % 2  # an odd count carries the short first node up
-        nodes = nodes[:odd] + [a * power + b for a, b in zip(nodes[odd::2], nodes[odd + 1 :: 2])]
-        if len(nodes) > 1:
-            power *= power
-    return nodes[0]
+    return _balanced(_join(t), [_leaf(ws[i : i + _LEAF], t) for i in range(0, n, _LEAF)], (0, 0))[0]
+
+
+def _leaf(ws: list, t: int) -> tuple[int, int]:
+    """(sum_i ws[i] * t^(m-1-i), m) for the m = len(ws) weights, by plain Horner."""
+    num = 0
+    for x in ws:
+        num = num * t + x
+    return num, len(ws)
 
 
 def _omega_numerator(t: int, N: int) -> int:
-    """sum_{n=1}^{N} omega(n) t^(N-n), that is t^N * partial_sum(t, N).
-
-    Each block of _omega_blocks(1, N) gives its _horner numerator, and the
-    parts join pairwise as in a binary counter: a part joins the one before
-    it once that one is no longer, so each join a t^m + b is of like-sized
-    operands.  It is a shift for t = 2^k and a product by t^m otherwise,
-    each t^m computed once.  When [1, N] spans more than one block, the
-    join is reserved before the first block: the parts and the few
-    numerator-sized integers built from them, seven numerators in all.
-    """
+    """sum_{n=1}^{N} omega(n) t^(N-n), that is t^N * partial_sum(t, N): the
+    _horner numerators of _omega_blocks(1, N) folded by _balanced(_join(t), ...).
+    When [1, N] spans more than one block, the fold is reserved before the
+    first block: the parts and the few numerator-sized integers built from
+    them, seven numerators in all."""
     k = t.bit_length() - 1
     if N > sieve._DEFAULT_BLOCK:
         _reserve(7 * (N * (k + 1) // 8 + 16), f"numerator of {N} terms at t={t}, joined by blocks")
-    powers: dict[int, int] = {}
-
-    def join(left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
-        (a, n), (b, m) = left, right
-        if t == 1 << k:
-            return (a << k * m) + b, n + m
-        if m not in powers:
-            powers[m] = t**m
-        return a * powers[m] + b, n + m
-
-    parts: list[tuple[int, int]] = []  # (numerator, terms) of consecutive runs of n
-    for block in _omega_blocks(1, N):
-        parts.append((_horner(block, t), block.size))
-        while len(parts) > 1 and parts[-2][1] <= parts[-1][1]:
-            parts[-2:] = [join(*parts[-2:])]
-    while len(parts) > 1:
-        parts[-2:] = [join(*parts[-2:])]
-    return parts[0][0] if parts else 0
+    return _balanced(_join(t), [(_horner(b, t), b.size) for b in _omega_blocks(1, N)], (0, 0))[0]
 
 
 # _coprime(n, d) is n/d for coprime n and d > 0, built without Fraction's gcd
@@ -220,6 +218,7 @@ def tail_bound(t: int, N: int) -> Fraction:
     """
     t = _validate_t(t)
     A, S = _tail_terms(t, N)
+    _reserve(5 * _power_bytes(t, N), f"t^N and its reduced copies at t={t}, N={N}")
     return _over_power(A, t, t**N, S)
 
 
@@ -286,8 +285,7 @@ def alpha_enclosure(t: int, N: int) -> SeriesEnclosure:
     if N < 0:
         raise DomainError("N must be >= 0")
     A, S = _tail_terms(t, N)
-    power_bytes = int(N * math.log2(t)) // 8 + 16
-    _reserve(8 * power_bytes, f"numerator of {N} terms at t={t}, t^N and their reduced copies")
+    _reserve(8 * _power_bytes(t, N), f"numerator of {N} terms at t={t}, t^N and their reduced copies")
     num, power = _omega_numerator(t, N), t**N
     enc = SeriesEnclosure(t, N, _over_power(num, t, power), _over_power(A, t, power, S))
     enc.__dict__["_power"] = power  # the cached t^N, already computed
@@ -421,8 +419,9 @@ def integrality_probe(a: int, b: int, t: int, N: int) -> dict:
     t = _validate_t(t)
     A, S = _tail_terms(t, N)
     window_hi = Fraction(b * A, S)  # b t^N tail_bound(t, N)
-    # t^N * partial_sum(t, N) is the unreduced numerator sum omega(n) t^(N-n)
-    probe = a * t**N - b * _omega_numerator(t, N)
+    _reserve(6 * _power_bytes(t, N), f"numerator of {N} terms at t={t}, t^N and the probe integer")
+    # the unreduced numerator sum omega(n) t^(N-n) = t^N partial_sum(t, N), summed before a t^N
+    probe = -b * _omega_numerator(t, N) + a * t**N
     return {
         "probe_integer": probe,
         "window_hi": window_hi,

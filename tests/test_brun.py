@@ -238,6 +238,19 @@ class TestMemoryBudget:
         with pytest.raises(ResourceError, match="list of the primes"):
             ol.PrimeInterval(4, 10**5).primes()
 
+    def test_kept_primes_reserved(self, monkeypatch):
+        # the list is reserved for the 6134 primes of (9.9e6, 1e7], not the 664579 up to 1e7
+        budget = 20_000_000
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        tracemalloc.start()
+        try:
+            ps = ol.PrimeInterval(9_900_000, 10_000_000).primes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ps) == sympy.primepi(10_000_000) - sympy.primepi(9_900_000)
+        assert peak <= budget
+
     def test_cli_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", "4000000")
         argv = ["euler-identity", "--K", "2", "--lo", "4", "--hi", "1000000", "--V", "0", "--no-timing"]

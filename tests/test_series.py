@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, ResourceError
-from omegalab.series import _horner, _omega_numerator, _over_power
+from omegalab.series import _balanced, _horner, _join, _omega_numerator, _over_power
 from omegalab.sieve import build_factor_sieve, factorize, omega_range
 
 
@@ -105,6 +106,16 @@ class TestPartialSum:
             if block:
                 mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
             assert _omega_numerator(t, N) == literal
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=st.sampled_from([3, 10, 2**9, 2**16, 2**64]),
+        parts=st.lists(st.tuples(st.integers(0, 2**300), st.integers(0, 200)), max_size=40),
+    )
+    def test_fold_matches_left_fold(self, t, parts):
+        # runs of any length, so right operands of every length are joined
+        literal = reduce(lambda x, y: (x[0] * t ** y[1] + y[0], x[1] + y[1]), parts, (0, 0))
+        assert _balanced(_join(t), parts, (0, 0)) == literal
 
     @pytest.mark.parametrize("N", [2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5])
     def test_numerator_at_default_block_edges(self, N):
@@ -208,6 +219,29 @@ class TestTailBound:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert enc is None or (enc.N == 2 * 10**4 and peak <= budget)
+
+    @pytest.mark.parametrize(
+        "call, budget",
+        [
+            (lambda: ol.tail_bound(2**64, 2 * 10**4), 200_000),
+            (lambda: ol.integrality_probe(1, 2, 2**64, 2 * 10**4), 1_000_000),
+            (lambda: ol.partial_sum(2**64, 2 * 10**4), 1_000_000),
+        ],
+        ids=["tail_bound", "integrality_probe", "partial_sum"],
+    )
+    def test_power_sized_integers_within_budget(self, monkeypatch, call, budget):
+        # t^N is 160 kB here: each call is refused before it builds t^N and
+        # its copies, or it peaks within the budget
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        tracemalloc.start()
+        try:
+            call()
+        except ResourceError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= budget
 
     def test_paper_scale_within_budget(self, monkeypatch):
         # the blocks' join reserves ~1.75e7 bytes and the call peaks near
