@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .series import _balanced
-from .sieve import MAX_SIEVE_HI, _omega_blocks, _reserve, factorize, primes_up_to
+from .sieve import MAX_SIEVE_HI, _omega_blocks, _pi_bound, _prime_blocks, _reserve, factorize
 
 __all__ = [
     "LambdaMeanReport",
@@ -36,7 +36,6 @@ __all__ = [
 _MAX_INTERVAL_HI = 10**8
 _SUBSET_LIMIT = 12  # exhaustive divisor enumeration cap (4096 subsets)
 _PRIME_BYTES = 48  # per entry of primes(): the int, its slot and the int64 it is read from
-_HIST_CHUNK = 1 << 16  # n per bincount of lambda_omega_mean
 _TERM_BYTES = 240  # per prime of truncation_error_bound: that list, the terms of S and their sums
 
 
@@ -55,8 +54,10 @@ class PrimeInterval:
             raise ResourceError(f"interval endpoint {self.hi} beyond supported {_MAX_INTERVAL_HI}")
 
     def primes(self) -> list[int]:
-        ps = primes_up_to(int(math.floor(self.hi)))
-        ps = ps[ps > self.lo]
+        """The primes of (lo, hi], sieved over that window alone by the primes up to sqrt(hi)."""
+        lo, hi = math.floor(self.lo), math.floor(self.hi)
+        _reserve(16 * _pi_bound(hi, lo), f"primes in ({self.lo}, {self.hi}]")  # the sieve's arrays, then their join
+        ps = np.concatenate([np.zeros(0, dtype=np.int64), *_prime_blocks(hi, lo)])
         _reserve(_PRIME_BYTES * len(ps), f"list of the primes in ({self.lo}, {self.hi}]")
         dropped = [x for x in self.excluded if self.lo < x <= self.hi]
         return (ps[~np.isin(ps, dropped)] if dropped else ps).tolist()
@@ -215,11 +216,13 @@ class LambdaMeanReport:
 def lambda_omega_mean(lam, n_max: int) -> LambdaMeanReport:
     """sum_{n=1}^{n_max} lambda^omega(n) via the omega histogram.
 
-    The histogram (bincount of omega over [1, n_max], added up over the
-    blocks of omegalab.sieve's omega source, in O(block) memory) makes the
-    sum a short polynomial in lambda, so rational lambda gives an exact
-    value independent of summation order; float lambda gets a rounding
-    bound.  lambda = 1 returns n_max exactly.
+    The histogram (the count of each value of omega over [1, n_max],
+    added up over the blocks of omegalab.sieve's omega source, in
+    O(block) memory) makes the sum a short polynomial in lambda, so
+    rational lambda gives an exact value independent of summation order;
+    float lambda gets a rounding bound.  lambda = 1 returns n_max exactly.
+    np.count_nonzero counts each value over a whole block, in one bool per
+    n, within the sieve's scratch cap _CHUNK_BYTES and with no intp cast.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -229,11 +232,9 @@ def lambda_omega_mean(lam, n_max: int) -> LambdaMeanReport:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
     if n_max > MAX_SIEVE_HI:
         raise DomainError(f"n_max={n_max} exceeds supported limit 2**50")
-    # bincount casts its input to intp, so it counts a chunk of a block at a time
     hist = np.zeros(14, dtype=np.int64)  # omega <= 13 up to 2**50, the sieve's limit: 41# < 2**50 < 43#
     for om in _omega_blocks(1, n_max):
-        for i in range(0, om.size, _HIST_CHUNK):
-            hist += np.bincount(om[i : i + _HIST_CHUNK], minlength=hist.size)
+        hist += [np.count_nonzero(om == j) for j in range(hist.size)]
     counts = np.trim_zeros(hist, "b").tolist()
     if exact:
         value = sum(c * lam_val**j for j, c in enumerate(counts))

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import sieve
 from .errors import DomainError, PreconditionError
 from .sieve import _block_primes, _prime_blocks, _reserve, factorize, is_prime, primes_up_to
 
@@ -173,7 +174,6 @@ def _local_factor_exact(p: int, nroots: int, K: int) -> Fraction:
     return Fraction((p - nroots) * p ** (K - 1), (p - 1) ** K)
 
 
-_LOG_CHUNK = 1 << 15  # primes per chunk of log terms
 _PRIME_BYTES = 16  # per prime a block may hold: its int64 and the arrays that make it (14 measured)
 _TERM_BYTES = 64  # per prime of a chunk: its log term and _exact_sum's scratch (29 measured, masks included)
 
@@ -215,19 +215,19 @@ def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
     """prod (1 - K/p)(1 - 1/p)^(-K) over the primes p <= P outside
     exceptional, and the tail bound for the primes beyond P (see
     singular_series).  The primes come a block at a time, and their log
-    terms _LOG_CHUNK primes at a time, with the scratch of one block and
-    one chunk reserved before the first."""
+    terms in chunks of the sieve's scratch cap, _CHUNK_BYTES, with the
+    scratch of one block and one chunk reserved before the first."""
     top = max(exceptional, default=0)
     block = _block_primes(P)
-    chunk = min(block, _LOG_CHUNK)
-    _reserve(_PRIME_BYTES * block + _TERM_BYTES * chunk, f"Euler product over the primes up to {P}")
+    step = sieve._CHUNK_BYTES // _TERM_BYTES  # primes per chunk of log terms
+    _reserve(_PRIME_BYTES * block + _TERM_BYTES * min(block, step), f"Euler product over the primes up to {P}")
 
     def logs():
         for ps in _prime_blocks(P):
             if ps.size and ps[0] <= top:
                 ps = ps[~np.isin(ps, exceptional)]
-            for i in range(0, ps.size, _LOG_CHUNK):
-                q = ps[i : i + _LOG_CHUNK].astype(np.float64)
+            for i in range(0, ps.size, step):
+                q = ps[i : i + step].astype(np.float64)
                 yield np.log1p(-K / q) - K * np.log1p(-1.0 / q)
 
     return math.exp(_exact_sum(logs())), (0.0 if K == 1 else 2.0 * K * K / P)

@@ -105,7 +105,9 @@ def _horner(ws, t: int) -> int:
       _balanced(_join(t), ...) folds; plain Horner over all n is O(n^2).
 
     One _reserve call covers what the sum holds at once: the weights, the
-    plane scratch or the weight list, and a few numerator-sized integers.
+    plane scratch or the weight list and 96 bytes per leaf (tuple, int
+    header, list slot), and numerator-sized integers: 4 for t = 2^k, else
+    8, as a last join a t^m + b peaked at 7 with its Karatsuba scratch.
     """
     w = np.asarray(ws)
     n = len(w)
@@ -114,8 +116,8 @@ def _horner(ws, t: int) -> int:
     k = t.bit_length() - 1
     planes = t == 1 << k and k <= 8
     num_bytes = n * (k + 1) // 8 + 16
-    scratch = k * n if planes else 8 * n
-    _reserve(w.nbytes + scratch + 4 * num_bytes, f"numerator of {n} terms at t={t}")
+    scratch = k * n if planes else 8 * n + 96 * -(-n // _LEAF)
+    _reserve(w.nbytes + scratch + (4 if t == 1 << k else 8) * num_bytes, f"numerator of {n} terms at t={t}")
     if planes:
         bits = np.zeros(k * n, dtype=np.uint8)
         plane = bits[k - 1 :: k]  # bit k(n-1-i) of the big-endian string is byte k*i + k-1

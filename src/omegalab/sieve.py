@@ -12,24 +12,25 @@ block, so only this module decides how and in what memory omega is
 obtained.  Both sieves strike residue classes block by block through one
 helper, ``_strikes``: a strided slice for a modulus with more than
 _DENSE_HITS (64) hits in the block, one gathered offset array for the
-rest; ``_plan_chunks`` cuts the moduli so that no call plans more than
-_PLAN_BYTES (2 MiB).  The table kernel is told which table it builds,
-omega, tau or phi, and takes no step callback.  One level-1 routine
-strikes the first power of each base prime: over the first period of
-30030 of each block for the primes up to 13, a wheel then copied across
-the block, and over the whole block for the others.  The exponent of
-each prime p comes from one pass over the multiples of p**2.  The one
-prime factor of n above the square root of the block end is stepped in
-by one contiguous pass over the block: phi reads it off the product of
-the prime powers found, which below 2**32 shares phi's own 8-byte slot
-of n with the phi-part as a uint32 pair, and from 2**32 on is a uint32
-of its own that wraps, read only where the phi-part is below 2**29;
-omega and tau read one count of primes from a uint16 sum of rounded
-logs, which also tells where it exists, exactly up to 2**50 (the margin
-is proved at ``_sieve_table``).  tau's mask of where it exists lives in
-the exponent pass's scratch, and omega's in its own table.  Every
-allocation is first reserved by ``_reserve`` against
-OMEGALAB_MEMORY_BUDGET, read anew at each call.
+rest.  One cap, _CHUNK_BYTES (2 MiB), bounds every chunked numpy pass:
+``_plan_chunks`` cuts the moduli so that no call plans more, and phi's
+leftover steps and the log terms of omegalab.linforms are sized by it.
+The table kernel is told which table it builds, omega, tau or phi.  One
+level-1 routine strikes the first power of each base prime: over the
+first period of 30030 of each block for the primes up to 13, a wheel
+then copied across the block, and over the whole block for the others.
+The exponent of each prime p comes from one pass over the multiples of
+p**2.  The one prime factor of n above the square root of the block end
+is stepped in by one contiguous pass over the block: phi reads it as the
+float64 quotient of n by the product f of the prime powers found, which
+below 2**32 shares phi's own 8-byte slot of n with the phi-part as a
+uint32 pair, and from 2**32 on is a uint32 of its own that wraps, read
+only where the phi-part is below 2**29; omega and tau read one count of
+primes from a uint16 sum of rounded logs, which also tells where it
+exists, exactly up to 2**50 (both are proved at ``_sieve_table``).  tau's
+mask of where it exists lives in the exponent pass's scratch, and
+omega's in its own table.  Every allocation is first reserved by
+``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew at each call.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -71,9 +72,7 @@ _BUDGET_ENV = "OMEGALAB_MEMORY_BUDGET"
 _DEFAULT_BUDGET = 2_000_000_000  # bytes
 _DEFAULT_BLOCK = 1 << 20  # numbers per block of either sieve
 _DENSE_HITS = 64  # a modulus with more hits per block strikes by a strided slice
-_STRIKE_CHUNK = 1 << 13  # most moduli per _strikes call
-_PLAN_BYTES = 1 << 21  # most _strike_bytes per _strikes call, as _plan_chunks cuts the moduli
-_LEFTOVER_STEP = 1 << 13  # n per step of phi's leftover pass
+_CHUNK_BYTES = 1 << 21  # scratch cap of every chunked numpy pass: strike plans, phi's leftover steps, log terms
 _WHEEL_PRIMES = np.array([2, 3, 5, 7, 11, 13])  # level 1 of these is one periodic pattern of the tables
 _WHEEL = math.prod(_WHEEL_PRIMES.tolist())  # 30030
 _SMALL_LIMIT = 1000  # primes_up_to(n) for n up to this is a slice of _SMALL_PRIMES
@@ -92,10 +91,12 @@ def _reserve(nbytes: int, what: str) -> None:
         )
 
 
-def _pi_bound(x: int) -> int:
-    """An upper bound on the number of primes <= x: pi(x) < 1.25506 x / ln x
-    for x > 1 (Rosser & Schoenfeld, 1962)."""
-    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
+def _pi_bound(x: int, lo: int = 0) -> int:
+    """An upper bound on the number of primes in (lo, x]: pi(x) < 1.25506
+    x / ln x for x > 1 (Rosser & Schoenfeld, 1962), or, where less, the
+    bound 2y / ln y for y = x - lo > 1 that _block_primes cites."""
+    y = x - lo
+    return min(int(1.25506 * x / math.log(x)), int(2 * y / math.log(y)) if y > 1 else y) + 1 if x > 1 else 0
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -109,16 +110,17 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.concatenate(list(_prime_blocks(n)))
 
 
-def _prime_blocks(n: int):
-    """The primes <= n as ascending int64 arrays: [2], then the odd primes
-    of each block of the form 2i + 1, sieved over i by primes_up_to(isqrt(n))
-    (2 divides no value, so only the odd numbers are ever struck).  No
-    array holds more than _block_primes(n) primes."""
+def _prime_blocks(n: int, lo: int = 0):
+    """The primes in (lo, n] as ascending int64 arrays: [2] if lo < 2, then
+    the odd primes 2i + 1 > lo of each block, sieved over i by
+    primes_up_to(isqrt(n)) (2 divides no value, so only the odd numbers
+    are ever struck).  No array holds more than _block_primes(n) primes."""
     if n < 2:
         return
-    yield np.array([2], dtype=np.int64)
-    for lo, mask in _form_blocks([(2, 1)], math.isqrt(n), (n - 1) // 2):
-        yield 2 * (np.flatnonzero(mask) + lo) + 1
+    if lo < 2:
+        yield np.array([2], dtype=np.int64)
+    for i, mask in _form_blocks([(2, 1)], math.isqrt(n), (n - 1) // 2, max(1, (lo + 1) // 2)):
+        yield 2 * (np.flatnonzero(mask) + i) + 1
 
 
 def _block_primes(n: int) -> int:
@@ -160,24 +162,24 @@ def _strike_bytes(ms: np.ndarray, n: int) -> int:
 
 
 def _plan_chunks(ps: np.ndarray, n: int, k: int = 1):
-    """Slices that tile the ascending ps, each of at most _STRIKE_CHUNK
-    primes whose moduli p**k plan at most _PLAN_BYTES over [0, n) (or are
-    one modulus): as many moduli as the cap holds at the plan of the
-    least, which plans the most.  Where every modulus has few hits, as
-    near 2**50, no chunk is cut."""
+    """Slices that tile the ascending ps, each of primes whose moduli p**k
+    plan at most _CHUNK_BYTES over [0, n) (or of one modulus): as many
+    moduli as the cap holds at the plan of the least, which plans the
+    most.  A modulus plans at least 64 bytes, so no chunk holds more than
+    _CHUNK_BYTES // 64 of them."""
     i = 0
     while i < ps.size:
         most = 64 + 40 * min(_DENSE_HITS, -(-n // int(ps[i]) ** k))  # _strike_bytes of ps[i] ** k
-        j = min(i + max(1, min(_STRIKE_CHUNK, _PLAN_BYTES // most)), ps.size)
+        j = min(i + max(1, _CHUNK_BYTES // most), ps.size)
         yield slice(i, j)
         i = j
 
 
 def _plan_bytes(ps: np.ndarray, n: int) -> int:
     """A bound on the plan of any chunk of ``_plan_chunks(ps, n, k)``: the
-    cap (or the plan of the least modulus alone, where that passes it), or
-    the plan of the first chunk of k = 1 where that is less."""
-    return min(_strike_bytes(ps[:_STRIKE_CHUNK], n), max(_PLAN_BYTES, _strike_bytes(ps[:1], n)))
+    cap (taken above the 64 + 40 * 64 bytes one modulus may plan), or the
+    plan of the first _CHUNK_BYTES // 64 primes, the most a chunk holds."""
+    return min(_strike_bytes(ps[: _CHUNK_BYTES // 64], n), _CHUNK_BYTES)
 
 
 def _residues(x: int, ps: np.ndarray) -> np.ndarray:
@@ -241,15 +243,15 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
     return mask
 
 
-def _form_blocks(pairs, bound: int, n_max: int):
-    """(lo, mask) over ascending blocks [lo, lo + len(mask)) of [1, n_max];
+def _form_blocks(pairs, bound: int, n_max: int, start: int = 1):
+    """(lo, mask) over ascending blocks [lo, lo + len(mask)) of [start, n_max];
     mask is True where no value a*n + b of the forms (a, b) in ``pairs`` is
     below 2 or has a prime factor up to ``bound`` other than itself.  Once
     the base primes are listed, their roots for each form, one plan of
     strikes and two block masks are reserved before the first block.
     """
     base = primes_up_to(bound)
-    block = min(n_max, _DEFAULT_BLOCK)
+    block = min(max(0, n_max + 1 - start), _DEFAULT_BLOCK)
     _reserve(
         # int64 entries per base prime: the base, each form's primes and
         # roots, and the transient root arithmetic
@@ -257,7 +259,7 @@ def _form_blocks(pairs, bound: int, n_max: int):
         f"block sieve of {len(pairs)} forms by the primes up to {bound}",
     )
     sieves = [_form_sieve(a, b, base) for a, b in pairs]
-    for lo in range(1, n_max + 1, _DEFAULT_BLOCK):
+    for lo in range(start, n_max + 1, _DEFAULT_BLOCK):
         hi = min(lo + _DEFAULT_BLOCK, n_max + 1)
         acc = sieves[0](lo, hi)
         for mask in sieves[1:]:
@@ -349,7 +351,7 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
     n, so a strike touches one slot; from 2**32 on, f is a uint32 array of
     its own that wraps modulo 2**32, and g is the table slice.  All block
     scratch is allocated once per call and reused by every block, and
-    each plan of strikes is cut by ``_plan_chunks`` to _PLAN_BYTES.
+    each plan of strikes is cut by ``_plan_chunks`` to _CHUNK_BYTES.
 
     - Level 1 strikes the multiples of each prime p once through one
       routine, ``level1``, which plans them by ``_strikes``, one chunk of
@@ -374,13 +376,14 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
       its table by e + 1; phi multiplies f and g by p**(e - 1).
     - At most one prime factor q of n is above sqrt(block end); it is
       stepped in by one contiguous pass over the block.  phi reads (f, g)
-      _LEFTOVER_STEP numbers at a time and writes g * max(q - 1, 1) over
-      them as int64.  Below 2**32, q = n // f is the prime where it exists
-      and 1 where not.  From 2**32 on, q exists where g < 2**29, and there
-      q = n / f in float64, exact since f divides n and the quotient of
-      two integers below 2**53 that is itself an integer is rounded to
-      itself; elsewhere the divisor is 2**51 and n / 2**51 < 1 truncates
-      to 0.  omega and tau only ask whether q exists: where the log sum
+      in steps of _CHUNK_BYTES // 64 numbers and writes g * max(q - 1, 1),
+      formed in float64, over them as int64.  q = n / f is exact where f
+      is, since f divides n and the quotient of two integers below 2**53
+      that is itself an integer is rounded to itself, and so is the rest,
+      as g * (q - 1) = phi(n) < 2**53.  Below 2**32, q is the prime where
+      it exists and 1 where not.  From 2**32 on, q exists where g < 2**29,
+      the divisor is f there and 2**51 elsewhere, where n / 2**51 < 1
+      gives the factor 1.  omega and tau only ask whether q exists: where the log sum
       L = acc >> 4 is below a threshold T(n), q adds 1 to the count c in
       the low 4 bits.  omega's table is c, and tau's is shifted left by c.
       The mask of q is held by omega's own table, and by tau's ``exps``,
@@ -431,11 +434,11 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
     dtype = np.dtype(np.int64 if phi else np.int32 if tau else np.uint8)
     pairs = phi and hi >> 32 == 0  # phi's product and phi-part fit its own 8 bytes per n
     part = np.dtype(np.uint32 if pairs else np.int64)  # of the gathered powers
-    step = min(width, _LEFTOVER_STEP)
+    step = min(width, max(1, _CHUNK_BYTES // 64))  # 16 bytes per n: a whole cap beside exps would lift phi's peak
     if logs:  # the log sum; e - 1 over one p**2 progression, or tau's block; its log operand
         scratch = 2 * width + (width if tau else span) + 2 * span
-    else:  # p**(e - 1) over one progression; a leftover step's n, q and phi; the wrapping product
-        scratch = 4 * span + 25 * step + (0 if pairs else 4 * width)
+    else:  # p**(e - 1) over one progression; a leftover step's n and q; the wrapping product
+        scratch = 4 * span + 16 * step + (0 if pairs else 4 * width)
     # a plan's arrays and the operands made from them, which take no more
     scratch += 2 * _plan_bytes(base, width)
     _reserve(dtype.itemsize * size + scratch, f"{dtype.name} table for [{lo}, {hi}]")
@@ -543,23 +546,15 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
                 if g is not None:
                     np.multiply.at(g, offsets, x.astype(g.dtype, copy=False))
             del starts, offsets, which
-        if pairs:  # n // f is the prime left over, or 1 where none is
+        if phi:  # q = n / f is the prime left over, or 1 where none is; f is exact below 2**32
             for i in range(0, b - a, step):
                 j = min(i + step, b - a)
-                q = np.arange(a + i, a + j, dtype=np.uint32) // f[i:j]
-                q -= 1
-                np.maximum(q, 1, out=q)  # q - 1 for a prime q, and 1 stays 1
-                view[i:j] = np.multiply(g[i:j], q, dtype=np.int64)
-            continue
-        if phi:  # g < 2**29 where a prime q is left over, and there q = n // f
-            for i in range(0, b - a, step):
-                j = min(i + step, b - a)
-                d = np.where(g[i:j] < 1 << 29, f[i:j], 2.0**51)  # n / 2**51 < 1 elsewhere
+                d = f[i:j].astype(np.float64) if pairs else np.where(g[i:j] < 1 << 29, f[i:j], 2.0**51)
                 np.divide(np.arange(a + i, a + j, dtype=np.float64), d, out=d)
-                q = d.astype(np.int64)
-                q -= 1
-                np.maximum(q, 1, out=q)  # q - 1 for a prime q; 1 and 0 give 1
-                g[i:j] *= q
+                d -= 1
+                np.maximum(d, 1, out=d)  # q - 1 for a prime q; 1 and n / 2**51 give 1
+                d *= g[i:j]  # phi(n) < 2**53, so every float here is an exact integer
+                view[i:j] = d
             continue
         big = (exps if tau else view)[: b - a].view(bool)
         for i, j, t in _thresholds(a, b):

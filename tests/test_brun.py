@@ -251,6 +251,26 @@ class TestMemoryBudget:
         assert len(ps) == sympy.primepi(10_000_000) - sympy.primepi(9_900_000)
         assert peak <= budget
 
+    def test_window_alone_sieved(self, monkeypatch):
+        # the sieve runs over (9.9e6, 1e7] alone, by the 446 primes up to
+        # its root: the peak is set by the window's 6134 primes, where
+        # listing the 664579 up to 1e7 first took over 1e7 bytes
+        budget = 1_000_000
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        tracemalloc.start()
+        try:
+            ps = ol.PrimeInterval(9_900_000, 10_000_000).primes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ps == list(sympy.primerange(9_900_001, 10_000_001))
+        assert peak <= budget
+
+    @given(lo=st.integers(-5, 3000), width=st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_window_matches_primerange(self, lo, width):
+        assert ol.PrimeInterval(lo, lo + width).primes() == list(sympy.primerange(lo + 1, lo + width + 1))
+
     def test_cli_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", "4000000")
         argv = ["euler-identity", "--K", "2", "--lo", "4", "--hi", "1000000", "--V", "0", "--no-timing"]

@@ -243,6 +243,22 @@ class TestTailBound:
             tracemalloc.stop()
         assert peak <= budget
 
+    @pytest.mark.parametrize("t", [10, 513, 1000])
+    def test_horner_within_its_reservation(self, monkeypatch, t):
+        # the splitting route's last join holds its halves, t^m, their
+        # product with its Karatsuba scratch and the sum, up to about 7
+        # numerators, and the 1563 leaves ~96 bytes each beyond their digits
+        ws = omega_range(build_factor_sieve(1, 10**5))
+        reserved = []
+        monkeypatch.setattr("omegalab.series._reserve", lambda nbytes, what: reserved.append(nbytes))
+        tracemalloc.start()
+        try:
+            _horner(ws, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reserved and peak <= reserved[0]
+
     def test_paper_scale_within_budget(self, monkeypatch):
         # the blocks' join reserves ~1.75e7 bytes and the call peaks near
         # 1e7; a whole-window numerator reserved ~3e7 and was refused

@@ -12,6 +12,7 @@ import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,8 +143,8 @@ class TestOmegaRange:
 
     def test_short_window_near_2_50_within_budget(self, monkeypatch):
         # 2 063 689 base primes for 3001 numbers: level 1 and the exponent
-        # pass plan their moduli in chunks of _STRIKE_CHUNK through
-        # _strikes, so only a few int64 arrays grow with the base primes
+        # pass plan their moduli through _strikes in chunks of at most
+        # _CHUNK_BYTES, so only a few int64 arrays grow with the base primes
         budget = 150_000_000
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
         sv = ol.build_factor_sieve(2**50 - 3000, 2**50)
@@ -597,9 +598,21 @@ def cap_oracle():
     )
 
 
+def _capped_values():
+    """Values whose every chunked pass runs under _CHUNK_BYTES: the Euler
+    products' log terms, and omega's blocks for the lambda-mean."""
+    twins = ol.LinearFormSystem.from_pairs([(1, 0), (1, 2)])
+    return (
+        ol.singular_series(twins, 10**5),
+        ol.family_singular_series(4, 10**5),
+        ol.lambda_omega_mean(Fraction(1, 2), 3 * 10**5),
+    )
+
+
 class TestPlanCap:
-    # every _strikes call plans at most _PLAN_BYTES: a chunk of moduli is
-    # cut to the cap, and the results do not move
+    # every _strikes call plans at most _CHUNK_BYTES: a chunk of moduli is
+    # cut to the cap, and the results do not move; nor do the values of
+    # the other passes that the cap chunks
     @pytest.mark.parametrize("cap", [3000, 10**4])
     def test_every_plan_within_the_cap(self, cap, plan_oracle, cap_oracle, monkeypatch):
         plans = []
@@ -608,7 +621,8 @@ class TestPlanCap:
             plans.append(_strike_bytes(ms, n))
             return _strikes(ms, starts, n)
 
-        monkeypatch.setattr("omegalab.sieve._PLAN_BYTES", cap)
+        default = _capped_values()
+        monkeypatch.setattr("omegalab.sieve._CHUNK_BYTES", cap)
         monkeypatch.setattr("omegalab.sieve._strikes", recorded)
         for window, want in (((1, 4000), plan_oracle["tables"][1, 4000]), ((10**12, 10**12 + 3000), cap_oracle)):
             sv = ol.build_factor_sieve(*window)
@@ -616,6 +630,7 @@ class TestPlanCap:
             assert [t.tolist() for t in got] == list(want)
         assert ol.primes_up_to(30011).tolist() == plan_oracle["primes"]
         assert plans and max(plans) <= cap
+        assert _capped_values() == default
 
 
 @st.composite
