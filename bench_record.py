@@ -9,8 +9,11 @@ JSON object that each run prints last.  The file holds, per workload, the
 median, q1 and q3 of each end-to-end metric over the seeds (quartiles as
 perfbench/run.py takes them), its unit, the number of runs and whether
 every run was correct; and beside the workloads, the host's nproc, the
-git commit and whether ``src/`` differs from it.  A run that prints no
-result is recorded by its seed and exit status, and the script exits 1.
+git commit, whether ``src/`` differs from it, and ``src_sha256``, the
+sha256 of the sorted paths and bytes of ``git ls-files src``, which names
+the source measured when the file is written before its commit.  A run
+that prints no result is recorded by its seed and exit status, and the
+script exits 1.
 
 It then runs the Tier-1 suite (ROADMAP.md's command) once and records its
 wall time and its counts of passed and failed tests; it exits 1 too when
@@ -20,6 +23,7 @@ the suite does not pass.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -38,6 +42,18 @@ def quartiles(xs: list[float]) -> dict:
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+
+
+def src_sha256() -> str:
+    """sha256 over the tracked files of src/ in sorted order: each path,
+    its length and its bytes as they are in the working tree."""
+    h = hashlib.sha256()
+    for path in sorted(git("ls-files", "src").splitlines()):
+        with open(os.path.join(ROOT, path), "rb") as fh:
+            data = fh.read()
+        h.update(f"{path}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def record(workload: str, seeds: list[int], seconds: float) -> dict:
@@ -91,6 +107,7 @@ def main() -> int:
         "nproc": os.cpu_count(),
         "git_commit": git("rev-parse", "HEAD") or None,
         "src_differs_from_commit": bool(git("status", "--porcelain", "--", "src")),
+        "src_sha256": src_sha256(),
         "workloads": {w: record(w, args.seeds, args.seconds) for w in args.workloads},
         "tier1": tier1(),
     }

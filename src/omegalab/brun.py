@@ -11,7 +11,7 @@ mass at most (sum_p K/(p-1))^(V+1) / (V+1)!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
@@ -89,13 +89,7 @@ class SieveProductCheck:
     sides_equal: bool | None
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "n_primes": self.n_primes,
-            "product": self.product,
-            "divisor_sum": self.divisor_sum,
-            "sides_equal": self.sides_equal,
-        }
+        return asdict(self)  # Fraction's __deepcopy__ returns it, so nothing is copied
 
 
 def _layer(ps: list[int], r: int) -> Fraction:

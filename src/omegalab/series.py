@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 _LEAF = 64  # terms per plain Horner leaf of _horner's fold
+# what _horner holds at any n beside what grows with it: numpy array
+# headers, packbits' output and the fold's small lists, 6 kB at most
+_HORNER_FIXED = 1 << 13
 
 
 def _validate_t(t: int) -> int:
@@ -106,8 +109,9 @@ def _horner(ws, t: int) -> int:
 
     One _reserve call covers what the sum holds at once: the weights, the
     plane scratch or the weight list and 96 bytes per leaf (tuple, int
-    header, list slot), and numerator-sized integers: 4 for t = 2^k, else
-    8, as a last join a t^m + b peaked at 7 with its Karatsuba scratch.
+    header, list slot), numerator-sized integers (4 for t = 2^k, else 8,
+    as a last join a t^m + b peaked at 7 with its Karatsuba scratch) and
+    _HORNER_FIXED, which short sums would otherwise exceed.
     """
     w = np.asarray(ws)
     n = len(w)
@@ -117,7 +121,8 @@ def _horner(ws, t: int) -> int:
     planes = t == 1 << k and k <= 8
     num_bytes = n * (k + 1) // 8 + 16
     scratch = k * n if planes else 8 * n + 96 * -(-n // _LEAF)
-    _reserve(w.nbytes + scratch + (4 if t == 1 << k else 8) * num_bytes, f"numerator of {n} terms at t={t}")
+    held = w.nbytes + scratch + _HORNER_FIXED + (4 if t == 1 << k else 8) * num_bytes
+    _reserve(held, f"numerator of {n} terms at t={t}")
     if planes:
         bits = np.zeros(k * n, dtype=np.uint8)
         plane = bits[k - 1 :: k]  # bit k(n-1-i) of the big-endian string is byte k*i + k-1
@@ -151,13 +156,12 @@ def _omega_numerator(t: int, N: int) -> int:
     return _balanced(_join(t), [(_horner(b, t), b.size) for b in _omega_blocks(1, N)], (0, 0))[0]
 
 
-# _coprime(n, d) is n/d for coprime n and d > 0, built without Fraction's gcd
-if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
-    _coprime = Fraction._from_coprime_ints
-else:
-
-    def _coprime(n: int, d: int) -> Fraction:
-        return Fraction(n, d, _normalize=False)
+def _coprime(n: int, d: int) -> Fraction:
+    """n/d for coprime n and d > 0, built without Fraction's gcd, as
+    Python 3.12's Fraction._from_coprime_ints builds it."""
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = n, d
+    return x
 
 
 def _over_power(num: int, t: int, power: int, small: int = 1) -> Fraction:

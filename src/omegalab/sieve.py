@@ -9,28 +9,22 @@ over a run of integers streams the same way, from ``_omega_blocks``: one
 omega table of the kernel per block up to 2**50, and ``factorize`` past
 it.  The series numerators and the omega histogram read it block by
 block, so only this module decides how and in what memory omega is
-obtained.  Both sieves strike residue classes block by block through one
-helper, ``_strikes``: a strided slice for a modulus with more than
-_DENSE_HITS (64) hits in the block, one gathered offset array for the
-rest.  One cap, _CHUNK_BYTES (2 MiB), bounds every chunked numpy pass:
-``_plan_chunks`` cuts the moduli so that no call plans more, and phi's
+obtained.  Both sieves strike residue classes block by block, split once
+per pass by ``_dense``: the ascending primes whose moduli have more than
+_DENSE_HITS (64) hits per block are a prefix, each struck by a strided
+slice, and ``_strikes`` plans one gathered offset array for the rest.  One
+cap, _CHUNK_BYTES (2 MiB), bounds every chunked numpy pass:
+``_plan_chunks`` cuts the rest so that no call plans more, and phi's
 leftover steps and the log terms of omegalab.linforms are sized by it.
-The table kernel is told which table it builds, omega, tau or phi.  One
-level-1 routine strikes the first power of each base prime: over the
-first period of 30030 of each block for the primes up to 13, a wheel
-then copied across the block, and over the whole block for the others.
-The exponent of each prime p comes from one pass over the multiples of
-p**2.  The one prime factor of n above the square root of the block end
-is stepped in by one contiguous pass over the block: phi reads it as the
-float64 quotient of n by the product f of the prime powers found, which
-below 2**32 shares phi's own 8-byte slot of n with the phi-part as a
-uint32 pair, and from 2**32 on is a uint32 of its own that wraps, read
-only where the phi-part is below 2**29; omega and tau read one count of
-primes from a uint16 sum of rounded logs, which also tells where it
-exists, exactly up to 2**50 (both are proved at ``_sieve_table``).  tau's
-mask of where it exists lives in the exponent pass's scratch, and
-omega's in its own table.  Every allocation is first reserved by
-``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew at each call.
+The table kernel, ``_sieve_table``, is told which table it builds, omega,
+tau or phi.  It strikes the first power of each base prime (through a
+wheel of period 30030 for the primes up to 13), finds each exponent by
+one pass over the multiples of p**2, and steps in the one prime factor
+above the square root of the block end by one contiguous pass: phi as a
+float64 quotient of n, omega and tau from a uint16 sum of rounded logs,
+exactly up to 2**50 (both proved there).  Every allocation is first
+reserved by ``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew at
+each call.
 
 Conventions used throughout: omega(1) = 0, tau(1) = 1, phi(1) = 1.
 Range functions return plain numpy arrays where index i corresponds to
@@ -135,51 +129,52 @@ def _block_primes(n: int) -> int:
 # striking residue classes in a block; sieving the values of a linear form
 
 
+def _dense(ps: np.ndarray, n: int, k: int = 1) -> int:
+    """How many of the ascending primes ps lead with moduli p**k (k = 1, 2)
+    struck by strided slices over [0, n): those with _DENSE_HITS * p**k < n,
+    or all if _DENSE_HITS is 0.  The rest have at most _DENSE_HITS hits."""
+    if not _DENSE_HITS:
+        return ps.size
+    v = (n - 1) // _DENSE_HITS
+    return int(np.searchsorted(ps, math.isqrt(v) if k == 2 else v, side="right"))
+
+
 def _strikes(ms: np.ndarray, starts: np.ndarray, n: int):
     """Plan the hits of the classes starts mod ms (0 <= starts < ms) in [0, n).
 
-    Returns ``(dense, offsets, which)``: ``dense`` masks the moduli with
-    more than _DENSE_HITS hits, each struck by the caller as the slice
-    ``[start::m]``.  Every hit of the others is one entry of ``offsets``
+    Returns ``(offsets, which)``: every hit is one entry of ``offsets``
     (repeated where two moduli meet) and ``which`` indexes its modulus;
     ``np.repeat`` builds both, with no Python loop per modulus.
     """
     hits = (n - starts + ms - 1) // ms
-    dense = hits > _DENSE_HITS
-    counts = np.where(dense, 0, hits)
-    which = np.repeat(np.arange(ms.size), counts)
-    offsets = np.arange(which.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    which = np.repeat(np.arange(ms.size), hits)
+    offsets = np.arange(which.size) - np.repeat(np.cumsum(hits) - hits, hits)
     offsets *= ms[which]
     offsets += starts[which]
-    return dense, offsets, which
-
-
-def _strike_bytes(ms: np.ndarray, n: int) -> int:
-    """Scratch of one ``_strikes`` call over the moduli ms in [0, n), hits
-    included: 64 bytes per modulus and 40 per gathered hit, of which a
-    modulus m plans at most min(_DENSE_HITS, ceil(n / m))."""
-    return 64 * ms.size + 40 * int(np.minimum(-(-n // ms), _DENSE_HITS).sum())
+    return offsets, which
 
 
 def _plan_chunks(ps: np.ndarray, n: int, k: int = 1):
     """Slices that tile the ascending ps, each of primes whose moduli p**k
     plan at most _CHUNK_BYTES over [0, n) (or of one modulus): as many
-    moduli as the cap holds at the plan of the least, which plans the
-    most.  A modulus plans at least 64 bytes, so no chunk holds more than
-    _CHUNK_BYTES // 64 of them."""
+    moduli as the cap holds at the plan of the least, 64 + 40 * ceil(n / p**k)
+    bytes, which is the most.  A modulus plans at least 64 bytes, so no
+    chunk holds more than _CHUNK_BYTES // 64 of them."""
     i = 0
     while i < ps.size:
-        most = 64 + 40 * min(_DENSE_HITS, -(-n // int(ps[i]) ** k))  # _strike_bytes of ps[i] ** k
+        most = 64 + 40 * -(-n // int(ps[i]) ** k)
         j = min(i + max(1, _CHUNK_BYTES // most), ps.size)
         yield slice(i, j)
         i = j
 
 
 def _plan_bytes(ps: np.ndarray, n: int) -> int:
-    """A bound on the plan of any chunk of ``_plan_chunks(ps, n, k)``: the
-    cap (taken above the 64 + 40 * 64 bytes one modulus may plan), or the
-    plan of the first _CHUNK_BYTES // 64 primes, the most a chunk holds."""
-    return min(_strike_bytes(ps[: _CHUNK_BYTES // 64], n), _CHUNK_BYTES)
+    """A bound on the plan of any chunk of ``_plan_chunks`` over what
+    ``_dense`` leaves of ps in a block of length up to n: the cap, or the
+    first _CHUNK_BYTES // 64 primes at min(_DENSE_HITS, ceil(n / p)) hits
+    each, as a short block gathers what a long one strides."""
+    m = ps[: _CHUNK_BYTES // 64]
+    return min(64 * m.size + 40 * int(np.minimum(-(-n // m), _DENSE_HITS).sum()), _CHUNK_BYTES)
 
 
 def _residues(x: int, ps: np.ndarray) -> np.ndarray:
@@ -203,7 +198,8 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
     p divides a*n + b exactly when n = -b * a^-1 (mod p); these roots are
     found once for all base primes.  A prime dividing a but not b never
     divides a value, and one dividing both divides every value.  Per
-    block, ``_strikes`` plans the hits of the roots, one chunk of
+    block, the primes that ``_dense`` counts strike their roots by
+    slices, and ``_strikes`` plans the hits of the rest, one chunk of
     ``_plan_chunks`` at a time.
     """
     if base.size and base[-1] >> 32:
@@ -226,13 +222,14 @@ def _form_sieve(a: int, b: int, base: np.ndarray):
     def mask(lo: int, hi: int) -> np.ndarray:
         out = np.full(hi - lo, not covers)
         starts = (roots - lo % ps) % ps
-        for chunk in _plan_chunks(ps, hi - lo):
-            cp, cs = ps[chunk], starts[chunk]
-            dense, offsets, _ = _strikes(cp, cs, hi - lo)
-            for p, s in zip(cp[dense].tolist(), cs[dense].tolist()):
-                out[s::p] = False
+        d = _dense(ps, hi - lo)
+        for p, s in zip(ps[:d].tolist(), starts[:d].tolist()):
+            out[s::p] = False
+        rest, starts = ps[d:], starts[d:]
+        for chunk in _plan_chunks(rest, hi - lo):
+            offsets, _ = _strikes(rest[chunk], starts[chunk], hi - lo)
             out[offsets] = False
-            del dense, offsets  # before the next chunk's plan
+            del offsets  # before the next chunk's plan
         if a * lo + b <= top_base:  # a value may be a base prime itself
             own = base[(base >= a * lo + b) & (base <= min(a * (hi - 1) + b, top_base))]
             own = own[(own - b) % a == 0]
@@ -350,12 +347,13 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
     they live as a uint32 pair in the 8 bytes of phi's own int64 slot of
     n, so a strike touches one slot; from 2**32 on, f is a uint32 array of
     its own that wraps modulo 2**32, and g is the table slice.  All block
-    scratch is allocated once per call and reused by every block, and
-    each plan of strikes is cut by ``_plan_chunks`` to _CHUNK_BYTES.
+    scratch is allocated once per call and reused by every block.  Each
+    pass strikes the prefix of primes that ``_dense`` counts by strided
+    slices, and the rest by the plans of ``_strikes``, cut by
+    ``_plan_chunks`` to _CHUNK_BYTES.
 
     - Level 1 strikes the multiples of each prime p once through one
-      routine, ``level1``, which plans them by ``_strikes``, one chunk of
-      ``_plan_chunks`` at a time.  It runs first over the wheel primes
+      routine, ``level1``.  It runs first over the wheel primes
       2, 3, 5, 7, 11, 13 in the first period of 30030 of the block, which
       is then copied forward, a doubling run of periods per contiguous
       copy (the wheel of Pritchard, Acta Informatica 17 (1982)); then over
@@ -364,13 +362,13 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
       wheel primes too.  At n = p**2 (t + j), p**e || n with
       e = 2 + v_p(t + j).  x = e - 1 (omega, tau) or x = p**(e - 1) (phi)
       starts at 1 or p and takes one ``mark`` by that step for each
-      further power of p: for a modulus with more than _DENSE_HITS hits,
-      by strided steps at p, p**2, ... of one compact array over its
-      progression (the scratch ``exps``, uint32 for phi: x stops below
-      2**32, and each further power of p, whose multiples lie at least
-      2**33 apart, is struck straight into f and g); for the gathered
-      hits, by a vectorised valuation loop over n / p**2, whose powers
-      are int64 from 2**32 on and wrap into f.  Each x then takes one
+      further power of p: for a prime of the prefix at k = 2, by strided
+      steps at p, p**2, ... of one compact array over its progression (the
+      scratch ``exps``, uint32 for phi: x stops below 2**32, and each
+      further power of p, whose multiples lie at least 2**33 apart, is
+      struck straight into f and g); for the gathered hits, by a
+      vectorised valuation loop over n / p**2, whose powers are int64
+      from 2**32 on and wrap into f.  Each x then takes one
       write-back: omega adds 16 * l_p * (e - 1) to the log sum; tau adds
       16 * l_p * (e - 1) - 1, taking level 1's unit back, and multiplies
       its table by e + 1; phi multiplies f and g by p**(e - 1).
@@ -452,18 +450,18 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
 
     def level1(ps: np.ndarray, n: int) -> None:
         # strike each p of ps at its multiples in [0, n) of the block at a
-        for chunk in _plan_chunks(ps, n):
-            cp = ps[chunk]
-            starts = (-a) % cp
-            dense, offsets, which = _strikes(cp, starts, n)
-            dps = cp[dense]
-            vs = _log_marks(dps) + 1 if logs else dps
-            for p, s, v in zip(dps.tolist(), starts[dense].tolist(), vs.tolist()):
-                u = f[s:n:p]
-                mark(u, v, out=u)
-                if phi:
-                    u = g[s:n:p]
-                    u *= p - 1
+        d = _dense(ps, n)
+        dps, rest = ps[:d], ps[d:]
+        vs = _log_marks(dps) + 1 if logs else dps
+        for p, s, v in zip(dps.tolist(), ((-a) % dps).tolist(), vs.tolist()):
+            u = f[s:n:p]
+            mark(u, v, out=u)
+            if phi:
+                u = g[s:n:p]
+                u *= p - 1
+        for chunk in _plan_chunks(rest, n):
+            cp = rest[chunk]
+            offsets, which = _strikes(cp, (-a) % cp, n)
             # ufunc.at, since two primes may hit one n; its operands take
             # their array's dtype, as a cast leaves numpy's fast loop
             x = _marks_at(cp, which) + 1 if logs else cp[which].astype(f.dtype)
@@ -471,7 +469,7 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
             if phi:
                 x -= 1
                 np.multiply.at(g, offsets, x.astype(g.dtype, copy=False))
-            del starts, offsets, which, x  # before the next chunk's hits
+            del offsets, which, x  # before the next chunk's hits
 
     for a in range(lo, hi + 1, bs):
         b = min(a + bs, hi + 1)
@@ -493,59 +491,59 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
             w += c
         ps = base[: np.searchsorted(base, math.isqrt(b - 1), side="right")]
         level1(ps[_WHEEL_PRIMES.size :], b - a)
-        for chunk in _plan_chunks(ps, b - a, 2):  # the exponent pass
-            cp = ps[chunk]
+        d = _dense(ps, b - a, 2)  # the exponent pass
+        dps, rest = ps[:d], ps[d:]
+        cm = dps * dps
+        ells = _log_marks(dps) if logs else dps
+        for p, m, s, ell in zip(dps.tolist(), cm.tolist(), ((-a) % cm).tolist(), ells):
+            h = (b - a - s - 1) // m + 1  # n = a + s + j * m < b
+            t = (a + s) // m
+            up = p if phi else 1
+            x = exps[:h]
+            x[...] = up
+            r = p
+            while (j := (-t) % r) < h:  # p**k divides t + j
+                if phi and p * r >> 32:  # x would reach 2**32: straight into f and g
+                    for u in (f[s + j * m :: r * m], g[s + j * m :: r * m]):
+                        u *= p
+                else:
+                    u = x[j::r]
+                    mark(u, up, out=u)
+                r *= p
+            y = np.multiply(x, ell, out=ops[:h]) if logs else x
+            if tau:
+                y -= 1  # the take-back
+                x += 2  # tau(p**e) = e + 1
+            u = f[s::m]
+            mark(u, y, out=u)
+            if g is not None:
+                u = g[s::m]
+                u *= x
+        for chunk in _plan_chunks(rest, b - a, 2):
+            cp = rest[chunk]
             cm = cp * cp
-            starts = (-a) % cm
-            dense, offsets, which = _strikes(cm, starts, b - a)
-            dps = cp[dense]
-            ells = _log_marks(dps) if logs else dps
-            for p, m, s, ell in zip(dps.tolist(), cm[dense].tolist(), starts[dense].tolist(), ells):
-                h = (b - a - s - 1) // m + 1  # n = a + s + j * m < b
-                t = (a + s) // m
-                up = p if phi else 1
-                x = exps[:h]
-                x[...] = up
-                r = p
-                while (j := (-t) % r) < h:  # p**k divides t + j
-                    if phi and p * r >> 32:  # x would reach 2**32: straight into f and g
-                        for u in (f[s + j * m :: r * m], g[s + j * m :: r * m]):
-                            u *= p
-                    else:
-                        u = x[j::r]
-                        mark(u, up, out=u)
-                    r *= p
-                y = np.multiply(x, ell, out=ops[:h]) if logs else x
-                if tau:
-                    y -= 1  # the take-back
-                    x += 2  # tau(p**e) = e + 1
-                u = f[s::m]
-                mark(u, y, out=u)
-                if g is not None:
-                    u = g[s::m]
-                    u *= x
-            if offsets.size:
-                ph = cp[which]
-                q = offsets + a
-                q //= cm[which]  # n / p**2
-                ups = ph.astype(part, copy=False) if phi else np.ones(ph.size, dtype=np.uint8)
-                x = ups.copy()
-                k = np.flatnonzero(q % ph == 0)
-                while k.size:
-                    x[k] = mark(x[k], ups[k])
-                    pk = ph[k]
-                    qk = q[k] // pk
-                    q[k] = qk
-                    k = k[qk % pk == 0]
-                del q, k, ups
-                y = _marks_at(cp, which) * x if logs else x
-                if tau:
-                    y -= 1
-                    x += 2
-                mark.at(f, offsets, y.astype(f.dtype, copy=False))  # phi's f wraps from 2**32 on
-                if g is not None:
-                    np.multiply.at(g, offsets, x.astype(g.dtype, copy=False))
-            del starts, offsets, which
+            offsets, which = _strikes(cm, (-a) % cm, b - a)
+            ph = cp[which]
+            q = offsets + a
+            q //= cm[which]  # n / p**2
+            ups = ph.astype(part, copy=False) if phi else np.ones(ph.size, dtype=np.uint8)
+            x = ups.copy()
+            k = np.flatnonzero(q % ph == 0)
+            while k.size:
+                x[k] = mark(x[k], ups[k])
+                pk = ph[k]
+                qk = q[k] // pk
+                q[k] = qk
+                k = k[qk % pk == 0]
+            del q, k, ups
+            y = _marks_at(cp, which) * x if logs else x
+            if tau:
+                y -= 1
+                x += 2
+            mark.at(f, offsets, y.astype(f.dtype, copy=False))  # phi's f wraps from 2**32 on
+            if g is not None:
+                np.multiply.at(g, offsets, x.astype(g.dtype, copy=False))
+            del offsets, which
         if phi:  # q = n / f is the prime left over, or 1 where none is; f is exact below 2**32
             for i in range(0, b - a, step):
                 j = min(i + step, b - a)

@@ -173,6 +173,14 @@ class TestCompleteSieveProduct:
         assert chk.product == Fraction(math.prod(p - 1 - K for p in ps), math.prod(p - 1 for p in ps))
         assert _balanced(mul, [p - 1 - K for p in ps], 1) == math.prod(p - 1 - K for p in ps)
 
+    def test_report_holds_the_product_itself(self):
+        # to_dict is asdict, whose deep copy of a Fraction is the Fraction,
+        # so the 1.4 M-bit product is not copied into the report
+        chk = ol.complete_sieve_product(2, ol.PrimeInterval(4, 10**6))
+        d = chk.to_dict()
+        assert list(d) == ["K", "n_primes", "product", "divisor_sum", "sides_equal"]
+        assert d["product"] is chk.product
+
     def test_interval_shape_checked(self):
         with pytest.raises(DomainError):
             ol.PrimeInterval(10, 10)

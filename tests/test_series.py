@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, ResourceError
-from omegalab.series import _balanced, _horner, _join, _omega_numerator, _over_power
+from omegalab.series import _balanced, _coprime, _horner, _join, _omega_numerator, _over_power
 from omegalab.sieve import build_factor_sieve, factorize, omega_range
 
 
@@ -79,6 +79,16 @@ class TestPartialSum:
         num *= small * t**power
         got, want = _over_power(num, t, t**e, small), Fraction(num, small * t**e)
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(-(10**40), 10**40), d=st.integers(1, 10**40))
+    def test_coprime_matches_fraction(self, n, d):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        got, want = _coprime(n, d), Fraction(n, d)
+        assert type(got) is Fraction and got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want) and str(got) == str(want)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -243,12 +253,18 @@ class TestTailBound:
             tracemalloc.stop()
         assert peak <= budget
 
-    @pytest.mark.parametrize("t", [10, 513, 1000])
-    def test_horner_within_its_reservation(self, monkeypatch, t):
+    @pytest.mark.parametrize(
+        "n,t",
+        [pytest.param(10**5, t, id=str(t)) for t in (10, 513, 1000)]
+        + [(n, t) for n in (1, 2, 7, 63, 64, 65, 200, 1000) for t in (2, 4, 256, 10, 513, 2**64)],
+    )
+    def test_horner_within_its_reservation(self, monkeypatch, n, t):
         # the splitting route's last join holds its halves, t^m, their
         # product with its Karatsuba scratch and the sum, up to about 7
-        # numerators, and the 1563 leaves ~96 bytes each beyond their digits
-        ws = omega_range(build_factor_sieve(1, 10**5))
+        # numerators, and the 1563 leaves of 10**5 terms ~96 bytes each
+        # beyond their digits; a short sum holds mostly array headers,
+        # packbits' output and the fold's small lists, which do not grow
+        ws = omega_range(build_factor_sieve(1, n))
         reserved = []
         monkeypatch.setattr("omegalab.series._reserve", lambda nbytes, what: reserved.append(nbytes))
         tracemalloc.start()

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import omegalab as ol
 from omegalab.cli import main
 from omegalab.errors import DomainError, ResourceError
-from omegalab.sieve import _DEFAULT_BLOCK, _iroot, _omega_blocks, _strike_bytes, _strikes, _thresholds
+from omegalab.sieve import _DEFAULT_BLOCK, _DENSE_HITS, _iroot, _omega_blocks, _strikes, _thresholds
 
 
 def _trial_omega(n: int) -> int:
@@ -539,6 +539,12 @@ def plan_oracle():
     }
 
 
+def _plan(ms: np.ndarray, n: int) -> int:
+    """The scratch one _strikes call may take: 64 bytes per modulus and 40
+    per hit, of which a modulus m has at most ceil(n / m)."""
+    return 64 * ms.size + 40 * int((-(-n // ms)).sum())
+
+
 class TestStrikePlan:
     # the split between strided and gathered strikes is a plan, never a
     # result: every threshold, from all strided (0) to all gathered (1e9),
@@ -563,28 +569,34 @@ class TestStrikePlan:
             assert (w.n0 if w else None) == n0
 
     # the reservation is per modulus and per hit, so moduli come in the
-    # hundreds or more, where a few array headers do not count
+    # hundreds or more, where a few array headers do not count.  Each
+    # drawn modulus has at most `hits` hits in [0, n): none (moduli past
+    # the block, as a gathered prime beyond a short block), up to
+    # _DENSE_HITS (the most the callers pass), or no bound but the total,
+    # kept to 2**20 hits so that a draw stays within 40 MB
     @settings(max_examples=50, deadline=None)
     @given(
         n=st.integers(1, 1 << 16),
         size=st.integers(256, 4096),
-        top=st.integers(1, 1 << 18),
+        top=st.integers(0, 1 << 18),
         seed=st.integers(0, 2**32 - 1),
     )
-    @pytest.mark.parametrize("dense_hits", [0, 8, 64, 10**9])
-    def test_strike_bytes_cover_the_planning_peak(self, dense_hits, n, size, top, seed):
+    @pytest.mark.parametrize("hits", [0, 8, _DENSE_HITS, 10**9])
+    def test_strike_bytes_cover_the_planning_peak(self, hits, n, size, top, seed):
         rng = np.random.default_rng(seed)
-        ms = rng.integers(1, top + 1, size)
+        least = max(-(-n // hits) if hits else n + 1, -(-n * size // 2**20))
+        ms = rng.integers(least, least + top + 1, size)
         starts = rng.integers(0, 1 << 62, size) % ms
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("omegalab.sieve._DENSE_HITS", dense_hits)
-            tracemalloc.start()
-            try:
-                _strikes(ms, starts, n)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= _strike_bytes(ms, n)
+        if not hits:
+            starts = np.maximum(starts, n)
+        assert ((n - starts + ms - 1) // ms).max() <= hits
+        tracemalloc.start()
+        try:
+            _strikes(ms, starts, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _plan(ms, n)
 
 
 @pytest.fixture(scope="module")
@@ -618,7 +630,7 @@ class TestPlanCap:
         plans = []
 
         def recorded(ms, starts, n):
-            plans.append(_strike_bytes(ms, n))
+            plans.append(_plan(ms, n))
             return _strikes(ms, starts, n)
 
         default = _capped_values()
@@ -631,6 +643,24 @@ class TestPlanCap:
         assert ol.primes_up_to(30011).tolist() == plan_oracle["primes"]
         assert plans and max(plans) <= cap
         assert _capped_values() == default
+
+    def test_only_sparse_moduli_are_planned(self, monkeypatch):
+        # the strided moduli are the sorted prefix that _dense counts, so
+        # no plan sees a modulus with more than _DENSE_HITS hits
+        most = []
+
+        def recorded(ms, starts, n):
+            most.append(int(((n - starts + ms - 1) // ms).max(initial=0)))
+            return _strikes(ms, starts, n)
+
+        monkeypatch.setattr("omegalab.sieve._strikes", recorded)
+        for window in ((10**12, 10**12 + 10**6), (2**50 - 3000, 2**50)):
+            sv = ol.build_factor_sieve(*window)
+            for table in (ol.omega_range, ol.tau_range, ol.phi_range):
+                table(sv)
+        ol.primes_up_to(3 * 10**7)
+        ol.count_prime_tuples(ol.LinearFormSystem.from_pairs([(1, 0), (1, 2)]), 10**6)
+        assert most and max(most) <= _DENSE_HITS
 
 
 @st.composite
