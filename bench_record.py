@@ -1,4 +1,4 @@
-"""Record the benchmark's end-to-end metrics for this tree in one JSON file.
+"""Record the benchmark's end-to-end and per-layer metrics for this tree in one JSON file.
 
     python3 bench_record.py --out BENCH_<n>.json [--seeds 901 902 903]
         [--workloads tables census analytic] [--seconds 16]
@@ -14,6 +14,12 @@ sha256 of the sorted paths and bytes of ``git ls-files src``, which names
 the source measured when the file is written before its commit.  A run
 that prints no result is recorded by its seed and exit status, and the
 script exits 1.
+
+Per workload it also runs ``perfbench/run.py --trace 1`` once, on the
+first seed, and stores that run's per-layer metrics (span self times such
+as ``window.decay_profile_s``, counts and rates, each with its unit) under
+``layers``, beside the end-to-end medians; a traced run that prints no
+result is recorded and fails the script as above.
 
 It then runs the Tier-1 suite (ROADMAP.md's command) once and records its
 wall time and its counts of passed and failed tests; it exits 1 too when
@@ -56,17 +62,27 @@ def src_sha256() -> str:
     return h.hexdigest()
 
 
+def bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict | None, int]:
+    """One perfbench/run.py run: the JSON object it prints last (None if
+    it prints nothing) and its exit status."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return (json.loads(lines[-1]) if lines else None), proc.returncode
+
+
 def record(workload: str, seeds: list[int], seconds: float) -> dict:
     runs, failures = [], []
     for seed in seeds:
-        cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-        lines = proc.stdout.strip().splitlines()
-        if not lines:
-            failures.append({"seed": seed, "status": proc.returncode})
-            continue
-        runs.append(json.loads(lines[-1]))
+        run, status = bench(workload, seed, seconds, 0)
+        if run is None:
+            failures.append({"seed": seed, "status": status})
+        else:
+            runs.append(run)
+    traced, status = bench(workload, seeds[0], seconds, 1)
+    if traced is None:
+        failures.append({"seed": seeds[0], "trace": 1, "status": status})
     out = {"seeds": seeds, "correct": bool(runs) and all(r["correct"] for r in runs)}
     if failures:
         out["no_result"] = failures
@@ -75,6 +91,8 @@ def record(workload: str, seeds: list[int], seconds: float) -> dict:
         name: {"unit": runs[0]["metrics"][name]["unit"], **quartiles([r["metrics"][name]["value"] for r in runs])}
         for name in names
     }
+    if traced is not None:
+        out["layers"] = {"seed": seeds[0], "correct": traced["correct"], "metrics": traced["metrics"]}
     return out
 
 
@@ -102,7 +120,7 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, default=16)
     args = ap.parse_args()
     doc = {
-        "command": "perfbench/run.py --trace 0",
+        "command": "perfbench/run.py --trace 0; layers: --trace 1 on the first seed",
         "seconds": args.seconds,
         "nproc": os.cpu_count(),
         "git_commit": git("rev-parse", "HEAD") or None,

@@ -131,11 +131,9 @@ def _block_primes(n: int) -> int:
 
 def _dense(ps: np.ndarray, n: int, k: int = 1) -> int:
     """How many of the ascending primes ps lead with moduli p**k (k = 1, 2)
-    struck by strided slices over [0, n): those with _DENSE_HITS * p**k < n,
-    or all if _DENSE_HITS is 0.  The rest have at most _DENSE_HITS hits."""
-    if not _DENSE_HITS:
-        return ps.size
-    v = (n - 1) // _DENSE_HITS
+    struck by strided slices over [0, n): those with D * p**k < n for D =
+    max(_DENSE_HITS, 1), each with a hit.  The rest have at most D hits."""
+    v = (n - 1) // max(_DENSE_HITS, 1)
     return int(np.searchsorted(ps, math.isqrt(v) if k == 2 else v, side="right"))
 
 
@@ -171,10 +169,10 @@ def _plan_chunks(ps: np.ndarray, n: int, k: int = 1):
 def _plan_bytes(ps: np.ndarray, n: int) -> int:
     """A bound on the plan of any chunk of ``_plan_chunks`` over what
     ``_dense`` leaves of ps in a block of length up to n: the cap, or the
-    first _CHUNK_BYTES // 64 primes at min(_DENSE_HITS, ceil(n / p)) hits
-    each, as a short block gathers what a long one strides."""
+    first _CHUNK_BYTES // 64 primes at min(max(_DENSE_HITS, 1), ceil(n / p))
+    hits each, as a short block gathers what a long one strides."""
     m = ps[: _CHUNK_BYTES // 64]
-    return min(64 * m.size + 40 * int(np.minimum(-(-n // m), _DENSE_HITS).sum()), _CHUNK_BYTES)
+    return min(64 * m.size + 40 * int(np.minimum(-(-n // m), max(_DENSE_HITS, 1)).sum()), _CHUNK_BYTES)
 
 
 def _residues(x: int, ps: np.ndarray) -> np.ndarray:

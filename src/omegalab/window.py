@@ -14,15 +14,16 @@ as exact zeros rather than risking 0 * inf in the recurrences.
 The Mellin transform W~(s) = int W(x) x^(s-1) dx is evaluated by an
 adaptive Gauss-Legendre scheme with panels split at the structural
 breakpoints and at the oscillation scale 2*pi/|Im s|.  Refinement is
-level-batched: each level halves every panel that has not settled and
-evaluates all their halves in one integrand call, and the values are
-summed as the depth-first recursion would sum them; the first grid and
-each level reserve their panels against the memory budget before they
-are built.  An independent route for cross-checks is the trapezoid rule
-in u = log x, which converges exponentially because W(e^u) e^(su)
-vanishes to all orders at both ends (Trefethen & Weideman, SIAM Review
-56 (2014)).  The transform decays like exp(-c |s|^(1/3)) along vertical
-lines.
+level-batched, for one transform or for decay_profile's samples in
+groups: each level halves every panel that has not settled, evaluates
+their halves _CHUNK panels per integrand call and tests them at once,
+and the values are summed as the depth-first recursion would sum them;
+the first grid and each level reserve their panels against the memory
+budget before they are built.  An independent route for cross-checks
+is the trapezoid rule in u = log x, which converges exponentially
+because W(e^u) e^(su) vanishes to all orders at both ends (Trefethen &
+Weideman, SIAM Review 56 (2014)).  The transform decays like
+exp(-c |s|^(1/3)) along vertical lines.
 """
 
 from __future__ import annotations
@@ -54,31 +55,30 @@ _TOL = 1e-10  # the Gauss-Legendre route's target for each moment integral
 # 0.27 KiB per panel at 136 183 first-grid panels and 0.12-0.16 KiB per
 # panel once refinement levels held more than 10^6
 _PANEL_BYTES = 320
-_GRID_CHUNK = 1 << 11  # grid points per derivative call of max_abs_deriv: 16 KiB per array
+_GRID_CHUNK = 1 << 11  # grid points per derivative call of max_abs_deriv: jets of up to 32 KiB
 
-def _step_deriv(u: np.ndarray, c: float, j: int) -> np.ndarray:
-    """j-th x-derivative of step(u + c*(x - x0)) at x0, elementwise in u.
+def _step_deriv(u: np.ndarray, c: np.ndarray, j: int) -> np.ndarray:
+    """j-th x-derivative of step(u + c*(x - x0)) at x0, elementwise in u and c.
 
     step = a/(a + b) with a = exp(-1/v) on v = u + c*h and b the same on
-    v = 1 - u - c*h.  The jet of -1/v is geometric, exp follows k e_k =
+    v = 1 - u - c*h; both jets run as one over [u, 1 - u] with slopes
+    [c, -c].  The jet of -1/v is geometric, exp follows k e_k =
     sum_i i g_i e_(k-i), and the quotient recurrence puts the smaller of a
     and b on top (step = 1 - b/(a + b)), so that no coefficient is a
     difference of near-equal terms.  Order 0 is the closed form, op for op.
     """
-
-    def exp_neg_recip(v: np.ndarray, dv: float) -> list[np.ndarray]:
-        g = [-1 / v]
-        for _ in range(j):
-            g.append(g[-1] * (-dv / v))
-        e = [np.exp(g[0])]
-        for k in range(1, j + 1):
-            e.append(sum(i * g[i] * e[k - i] for i in range(1, k + 1)) / k)
-        return e
-
-    a = exp_neg_recip(u, c)
-    b = exp_neg_recip(1 - u, -c)
+    m, v = u.size, np.concatenate([u, 1 - u])
+    g = [-1 / v]
+    e = [np.exp(g[0])]
     if j == 0:
-        return a[0] / (b[0] + a[0])
+        return e[0][:m] / (e[0][m:] + e[0][:m])
+    r = np.concatenate([-c, c]) / v
+    for _ in range(j):
+        g.append(g[-1] * r)
+    ig = [i * x for i, x in enumerate(g)]
+    for k in range(1, j + 1):
+        e.append(sum(ig[i] * e[k - i] for i in range(1, k + 1)) / k)
+    a, b = [x[:m] for x in e], [x[m:] for x in e]
     d = [x + y for x, y in zip(a, b)]
     low = u < 0.5
     n = [np.where(low, x, y) for x, y in zip(a, b)]
@@ -106,10 +106,11 @@ class WindowFn:
         if j == 0:
             out[(xs >= 0.5 - _EPS_JOIN) & (xs <= 2.0 + _EPS_JOIN)] = 1.0
         # W = step(c (x - z)), z the outer join: step(4x - 1) rising, step((4 - x)/2) falling
-        for lo, hi, z, c in ((0.25, 0.5, 0.25, 4.0), (2.0, 4.0, 4.0, -0.5)):
-            mask = (xs > lo + _EPS_JOIN) & (xs < hi - _EPS_JOIN)
-            if mask.any():
-                out[mask] = _step_deriv(c * (xs[mask] - z), c, j)
+        mask = (xs > 0.25 + _EPS_JOIN) & (xs < 0.5 - _EPS_JOIN) | (xs > 2.0 + _EPS_JOIN) & (xs < 4.0 - _EPS_JOIN)
+        if mask.any():
+            rise = xs[mask] < 1.0
+            c = np.where(rise, 4.0, -0.5)
+            out[mask] = _step_deriv(c * (xs[mask] - np.where(rise, 0.25, 4.0)), c, j)
         return float(out[0]) if scalar else out
 
     def __call__(self, x):
@@ -147,69 +148,73 @@ def build_window() -> WindowFn:
 # error model, plus an independent trapezoid route.
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_CHUNK = 1 << 12  # panels per integrand call, so node arrays stay bounded for any |Im s|
+# panels per integrand call, so node arrays stay in cache for any |Im s|: the analytic
+# benchmark read 0.108 s and 42.5 MiB peak RSS at 1 << 12, 0.100 s and 38.9 MiB at 1 << 9
+_CHUNK = 1 << 9
 # exp(-1/u) in the window tails carries relative noise of (1/u)*eps, up to
 # ~745 eps just above underflow, hence the wide safety factor
 _NOISE = 2048 * np.finfo(float).eps
 
 
-def _gauss_legendre(f, a: np.ndarray, b: np.ndarray) -> list[complex]:
-    """16-point Gauss-Legendre values of f on the panels [a[i], b[i]]."""
+def _gauss_legendre(f, a: np.ndarray, b: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """16-point Gauss-Legendre values of f(., own[i]) on the panels [a[i], b[i]]."""
     xm, xr = 0.5 * (a + b), 0.5 * (b - a)
-    out: list[complex] = []
+    out = []
     for i in range(0, len(a), _CHUNK):
         m, r = xm[i : i + _CHUNK, None], xr[i : i + _CHUNK]
-        fx = f((m + r[:, None] * _GL_X).ravel()).reshape(-1, _GL_X.size)
-        out += (r * np.sum(fx * _GL_W, axis=1)).tolist()
-    return out
+        fx = f((m + r[:, None] * _GL_X).ravel(), own[i : i + _CHUNK].repeat(_GL_X.size)).reshape(-1, _GL_X.size)
+        out.append(r * np.sum(fx * _GL_W, axis=1))
+    return np.concatenate(out)
 
 
-def _level_quadrature(f, pts: list[float], tol: float) -> complex:
-    """int f over [pts[0], pts[-1]], each panel between consecutive pts
-    refined by halving until its share of tol is met."""
-    a, b = np.array(pts[:-1]), np.array(pts[1:])
-    return sum(_settle(f, a, b, _gauss_legendre(f, a, b), tol / len(a), _MAX_DEPTH, len(a)))
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| bit for bit as Python's abs(complex), C's hypot; np.abs is not."""
+    return np.hypot(z.real, z.imag)
 
 
-def _settle(
-    f, a: np.ndarray, b: np.ndarray, whole: list[complex], tol: float, depth: int, held: int
-) -> list:
-    """The integral of f over each panel [a[i], b[i]], whose 16-point value
-    is whole[i]: left + right once the halves agree with it to tol, else
-    each half settled to tol / 2.  One call of f evaluates the halves of
-    every panel, and one recursive call settles every open half, once
-    they and the held panels of the levels above fit the memory budget."""
+def _quadrature(f, grids: list[list[float]], tol: float) -> list[complex]:
+    """int f(., i) over [g[0], g[-1]] for each grid g = grids[i], each panel
+    of g halved until its share of tol, tol / (len(g) - 1), is met.  All
+    panels settle together; each value sums its own panels in order."""
+    n = [len(g) - 1 for g in grids]
+    own = np.repeat(np.arange(len(grids)), n)
+    a, b = np.concatenate([g[:-1] for g in grids]), np.concatenate([g[1:] for g in grids])
+    share = np.repeat([tol / m for m in n], n)
+    vals = _settle(f, a, b, own, _gauss_legendre(f, a, b, own), share, _MAX_DEPTH, own.size)
+    return [sum(v.tolist()) for v in np.split(vals, np.cumsum(n)[:-1])]
+
+
+def _settle(f, a: np.ndarray, b: np.ndarray, own, whole, tol: np.ndarray, depth: int, held: int) -> np.ndarray:
+    """The integral of f(., own[i]) over each panel [a[i], b[i]], whose
+    16-point value is whole[i]: left + right once the halves agree with it
+    to tol[i], else each half settled to tol[i] / 2.  One level evaluates
+    the halves of every panel, _CHUNK panels per call of f, and tests them
+    all at once; one recursive call settles every open half, once they and
+    the held panels of the levels above fit the memory budget."""
     m = 0.5 * (a + b)
-    a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
-    halves = _gauss_legendre(f, a, b)
-    out: list = []  # per panel: its value, or None while its halves are open
-    open_halves: list[int] = []
-    for j, estimate in enumerate(whole):
-        refined = halves[2 * j] + halves[2 * j + 1]
-        err = abs(estimate - refined)
-        # tol acts absolutely for order-one integrals and relatively for
-        # the huge magnitudes that large real parts of s produce on this
-        # support; the final clause stops refinement once the discrepancy
-        # is evaluation noise for the magnitudes involved, which no extra
-        # depth can beat
-        noise = _NOISE * max(abs(estimate), abs(refined))
-        if err <= tol * max(1.0, abs(refined)) or err < 1e-17 or err <= noise:
-            out.append(refined)
-            continue
-        if depth <= 0:
-            raise PrecisionError(
-                f"adaptive quadrature on [{a[2 * j]}, {b[2 * j + 1]}] cannot reach "
-                f"tolerance {tol} at the configured refinement depth"
-            )
-        out.append(None)
-        open_halves += [2 * j, 2 * j + 1]
-    if open_halves:
-        held += len(open_halves)
-        _reserve(_PANEL_BYTES * held, f"Mellin quadrature refined to {held} panels")
-        opened = [halves[i] for i in open_halves]
-        sub = iter(_settle(f, a[open_halves], b[open_halves], opened, tol / 2, depth - 1, held))
-        out = [next(sub) + next(sub) if v is None else v for v in out]
-    return out
+    a, b, own = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel(), own.repeat(2)
+    halves = _gauss_legendre(f, a, b, own)
+    refined = halves[0::2] + halves[1::2]
+    err, mag = _abs(whole - refined), _abs(refined)
+    # tol acts absolutely for order-one integrals and relatively for the
+    # huge magnitudes that large real parts of s produce on this support;
+    # the final clause stops refinement once the discrepancy is evaluation
+    # noise for the magnitudes involved, which no extra depth can beat
+    shut = (err <= tol * np.maximum(1.0, mag)) | (err < 1e-17) | (err <= _NOISE * np.maximum(_abs(whole), mag))
+    if shut.all():
+        return refined
+    if depth <= 0:
+        j = int(np.argmin(shut))
+        raise PrecisionError(
+            f"adaptive quadrature on [{a[2 * j]}, {b[2 * j + 1]}] cannot reach "
+            f"tolerance {float(tol[j])} at the configured refinement depth"
+        )
+    opened = np.repeat(~shut, 2)
+    held += int(opened.sum())
+    _reserve(_PANEL_BYTES * held, f"Mellin quadrature refined to {held} panels")
+    sub = _settle(f, a[opened], b[opened], own[opened], halves[opened], tol[~shut].repeat(2) / 2, depth - 1, held)
+    refined[~shut] = sub[0::2] + sub[1::2]
+    return refined
 
 
 def _mellin_panels(s: complex) -> list[float]:
@@ -247,8 +252,8 @@ def mellin_transform(w: WindowFn, s: complex) -> complex:
     pre-split to the oscillation scale 2*pi/|Im s|; each panel is then
     halved until the 16-point estimate is stable to its share of _TOL, its
     halves getting half that share each.  Refinement is level-batched:
-    one integrand call per level evaluates the halves of every panel
-    still open.  Raises PrecisionError if a panel still misses its share
+    each level evaluates the halves of every panel still open, _CHUNK
+    panels per integrand call.  Raises PrecisionError if a panel still misses its share
     after _MAX_DEPTH = 14 halvings, DomainError when |Re s| is large
     enough to overflow doubles on the support or Im s is not finite, and
     ResourceError when the panels held would pass the memory budget.
@@ -307,11 +312,18 @@ def mellin_via_parts(w: WindowFn, s: complex, k: int) -> complex:
         if abs(s + i) < 1e-12:
             raise DomainError(f"s + {i} is at a pole of the parts formula")
         denom *= s + i
+    return (-1) ** k * _moments(w, [(s, _mellin_panels(s))], k)[0] / denom
 
-    def f(xs: np.ndarray) -> np.ndarray:
-        return w.deriv(k, xs) * np.power(xs.astype(complex), s + k - 1)
 
-    return (-1) ** k * _level_quadrature(f, _mellin_panels(s), _TOL) / denom
+def _moments(w: WindowFn, group: list[tuple[complex, list[float]]], k: int) -> list[complex]:
+    """int W^(k)(x) x^(s+k-1) dx for each (s, first grid) of the group, by
+    one level-batched quadrature over all their panels."""
+    power = np.array([s + k - 1 for s, _ in group])
+
+    def f(xs: np.ndarray, own: np.ndarray) -> np.ndarray:
+        return w.deriv(k, xs) * np.power(xs.astype(complex), power[own])
+
+    return _quadrature(f, [grid for _, grid in group], _TOL)
 
 
 @dataclass(frozen=True)
@@ -355,17 +367,26 @@ class DecayProfile:
 def decay_profile(w: WindowFn, sigma: float, ts) -> DecayProfile:
     """Sample |W~(sigma + it)| over the given t grid and fit the decay rate.
 
-    The fit explains log|W~| - |sigma| log 4 as log C - c |s|^(1/3); the
-    reported envelope constant is inflated so that every sampled point
-    sits on or below the envelope.
+    Consecutive samples settle together in groups of first grids of at
+    most _CHUNK panels in all, or of one larger grid, and each magnitude
+    is bit for bit that of mellin_transform.  The fit explains log|W~| -
+    |sigma| log 4 as log C - c |s|^(1/3); the reported envelope constant
+    is inflated so that every sampled point sits on or below the envelope.
     """
     ts = np.array(ts, dtype=float)
     if ts.size < 2:
         raise DomainError("need at least two sample points to fit a decay rate")
     if not np.all(ts > 0):
         raise DomainError("t grid must be positive")
-    mags = np.array([abs(mellin_transform(w, complex(sigma, t))) for t in ts])
-    mags = np.maximum(mags, 1e-300)
+    mags, group = [], []
+    for t in ts.tolist():
+        s = _checked_s(complex(sigma, t))
+        grid = _mellin_panels(s)
+        if group and sum(len(g) - 1 for _, g in group) + len(grid) - 1 > _CHUNK:
+            mags += map(abs, _moments(w, group, 0))
+            group = []
+        group.append((s, grid))
+    mags = np.maximum(mags + [*map(abs, _moments(w, group, 0))], 1e-300)
     u = np.abs(sigma + 1j * ts) ** (1.0 / 3.0)
     y = np.log(mags) - abs(sigma) * math.log(4.0)
     design = np.column_stack([np.ones_like(u), -u])

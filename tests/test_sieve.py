@@ -547,8 +547,9 @@ def _plan(ms: np.ndarray, n: int) -> int:
 
 class TestStrikePlan:
     # the split between strided and gathered strikes is a plan, never a
-    # result: every threshold, from all strided (0) to all gathered (1e9),
-    # at a small and the default block, gives the oracle's values
+    # result: every threshold, from every modulus below the block strided
+    # (0) to all gathered (1e9), at a small and the default block, gives
+    # the oracle's values
     @pytest.mark.parametrize("block", [127, None])
     @pytest.mark.parametrize("dense_hits", [0, 1, 8, 64, 10**9])
     def test_results_independent_of_dense_threshold(self, dense_hits, block, plan_oracle, monkeypatch):
@@ -644,9 +645,10 @@ class TestPlanCap:
         assert plans and max(plans) <= cap
         assert _capped_values() == default
 
-    def test_only_sparse_moduli_are_planned(self, monkeypatch):
-        # the strided moduli are the sorted prefix that _dense counts, so
-        # no plan sees a modulus with more than _DENSE_HITS hits
+    @staticmethod
+    def _most_planned_hits(monkeypatch) -> int:
+        """The most hits of any modulus that a _strikes call plans, over the
+        three tables on two windows, a prime list and a tuple count."""
         most = []
 
         def recorded(ms, starts, n):
@@ -660,7 +662,19 @@ class TestPlanCap:
                 table(sv)
         ol.primes_up_to(3 * 10**7)
         ol.count_prime_tuples(ol.LinearFormSystem.from_pairs([(1, 0), (1, 2)]), 10**6)
-        assert most and max(most) <= _DENSE_HITS
+        assert most
+        return max(most)
+
+    def test_only_sparse_moduli_are_planned(self, monkeypatch):
+        # the strided moduli are the sorted prefix that _dense counts, so
+        # no plan sees a modulus with more than _DENSE_HITS hits
+        assert self._most_planned_hits(monkeypatch) <= _DENSE_HITS
+
+    def test_gathered_moduli_hit_at_most_once_at_threshold_zero(self, monkeypatch):
+        # at _DENSE_HITS = 0 every modulus below the block is strided, so a
+        # gathered one has at most the one hit that _plan_bytes charges it
+        monkeypatch.setattr("omegalab.sieve._DENSE_HITS", 0)
+        assert self._most_planned_hits(monkeypatch) <= 1
 
 
 @st.composite

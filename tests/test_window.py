@@ -6,12 +6,48 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import omegalab as ol
 from omegalab.errors import DomainError, PrecisionError, ResourceError
-from omegalab.window import _GRID_CHUNK, _PANEL_BYTES, _mellin_panels
+from omegalab.window import _GRID_CHUNK, _PANEL_BYTES, _abs, _mellin_panels
+
+
+# The derivative as it was computed one join at a time, two exp jets per
+# join, kept verbatim as an exact oracle for the single pass over both.
+def _per_join_step_deriv(u: np.ndarray, c: float, j: int) -> np.ndarray:
+    def exp_neg_recip(v: np.ndarray, dv: float) -> list[np.ndarray]:
+        g = [-1 / v]
+        for _ in range(j):
+            g.append(g[-1] * (-dv / v))
+        e = [np.exp(g[0])]
+        for k in range(1, j + 1):
+            e.append(sum(i * g[i] * e[k - i] for i in range(1, k + 1)) / k)
+        return e
+
+    a = exp_neg_recip(u, c)
+    b = exp_neg_recip(1 - u, -c)
+    if j == 0:
+        return a[0] / (b[0] + a[0])
+    d = [x + y for x, y in zip(a, b)]
+    low = u < 0.5
+    n = [np.where(low, x, y) for x, y in zip(a, b)]
+    q: list[np.ndarray] = []
+    for k in range(j + 1):
+        q.append((n[k] - sum(d[i] * q[k - i] for i in range(1, k + 1))) / d[0])
+    return math.factorial(j) * np.where(low, q[j], -q[j])
+
+
+def _per_join_deriv(j: int, xs: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(xs)
+    if j == 0:
+        out[(xs >= 0.5 - 1e-6) & (xs <= 2.0 + 1e-6)] = 1.0
+    for lo, hi, z, c in ((0.25, 0.5, 0.25, 4.0), (2.0, 4.0, 4.0, -0.5)):
+        mask = (xs > lo + 1e-6) & (xs < hi - 1e-6)
+        if mask.any():
+            out[mask] = _per_join_step_deriv(c * (xs[mask] - z), c, j)
+    return out
 
 
 class TestWindowGeometry:
@@ -102,6 +138,16 @@ class TestWindowGeometry:
     def test_order_cap_enforced(self, window):
         with pytest.raises(DomainError):
             window.deriv(9, 1.0)
+
+    def test_one_jet_pass_matches_per_join_oracle(self, window):
+        # both joins and both exp jets in one pass change no bit, also
+        # within 2e-6 of the joins, where the jets underflow
+        rng = np.random.default_rng(7)
+        near = np.array([0.25, 0.5, 2.0, 4.0])[:, None] + rng.uniform(-2e-6, 2e-6, (4, 2500))
+        xs = np.concatenate([rng.uniform(0.2, 4.1, 100_000), near.ravel()])
+        for j in range(0, 9):
+            got = [v.hex() for v in window.deriv(j, xs).tolist()]
+            assert got == [v.hex() for v in _per_join_deriv(j, xs).tolist()], j
 
 
 def _quad_oracle(w, s: complex) -> complex:
@@ -393,6 +439,28 @@ class TestMellinTransform:
             ol.mellin_via_parts(window, 0, 1)
 
 
+# values whose magnitude np.abs rounds one ulp away from abs(complex),
+# and subnormal and huge parts
+_ABS_CASES = [
+    complex(-1.7585539561205085e152, 6.988175025278273e152),
+    complex(5.734225151419398e-102, -2.5396326913335183e-101),
+    complex(1.1296549962858352e75, -4.987380695745155e74),
+    complex(-9.83863507050445e-277, -4.082967416944445e-278),
+    complex(5e-324, -3e-310),
+    complex(1e300, -1e300),
+]
+_PARTS = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-290, 1e-290))
+
+
+@settings(max_examples=100, deadline=None)
+@given(zs=st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1, max_size=50))
+@example(zs=_ABS_CASES)
+def test_abs_helper_is_python_abs(zs):
+    # the quadrature's accept test reads |z| through this helper, bit for
+    # bit as the panel-by-panel test read abs(complex)
+    assert [v.hex() for v in _abs(np.array(zs)).tolist()] == [abs(z).hex() for z in zs]
+
+
 @pytest.fixture(scope="module")
 def profile(window):
     ts = np.linspace(1.0, 200.0, 24)
@@ -423,3 +491,61 @@ class TestDecayProfile:
     def test_positive_grid_required(self, window):
         with pytest.raises(DomainError):
             ol.decay_profile(window, 0.5, [-1.0, 2.0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sigma=st.floats(-30.0, 30.0),
+        ts=st.lists(st.floats(0.0, 2000.0, exclude_min=True), min_size=2, max_size=60),
+    )
+    @example(sigma=0.5, ts=np.linspace(20.0, 2000.0, 60).tolist())
+    def test_grouped_samples_match_single_transforms(self, window, sigma, ts):
+        # the samples settle together, in groups of first grids, and each
+        # magnitude is that of its own transform, bit for bit
+        want = [abs(ol.mellin_transform(window, complex(sigma, t))).hex() for t in ts]
+        assert [m.hex() for m in ol.decay_profile(window, sigma, ts).magnitudes.tolist()] == want
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sigma=st.floats(-30.0, 30.0),
+        ts=st.lists(st.floats(0.0, 300.0, exclude_min=True), min_size=2, max_size=30),
+    )
+    @example(sigma=0.5, ts=[0.5, 1.0, 1.5])
+    @example(sigma=0.5, ts=[150.0, 299.0, 2.0, 1.0])
+    @example(sigma=0.5, ts=[1000.0, 1200.0, 80.0, 3.0, 1.0])
+    def test_precision_error_exactly_when_a_sample_raises(self, window, depth, sigma, ts):
+        # the first sample whose own transform raises names the error
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.window._MAX_DEPTH", depth)
+            mags = []
+            try:
+                mags = [abs(ol.mellin_transform(window, complex(sigma, t))) for t in ts]
+            except PrecisionError as exc:
+                with pytest.raises(PrecisionError) as got:
+                    ol.decay_profile(window, sigma, ts)
+                assert str(got.value) == str(exc)
+            else:
+                assert ol.decay_profile(window, sigma, ts).magnitudes.tolist() == mags
+
+    def test_groups_fit_the_budget_of_the_largest_transform(self, window, monkeypatch):
+        # first grids of more than 4 * _CHUNK panels in all, refined at
+        # Re s = 30; no group holds more than _CHUNK of them unless it is
+        # one transform, so a budget that admits the largest single
+        # transform admits the profile
+        sigma, ts = 30.0, np.linspace(100.0, 1500.0, 12)
+        assert sum(len(_mellin_panels(complex(sigma, t))) - 1 for t in ts) > 4 * ol.window._CHUNK
+        want = ol.decay_profile(window, sigma, ts)
+        reserve, need, peaks = ol.window._reserve, [], []
+        monkeypatch.setattr("omegalab.window._reserve", lambda n, what: need.append(n) or reserve(n, what))
+        for t in ts:
+            need.clear()
+            ol.mellin_transform(window, complex(sigma, t))
+            peaks.append(max(need))
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(max(peaks) - 1))
+        with pytest.raises(ResourceError):
+            ol.mellin_transform(window, complex(sigma, ts[int(np.argmax(peaks))]))
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(max(peaks)))
+        got = ol.decay_profile(window, sigma, ts)
+        assert _hex_digest([*got.magnitudes, got.fitted_c, got.envelope_log_c]) == _hex_digest(
+            [*want.magnitudes, want.fitted_c, want.envelope_log_c]
+        )
