@@ -21,6 +21,11 @@ as ``window.decay_profile_s``, counts and rates, each with its unit) under
 ``layers``, beside the end-to-end medians; a traced run that prints no
 result is recorded and fails the script as above.
 
+Before the workloads it times, five times each, a fixed pure-Python loop
+and a fixed numpy pass, and stores their quartiles as ``host_reference``:
+the host runs at more than one speed, and these let files recorded on
+different days be compared.
+
 It then runs the Tier-1 suite (ROADMAP.md's command) once and records its
 wall time and its counts of passed and failed tests; it exits 1 too when
 the suite does not pass.
@@ -37,6 +42,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
 
@@ -60,6 +67,30 @@ def src_sha256() -> str:
         h.update(f"{path}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
+
+
+def host_reference(repeats: int = 5) -> dict:
+    """Quartiles of the seconds taken by a fixed pure-Python loop (10**6
+    integer steps) and a fixed numpy pass (four passes over 4*10**6 int64)."""
+    def python_loop() -> int:
+        total = 0
+        for i in range(10**6):
+            total += i * i % 7
+        return total
+
+    def numpy_pass() -> int:
+        x = np.arange(4 * 10**6, dtype=np.int64)
+        return int((x * x % 7).sum())
+
+    out = {}
+    for name, fn in (("python_loop_s", python_loop), ("numpy_pass_s", numpy_pass)):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        out[name] = quartiles(times)
+    return out
 
 
 def bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict | None, int]:
@@ -126,6 +157,7 @@ def main() -> int:
         "git_commit": git("rev-parse", "HEAD") or None,
         "src_differs_from_commit": bool(git("status", "--porcelain", "--", "src")),
         "src_sha256": src_sha256(),
+        "host_reference": host_reference(),
         "workloads": {w: record(w, args.seeds, args.seconds) for w in args.workloads},
         "tier1": tier1(),
     }

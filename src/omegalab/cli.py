@@ -105,9 +105,9 @@ def _cmd_search_n0(f: dict) -> dict:
 
 
 def _cmd_alpha(f: dict) -> dict:
-    out = alpha_enclosure(f["t"], f["N"]).to_dict()
     if (f.get("probe_a") is None) != (f.get("probe_b") is None):
         raise DomainError("--probe-a and --probe-b must be given together")
+    out = alpha_enclosure(f["t"], f["N"]).to_dict()
     if f.get("probe_a") is not None:
         probe = integrality_probe(f["probe_a"], f["probe_b"], f["t"], f["N"])
         out["integrality_probe"] = {"a": f["probe_a"], "b": f["probe_b"], **probe}

@@ -130,14 +130,7 @@ class Admissibility:
 
 
 def _coefficient_primes(system: LinearFormSystem) -> set[int]:
-    out: set[int] = set()
-    for f in system.forms:
-        for p, _ in factorize(f.a).factors:
-            out.add(p)
-        if f.b > 1:
-            for p, _ in factorize(f.b).factors:
-                out.add(p)
-    return out
+    return {p for f in system.forms for c in (f.a, f.b) if c > 1 for p, _ in factorize(c).factors}
 
 
 def is_admissible(system: LinearFormSystem) -> Admissibility:
@@ -213,10 +206,13 @@ def _exact_sum(chunks) -> float:
 
 def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
     """prod (1 - K/p)(1 - 1/p)^(-K) over the primes p <= P outside
-    exceptional, and the tail bound for the primes beyond P (see
+    exceptional, and the tail bound 2 K^2 / P for the primes beyond P (see
     singular_series).  The primes come a block at a time, and their log
     terms in chunks of the sieve's scratch cap, _CHUNK_BYTES, with the
-    scratch of one block and one chunk reserved before the first."""
+    scratch of one block and one chunk reserved before the first.  K = 1
+    lists no prime: every factor (1 - 1/p)(1 - 1/p)^(-1) is exactly 1."""
+    if K == 1:
+        return 1.0, 0.0
     top = max(exceptional, default=0)
     block = _block_primes(P)
     step = sieve._CHUNK_BYTES // _TERM_BYTES  # primes per chunk of log terms
@@ -230,7 +226,7 @@ def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
                 q = ps[i : i + step].astype(np.float64)
                 yield np.log1p(-K / q) - K * np.log1p(-1.0 / q)
 
-    return math.exp(_exact_sum(logs())), (0.0 if K == 1 else 2.0 * K * K / P)
+    return math.exp(_exact_sum(logs())), 2.0 * K * K / P
 
 
 def singular_series(system: LinearFormSystem, truncation_prime: int) -> SingularSeriesValue:
@@ -241,8 +237,8 @@ def singular_series(system: LinearFormSystem, truncation_prime: int) -> Singular
     omega_L(p) = K, and those logs are summed exactly in numpy buckets and
     rounded once (the float math.fsum returns).
     For p >= 2K the local log is bounded by K^2/p^2, giving the certified
-    tail bound 2 K^2 / P; for K = 1 the tail factors are identically 1
-    and the bound is 0.
+    tail bound 2 K^2 / P; for K = 1 every generic factor is identically 1
+    and the bound is 0, with no prime listed (_generic_product).
 
     Preconditions: the system is admissible and truncation_prime is at
     least max(2K^2, every prime dividing an a_k, b_k, or a resultant).
@@ -257,10 +253,7 @@ def singular_series(system: LinearFormSystem, truncation_prime: int) -> Singular
             "two forms are proportional (zero pairwise resultant); "
             "the Euler product has no convergent truncation"
         )
-    structural: set[int] = _coefficient_primes(system)
-    for r in resultants:
-        for p, _ in factorize(abs(r)).factors:
-            structural.add(p)
+    structural = _coefficient_primes(system) | {p for r in resultants for p, _ in factorize(abs(r)).factors}
     required = max([2 * K * K, *structural, 2])
     P = int(truncation_prime)
     if P < required:
@@ -270,9 +263,7 @@ def singular_series(system: LinearFormSystem, truncation_prime: int) -> Singular
         )
 
     exceptional = sorted({int(q) for q in primes_up_to(K)} | {p for p in structural if p <= P})
-    exact = Fraction(1)
-    for p in exceptional:
-        exact *= _local_factor_exact(p, roots_mod_p(system, p), K)
+    exact = math.prod((_local_factor_exact(p, roots_mod_p(system, p), K) for p in exceptional), start=Fraction(1))
 
     # Generic factor: omega_L(p) = K exactly (K distinct roots, none merged).
     generic, error_bound = _generic_product(K, P, exceptional)

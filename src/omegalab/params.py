@@ -202,8 +202,8 @@ def family_singular_series(K: int, truncation_prime: int = 10**7) -> FamilySingu
         piece_mid   = prod_{K < p <= 2K} (1 - K/p)(1 - 1/p)^(-K) >= K^-K
         piece_large = prod_{2K < p <= P} (1 - K/p)(1 - 1/p)^(-K) >= e^-K
 
-    For K = 1 the mid and large pieces are identically 1 and the value
-    is exactly 1.0 with a zero tail bound.
+    For K = 1 every factor of the mid and large pieces is exactly 1, so
+    the value is 1.0 with a zero tail bound (_generic_product).
     """
     if K < 1:
         raise DomainError("K must be >= 1")
@@ -214,17 +214,6 @@ def family_singular_series(K: int, truncation_prime: int = 10**7) -> FamilySingu
     below_2k = [int(p) for p in primes_up_to(2 * K)]
     small = math.prod((_local_factor_exact(p, 0, K) for p in below_2k if p <= K), start=Fraction(1))
     mid = math.prod((_local_factor_exact(p, K, K) for p in below_2k if p > K), start=Fraction(1))
-
-    if K == 1:
-        return FamilySingularSeries(
-            K=1,
-            truncation_prime=P,
-            value=1.0,
-            piece_small=1.0,
-            piece_mid=1.0,
-            piece_large=1.0,
-            error_bound=0.0,
-        )
 
     large, error_bound = _generic_product(K, P, below_2k)
     return FamilySingularSeries(

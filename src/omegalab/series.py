@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -55,7 +56,7 @@ __all__ = [
     "tail_bound",
 ]
 
-_LEAF = 64  # terms per plain Horner leaf of _horner's fold
+_LEAF = 64  # terms per leaf: a plain Horner leaf of _horner, a _balanced leaf of _fold
 # what _horner holds at any n beside what grows with it: numpy array
 # headers, packbits' output and the fold's small lists, 6 kB at most
 _HORNER_FIXED = 1 << 13
@@ -77,6 +78,14 @@ def _balanced(op, terms: list, empty):
     while len(terms) > 1:
         terms = [op(a, b) for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
     return terms[0] if terms else empty
+
+
+def _fold(op, terms, empty):
+    """The value of _balanced(op, list(terms), empty) for an associative op,
+    with no list of every term: _balanced folds each leaf of _LEAF terms
+    drawn from the iterable, then the leaves."""
+    it = iter(terms)
+    return _balanced(op, [_balanced(op, leaf, empty) for leaf in iter(lambda: list(islice(it, _LEAF)), [])], empty)
 
 
 def _join(t: int):

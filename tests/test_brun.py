@@ -13,7 +13,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
-from omegalab.brun import _balanced
+from omegalab.series import _balanced, _fold
 from omegalab.cli import _parser, main
 from omegalab.errors import DomainError, ResourceError
 
@@ -44,6 +44,9 @@ def brute_truncated(m: int, V: int) -> int:
 
 
 FIRST8 = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+_PRIMES = list(sympy.primerange(11, 200_000))
 
 
 class TestBrunTruncatedSum:
@@ -173,6 +176,26 @@ class TestCompleteSieveProduct:
         assert chk.product == Fraction(math.prod(p - 1 - K for p in ps), math.prod(p - 1 for p in ps))
         assert _balanced(mul, [p - 1 - K for p in ps], 1) == math.prod(p - 1 - K for p in ps)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        K=st.integers(1, 8),
+        start=st.integers(0, len(_PRIMES) - 301),
+        count=st.one_of(st.integers(0, 300), st.sampled_from([63, 64, 65, 127, 128, 129])),
+    )
+    def test_fold_of_local_factors_matches_literal_quotient(self, data, K, start, count):
+        # the window holds `count` primes above 10, so that the primes kept
+        # straddle the leaves of 64 terms; lo is below the first of them
+        # and above the prime before it, and hi below the next prime
+        window = _PRIMES[start : start + count]
+        lo, hi = _PRIMES[start] - 2, _PRIMES[start + count] - 1
+        others = st.integers(0, 2 * hi)
+        excluded = data.draw(st.frozensets(st.one_of(st.sampled_from(window), others) if window else others, max_size=20))
+        kept = [p for p in window if p not in excluded]
+        chk = ol.complete_sieve_product(K, ol.PrimeInterval(lo, hi, excluded))
+        assert chk.n_primes == len(kept)
+        assert chk.product == Fraction(math.prod(p - 1 - K for p in kept), math.prod(p - 1 for p in kept))
+
     def test_report_holds_the_product_itself(self):
         # to_dict is asdict, whose deep copy of a Fraction is the Fraction,
         # so the 1.4 M-bit product is not copied into the report
@@ -214,6 +237,7 @@ class TestTruncationErrorBound:
         for p in ps:
             sequential += Fraction(K, p - 1)
         assert _balanced(add, [Fraction(K, p - 1) for p in ps], Fraction(0)) == sequential
+        assert _fold(add, (Fraction(K, p - 1) for p in ps), Fraction(0)) == sequential
 
     def test_domination_on_many_instances(self):
         for hi in (20, 30, 50):
@@ -233,6 +257,23 @@ class TestMemoryBudget:
         tracemalloc.start()
         try:
             ol.truncation_error_bound(2, interval, 0)
+        except ResourceError:
+            assert budget < 20_000_000
+        else:
+            assert tracemalloc.get_traced_memory()[1] <= budget
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("budget", [3_800_000, 6_000_000, 20_000_000])
+    def test_product_refused_or_within_budget(self, budget, monkeypatch):
+        # the primes' list (~3.77e6 bytes) and the fold are reserved together
+        # once the primes are listed: the call is refused, or peaks within
+        # the budget
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        interval = ol.PrimeInterval(4, 10**6)
+        tracemalloc.start()
+        try:
+            ol.complete_sieve_product(2, interval)
         except ResourceError:
             assert budget < 20_000_000
         else:

@@ -555,6 +555,15 @@ class TestErrorReports:
         assert rc == 1
         assert "together" in json.loads(out)["error"]["message"]
 
+    def test_probe_flags_checked_before_the_sum(self, capsys, monkeypatch):
+        def no_sum(t, N):
+            raise AssertionError("alpha_enclosure ran")
+
+        monkeypatch.setattr("omegalab.cli.alpha_enclosure", no_sum)
+        rc, out = run_cli(["alpha", "--t", "2", "--N", "10", "--probe-a", "1", "--no-timing"], capsys)
+        assert rc == 1
+        assert json.loads(out)["error"]["message"] == "--probe-a and --probe-b must be given together"
+
     def test_search_spec_violation_reported(self, capsys):
         # Q=6 is not divisible by K^2=4, so the search configuration is rejected up front
         rc, out = run_cli(

@@ -104,7 +104,19 @@ class TestAdmissibility:
         assert ol.is_admissible(ps.forms()).admissible
 
 
+def _no_primes(*args):
+    raise AssertionError("the primes up to P were listed")
+
+
 class TestSingularSeries:
+    @pytest.mark.parametrize("pairs, value", [([(1, 0)], 1.0), ([(2, 1)], 2.0), ([(30, 7)], 3.75)])
+    def test_one_form_lists_no_prime(self, pairs, value, monkeypatch):
+        # every generic factor (1 - 1/p)(1 - 1/p)^-1 of one form is exactly 1,
+        # so only the exceptional factors are taken
+        monkeypatch.setattr("omegalab.linforms._prime_blocks", _no_primes)
+        ss = ol.singular_series(ol.LinearFormSystem.from_pairs(pairs), 10**6)
+        assert repr(ss.to_dict()) == repr({"value": value, "truncation_prime": 10**6, "error_bound": 0.0})
+
     def test_single_shift_is_exactly_one(self):
         ss = ol.singular_series(SHIFT, 1000)
         assert ss.value == 1.0

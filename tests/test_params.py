@@ -157,6 +157,18 @@ class TestFamilySingularSeries:
         assert fss.value == 1.0
         assert fss.error_bound == 0.0
 
+    @pytest.mark.parametrize("P", [1, 2, 97, 10**7])
+    def test_k_one_lists_no_prime(self, P, monkeypatch):
+        # the general path: piece_small is the empty product, piece_mid the
+        # factor 1 at p = 2, and _generic_product lists no prime for K = 1
+        def no_primes(*args):
+            raise AssertionError("the primes up to P were listed")
+
+        monkeypatch.setattr("omegalab.linforms._prime_blocks", no_primes)
+        pieces = dict.fromkeys(["value", "piece_small", "piece_mid", "piece_large"], 1.0)
+        want = {"K": 1, "truncation_prime": P, **pieces, "error_bound": 0.0}
+        assert repr(ol.family_singular_series(1, P).to_dict()) == repr(want)
+
     def test_k_two_dual_formula(self):
         # independent route: 4 * prod_{2<p<=P} (1 - 1/(p-1)^2)
         P = 10**6

@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from operator import add, mul
 
 import pytest
 import sympy
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import omegalab as ol
 from omegalab.errors import DomainError, ResourceError
-from omegalab.series import _balanced, _coprime, _horner, _join, _omega_numerator, _over_power
+from omegalab.series import _balanced, _coprime, _fold, _horner, _join, _omega_numerator, _over_power
 from omegalab.sieve import build_factor_sieve, factorize, omega_range
 
 
@@ -126,6 +127,22 @@ class TestPartialSum:
         # runs of any length, so right operands of every length are joined
         literal = reduce(lambda x, y: (x[0] * t ** y[1] + y[0], x[1] + y[1]), parts, (0, 0))
         assert _balanced(_join(t), parts, (0, 0)) == literal
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        op=st.sampled_from([add, mul]),
+        kind=st.sampled_from([int, Fraction]),
+        n=st.one_of(st.integers(0, 300), st.sampled_from([63, 64, 65, 128, 129, 192, 256, 257])),
+    )
+    def test_leaf_fold_matches_balanced(self, data, op, kind, n):
+        # lengths 0..300 end inside a leaf of 64 terms or on its edge
+        elems = st.integers(-(2**64), 2**64) if kind is int else st.fractions(-10, 10, max_denominator=10**4)
+        xs = data.draw(st.lists(elems, min_size=n, max_size=n))
+        empty = kind(op is mul)
+        got = _fold(op, iter(xs), empty)
+        assert got == _balanced(op, xs, empty)
+        assert type(got) is type(_balanced(op, xs, empty))
 
     @pytest.mark.parametrize("N", [2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5])
     def test_numerator_at_default_block_edges(self, N):
