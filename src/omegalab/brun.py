@@ -10,6 +10,8 @@ mass at most (sum_p K/(p-1))^(V+1) / (V+1)!.
 The product, S and the divisor layers are folded from reduced Fraction
 terms by omegalab.series' _fold: every partial result is reduced as it
 joins, and no list of every term or gcd of unreduced products is made.
+The product and S reserve by one rule, _reserve_fold's; S^(V+1)/(V+1)!
+is reserved from the size of S once S is folded, before the power.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ __all__ = [
 _MAX_INTERVAL_HI = 10**8
 _SUBSET_LIMIT = 12  # exhaustive divisor enumeration cap (4096 subsets)
 _PRIME_BYTES = 48  # per entry of primes(): the int, its slot and the int64 it is read from
-_TERM_BYTES = 240  # per prime of truncation_error_bound: that list, the terms of S and their sums
-_FOLD_INTS = 6  # integers the size of prod (p - 1) that complete_sieve_product's fold holds (4.07 measured)
+_FOLD_INTS = 6  # integers the size of prod (p - 1) that a fold over the primes holds (4.07 measured)
 _LEAF_BYTES = 1 << 14  # the _LEAF Fractions of one leaf of that fold (15.5 kB measured)
+_POWER_INTS = 4  # integers the size of S^(V+1) that its power and quotient by (V+1)! hold (3.36 measured)
 
 
 @dataclass(frozen=True)
@@ -104,15 +106,13 @@ def _layer(ps: list[int], r: int) -> Fraction:
     return _fold(add, (Fraction(1, math.prod(p - 1 for p in sub)) for sub in combinations(ps, r)), Fraction(0))
 
 
-def _support(K: int, interval: PrimeInterval) -> list[int]:
-    """The interval's primes, once complete_sieve_product's checks on K
-    and on them pass."""
-    if K < 1:
-        raise DomainError("K must be >= 1")
-    ps = interval.primes()
-    if ps and ps[0] <= K + 1:  # the least of the ascending primes
-        raise DomainError(f"interval prime {ps[0]} <= K+1 = {K + 1} makes a factor vanish or flip")
-    return ps
+def _reserve_fold(ps: list[int], what: str) -> None:
+    """Reserve the list ps and a fold of reduced Fractions over it, whose
+    integers stay within a few bits of prod (p - 1): partial products of
+    (p - 1 - K)/(p - 1) have both terms below it, and a partial sum of
+    1/(p - 1) a denominator dividing lcm(p - 1) and a numerator below pi times that."""
+    fold = _FOLD_INTS * sum((p - 1).bit_length() for p in ps) // 8 + _LEAF_BYTES
+    _reserve(_PRIME_BYTES * len(ps) + fold, f"{what} over {len(ps)} primes")
 
 
 def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck:
@@ -123,9 +123,12 @@ def complete_sieve_product(K: int, interval: PrimeInterval) -> SieveProductCheck
     there are at most _SUBSET_LIMIT = 12 primes; both routes are exact
     rationals.  The list of primes and the product's fold are reserved.
     """
-    ps = _support(K, interval)
-    fold = _FOLD_INTS * sum((p - 1).bit_length() for p in ps) // 8 + _LEAF_BYTES
-    _reserve(_PRIME_BYTES * len(ps) + fold, f"product over {len(ps)} primes")
+    if K < 1:
+        raise DomainError("K must be >= 1")
+    ps = interval.primes()
+    if ps and ps[0] <= K + 1:  # the least of the ascending primes
+        raise DomainError(f"interval prime {ps[0]} <= K+1 = {K + 1} makes a factor vanish or flip")
+    _reserve_fold(ps, "product")
     product = _fold(mul, (Fraction(p - 1 - K, p - 1) for p in ps), Fraction(1))
     if len(ps) > _SUBSET_LIMIT:
         return SieveProductCheck(K, len(ps), product, None, None)
@@ -158,11 +161,6 @@ class TruncationBound:
         }
 
 
-def _reserve_terms(ps: list[int]) -> None:
-    """Reserve truncation_error_bound's scratch over the primes ps."""
-    _reserve(_TERM_BYTES * len(ps), f"S = sum K/(p-1) over {len(ps)} primes")
-
-
 def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> TruncationBound:
     """Bound the omega(d) = V+1 layer of K^omega(d)/phi(d) by S^(V+1)/(V+1)!.
 
@@ -174,9 +172,12 @@ def truncation_error_bound(K: int, interval: PrimeInterval, V: int) -> Truncatio
     if K < 1 or V < 0:
         raise DomainError("need K >= 1 and V >= 0")
     ps = interval.primes()
-    _reserve_terms(ps)
-    S = _fold(add, (Fraction(K, p - 1) for p in ps), Fraction(0))
-    bound = S ** (V + 1) / math.factorial(V + 1)
+    _reserve_fold(ps, "S = sum K/(p-1)")
+    T = _fold(add, (Fraction(1, p - 1) for p in ps), Fraction(0))  # S = K T: the rule above does not bound K
+    # S, its power, (V+1)! <= (V+1)^(V+1) and the quotient: up to V + 1 times the bits of K, T and V + 1 each
+    bits = K.bit_length() + T.numerator.bit_length() + T.denominator.bit_length() + (V + 1).bit_length()
+    _reserve(_PRIME_BYTES * len(ps) + _POWER_INTS * (V + 1) * bits // 8, f"S^{V + 1}/{V + 1}! over {len(ps)} primes")
+    bound = (K * T) ** (V + 1) / math.factorial(V + 1)
     dropped = dominates = None
     if len(ps) <= _SUBSET_LIMIT:
         dropped = K ** (V + 1) * _layer(ps, V + 1)

@@ -18,6 +18,7 @@ precision error.  Errors are reported as structured JSON on stdout:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -32,8 +33,6 @@ import numpy as np
 from . import __version__
 from .brun import (
     PrimeInterval,
-    _reserve_terms,
-    _support,
     brun_truncated_divisor_sum,
     complete_sieve_product,
     lambda_omega_mean,
@@ -140,10 +139,6 @@ def _cmd_brun_check(f: dict) -> dict:
 def _cmd_euler_identity(f: dict) -> dict:
     excluded = frozenset(int(s) for s in f["excluded"].split(",") if s) if f.get("excluded") else frozenset()
     interval = PrimeInterval(lo=f["lo"], hi=f["hi"], excluded=excluded)
-    if f.get("V") is not None and f["V"] >= 0:
-        # the truncation's scratch is refused before the exact products,
-        # which take seconds, and after the checks that come before them
-        _reserve_terms(_support(f["K"], interval))
     out = complete_sieve_product(f["K"], interval).to_dict()
     out["interval"] = {"lo": f["lo"], "hi": f["hi"], "excluded": sorted(excluded)}
     if f.get("V") is not None:
@@ -376,15 +371,6 @@ def _error_body(code: str, exc: Exception, context: dict) -> str:
     return _dumps({"error": {"code": code, "message": str(exc), "context": context}})
 
 
-def _write(path: str | None, body: str) -> None:
-    """body to the file at path, or to stdout when path is None."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser main reuses: building the 13 subparsers costs more
@@ -396,6 +382,16 @@ def main(argv=None) -> int:
     """Run the subcommand argv names and write its report; returns the
     process exit status."""
     ns = _parser().parse_args(argv)
+    try:  # before the work, which an unwritable path would otherwise waste
+        sink = open(ns.output, "w", encoding="utf-8") if ns.output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        sys.stdout.write(_error_body("domain", exc, {"subcommand": ns.subcommand, "output": ns.output}))
+        return 1
+    with sink as out:
+        return _run(ns, out)
+
+
+def _run(ns: argparse.Namespace, out) -> int:
     flags = {
         k: v for k, v in vars(ns).items() if k not in ("subcommand", "format", "output", "no_timing")
     }
@@ -406,7 +402,7 @@ def main(argv=None) -> int:
                 raise DomainError(f"--profile expects sigma=<value>, got {key!r}")
             flags["sigma"] = float(val)
         except ValueError as exc:  # DomainError included
-            _write(ns.output, _error_body("domain", exc, {}))
+            out.write(_error_body("domain", exc, {}))
             return 1
 
     t0 = time.perf_counter()
@@ -437,7 +433,7 @@ def main(argv=None) -> int:
         if not ns.no_timing:
             header["timing_s"] = round(time.perf_counter() - t0, 6)
         body = _to_csv(result) if ns.format == "csv" else _dumps({"header": header, "result": result})
-        _write(ns.output, body)
+        out.write(body)
         return 0
-    _write(ns.output, _error_body(*error, {"subcommand": ns.subcommand, "flags": flags}))
+    out.write(_error_body(*error, {"subcommand": ns.subcommand, "flags": flags}))
     return status

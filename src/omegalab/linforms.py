@@ -66,8 +66,10 @@ class LinearFormSystem:
     @classmethod
     def from_json(cls, text: str) -> "LinearFormSystem":
         try:
-            data = json.loads(text)
-            return cls.from_pairs((d["a"], d["b"]) for d in data)
+            pairs = [(d["a"], d["b"]) for d in json.loads(text)]
+            if bad := [x for pair in pairs for x in pair if type(x) is not int]:  # int() reads 1.5, true, "3", 1e30
+                raise TypeError(f"form coefficients must be JSON integers, got {json.dumps(bad[0])}")
+            return cls.from_pairs(pairs)
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise DomainError(f"malformed form-system JSON: {exc}") from exc
 

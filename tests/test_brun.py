@@ -250,19 +250,70 @@ class TestTruncationErrorBound:
 class TestMemoryBudget:
     @pytest.mark.parametrize("budget", [4_000_000, 16_000_000, 20_000_000])
     def test_sum_refused_or_within_budget(self, budget, monkeypatch):
-        # the primes list and the Fraction terms of S are reserved before
-        # they are built: the call is refused, or peaks within the budget
+        # the primes list and the fold of S are reserved before they are
+        # built, by the product's rule (~4.9e6 bytes): the call is refused,
+        # or peaks within the budget
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
         interval = ol.PrimeInterval(4, 10**6)
         tracemalloc.start()
         try:
             ol.truncation_error_bound(2, interval, 0)
         except ResourceError:
-            assert budget < 20_000_000
+            assert budget < 16_000_000
         else:
             assert tracemalloc.get_traced_memory()[1] <= budget
         finally:
             tracemalloc.stop()
+
+    def test_power_refused_or_within_budget(self, monkeypatch):
+        # S^401 / 401! peaks near 7.8e5 bytes, far past the ~8.7e4 that the
+        # folds' rule reserves here: it is reserved from the size of S
+        budget = 600_000
+        monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", str(budget))
+        interval = ol.PrimeInterval(4, 10**4)
+        tracemalloc.start()
+        try:
+            ol.truncation_error_bound(2, interval, 400)
+        except ResourceError:
+            pass
+        else:
+            assert tracemalloc.get_traced_memory()[1] <= budget
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(ol.truncation_error_bound, id="truncation_error_bound"),
+            pytest.param(lambda K, interval, V: ol.complete_sieve_product(K, interval), id="complete_sieve_product"),
+        ],
+    )
+    @given(lo=st.integers(-5, 29_999), width=st.integers(1, 30_000), K=st.integers(1, 8), V=st.integers(0, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_peak_within_the_largest_request(self, call, lo, width, K, V):
+        # every byte past a fixed allowance (Python frames, small ints and
+        # Fractions, 4 kB) is in some reservation: the prime list's, a
+        # fold's or the power's
+        allowance = 4096
+        requests = [0]
+        real = ol.brun._reserve
+
+        def record(nbytes, what):
+            requests.append(nbytes)
+            real(nbytes, what)
+
+        interval = ol.PrimeInterval(lo, min(lo + width, 30_000))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ol.brun, "_reserve", record)
+            tracemalloc.start()
+            try:
+                call(K, interval, V)
+                peak = tracemalloc.get_traced_memory()[1]
+            except DomainError:  # an interval prime is at most K + 1
+                return
+            finally:
+                tracemalloc.stop()
+        assert peak <= max(requests) + allowance
 
     @pytest.mark.parametrize("budget", [3_800_000, 6_000_000, 20_000_000])
     def test_product_refused_or_within_budget(self, budget, monkeypatch):
@@ -328,8 +379,8 @@ class TestMemoryBudget:
 
 
     def test_cli_refusal_comes_before_the_products(self, monkeypatch, capsys):
-        # the truncation's ~1.9e7 bytes of terms are refused once the primes
-        # are listed (~3.8e6 bytes), before the exact products are taken
+        # the product's fold (~4.9e6 bytes with the list) is refused once the
+        # primes are listed (~3.8e6 bytes), before any product is taken
         monkeypatch.setenv("OMEGALAB_MEMORY_BUDGET", "4000000")
         argv = ["euler-identity", "--K", "2", "--lo", "4", "--hi", "1000000", "--V", "0", "--no-timing"]
         _parser()  # built once per process, outside the traced peak
@@ -339,7 +390,7 @@ class TestMemoryBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "S = sum K/(p-1)" in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert "product over 78496 primes" in json.loads(capsys.readouterr().out)["error"]["message"]
         assert peak <= 4_000_000
 
     @pytest.mark.parametrize(

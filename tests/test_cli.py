@@ -315,6 +315,16 @@ class TestOutputPlumbing:
         doc = json.loads(path.read_text())
         assert doc["result"]["Q"] == 1296
 
+    def test_unwritable_output_refused_before_the_work(self, tmp_path, capsys, monkeypatch):
+        # the path is opened before the subcommand runs, and its error is a
+        # domain error body on stdout, not a traceback after the work
+        monkeypatch.setitem(_DISPATCH, "params", lambda f: pytest.fail("the subcommand ran"))
+        path = tmp_path / "missing" / "report.json"
+        rc, out = run_cli(["params", "--x", "1e100", "--output", str(path), "--no-timing"], capsys)
+        assert rc == 1 and not path.exists()
+        err = json.loads(out)["error"]
+        assert err["code"] == "domain" and err["context"]["output"] == str(path)
+
     def test_non_finite_float_is_strict_json(self, capsys):
         # 1e400 overflows to inf; JSON has no literal for it
         def no_constant(name):
@@ -587,6 +597,11 @@ class TestErrorReports:
         rc, out = run_cli(
             ["admissible", "--forms", "not json", "--no-timing"], capsys
         )
+        assert rc == 1
+        assert json.loads(out)["error"]["code"] == "domain"
+
+    def test_non_integer_coefficient_exits_one(self, capsys):
+        rc, out = run_cli(["admissible", "--forms", '[{"a":1.5,"b":0},{"a":1,"b":2}]', "--no-timing"], capsys)
         assert rc == 1
         assert json.loads(out)["error"]["code"] == "domain"
 

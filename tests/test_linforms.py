@@ -299,6 +299,10 @@ class TestSystemPlumbing:
             ol.LinearFormSystem.from_json('[{"a": 1}]')
         with pytest.raises(DomainError):
             ol.LinearFormSystem.from_json("not json")
+        # int() would read these as the forms n, n + 3 and int(1e30) n, where int(1e30) != 10**30
+        for text in ['[{"a": 1.5, "b": 0}, {"a": 1, "b": 2}]', '[{"a": true, "b": "3"}]', '[{"a": 1e30, "b": 0}]']:
+            with pytest.raises(DomainError, match="JSON integers"):
+                ol.LinearFormSystem.from_json(text)
 
     def test_duplicate_forms_rejected(self):
         with pytest.raises(DomainError):
