@@ -2,18 +2,19 @@
 
     python3 bench_record.py --out BENCH_<n>.json [--seeds 901 902 903]
         [--workloads tables census analytic] [--seconds 16]
+    python3 bench_record.py --compare OLD.json NEW.json
 
 Runs the unchanged ``perfbench/run.py --trace 0`` once per seed and
 workload, one after another, from the root of this tree, and keeps the
 JSON object that each run prints last.  The file holds, per workload, the
 median, q1 and q3 of each end-to-end metric over the seeds (quartiles as
-perfbench/run.py takes them), its unit, the number of runs and whether
-every run was correct; and beside the workloads, the host's nproc, the
-git commit, whether ``src/`` differs from it, and ``src_sha256``, the
-sha256 of the sorted paths and bytes of ``git ls-files src``, which names
-the source measured when the file is written before its commit.  A run
-that prints no result is recorded by its seed and exit status, and the
-script exits 1.
+perfbench/run.py takes them, by its own ``quartiles``), its unit, the
+number of runs and whether every run was correct; and beside the
+workloads, the host's nproc, the git commit, whether ``src/`` differs
+from it, and ``src_sha256``, perfbench/run.py's digest of ``src/``, which
+names the source measured when the file is written before its commit.  A
+run that prints no result is recorded by its seed and exit status, and
+the script exits 1.
 
 Per workload it also runs ``perfbench/run.py --trace 1`` once, on the
 first seed, and stores that run's per-layer metrics (span self times such
@@ -21,21 +22,29 @@ as ``window.decay_profile_s``, counts and rates, each with its unit) under
 ``layers``, beside the end-to-end medians; a traced run that prints no
 result is recorded and fails the script as above.
 
-Before the workloads it times, five times each, a fixed pure-Python loop
-and a fixed numpy pass, and stores their quartiles as ``host_reference``:
-the host runs at more than one speed, and these let files recorded on
-different days be compared.
+Before and after each workload's runs it times, five times each, a fixed
+pure-Python loop and a fixed numpy pass, and stores their quartiles as
+that workload's ``host_reference`` (``before`` and ``after``): the host
+runs at more than one speed, and these let files recorded on different
+days be compared, and show a change of speed during a file.
 
 It then runs the Tier-1 suite (ROADMAP.md's command) once and records its
 wall time and its counts of passed and failed tests; it exits 1 too when
 the suite does not pass.
+
+``--compare`` prints, per workload and end-to-end metric of BENCHMARK.json,
+the two medians, their ratio (new / old), that ratio divided by the ratio
+of each host reference (loop and numpy, for metrics in seconds), and
+whether the two quartile ranges overlap.  A workload's host reference is
+the mean of the medians timed before and after it, or, in files recorded
+before those existed, the one reference timed before every workload.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import os
 import re
 import statistics
@@ -46,27 +55,14 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, ROOT)
+from perfbench.run import _src_digest, quartiles  # noqa: E402  (its import runs nothing)
 
-
-def quartiles(xs: list[float]) -> dict:
-    q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
-    return {"median": statistics.median(xs), "q1": q[0], "q3": q[2], "n": len(xs)}
+REFERENCES = ("python_loop_s", "numpy_pass_s")
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
-
-
-def src_sha256() -> str:
-    """sha256 over the tracked files of src/ in sorted order: each path,
-    its length and its bytes as they are in the working tree."""
-    h = hashlib.sha256()
-    for path in sorted(git("ls-files", "src").splitlines()):
-        with open(os.path.join(ROOT, path), "rb") as fh:
-            data = fh.read()
-        h.update(f"{path}\0{len(data)}\0".encode())
-        h.update(data)
-    return h.hexdigest()
 
 
 def host_reference(repeats: int = 5) -> dict:
@@ -104,6 +100,7 @@ def bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict | 
 
 
 def record(workload: str, seeds: list[int], seconds: float) -> dict:
+    before = host_reference()
     runs, failures = [], []
     for seed in seeds:
         run, status = bench(workload, seed, seconds, 0)
@@ -124,7 +121,50 @@ def record(workload: str, seeds: list[int], seconds: float) -> dict:
     }
     if traced is not None:
         out["layers"] = {"seed": seeds[0], "correct": traced["correct"], "metrics": traced["metrics"]}
+    out["host_reference"] = {"before": before, "after": host_reference()}
     return out
+
+
+def host_speed(doc: dict, workload: str) -> dict | None:
+    """Per host reference, the mean of its medians before and after the
+    workload's runs, or the file's one reference, or None without one."""
+    w = doc["workloads"][workload]
+    refs = list(w["host_reference"].values()) if "host_reference" in w else [doc.get("host_reference")]
+    if None in refs:
+        return None
+    return {name: statistics.mean(r[name]["median"] for r in refs) for name in REFERENCES}
+
+
+def compare(old_path: str, new_path: str) -> str:
+    """The table that --compare prints, after one line of host references
+    per workload."""
+    docs = []
+    for path in (old_path, new_path):
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    lines = [f"old: {old_path}", f"new: {new_path}"]
+    rows = [("workload", "metric", "old", "new", "ratio", "/loop", "/numpy", "quartiles")]
+    for w in (w for w in docs[0]["workloads"] if w in docs[1]["workloads"]):
+        old, new = refs = [host_speed(d, w) for d in docs]
+        if None not in refs:
+            lines.append(f"{w} host: " + ", ".join(
+                f"{r} {old[r]:.4f} -> {new[r]:.4f} s (x{new[r] / old[r]:.3f})" for r in REFERENCES))
+        for name in names:
+            a, b = (d["workloads"][w]["metrics"].get(name) for d in docs)
+            if a is None or b is None:
+                continue
+            ratio = b["median"] / a["median"] if a["median"] else math.nan
+            host = ["-", "-"]
+            if a["unit"] == "s" and None not in refs:
+                host = [f"{ratio / (new[r] / old[r]):.3f}" for r in REFERENCES]
+            overlap = a["q1"] <= b["q3"] and b["q1"] <= a["q3"]
+            rows.append((w, name, f"{a['median']:.4g}", f"{b['median']:.4g}", f"{ratio:.3f}", *host,
+                         "overlap" if overlap else "apart"))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    lines += ["  ".join(c.ljust(n) for c, n in zip(r, widths)).rstrip() for r in rows]
+    return "\n".join(lines)
 
 
 def tier1() -> dict:
@@ -145,19 +185,24 @@ def tier1() -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", required=True)
+    ap.add_argument("--out")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     ap.add_argument("--seeds", type=int, nargs="+", default=[901, 902, 903])
     ap.add_argument("--workloads", nargs="+", default=["tables", "census", "analytic"])
     ap.add_argument("--seconds", type=float, default=16)
     args = ap.parse_args()
+    if args.compare:
+        print(compare(*args.compare))
+        return 0
+    if not args.out:
+        ap.error("one of --out and --compare is required")
     doc = {
         "command": "perfbench/run.py --trace 0; layers: --trace 1 on the first seed",
         "seconds": args.seconds,
         "nproc": os.cpu_count(),
         "git_commit": git("rev-parse", "HEAD") or None,
         "src_differs_from_commit": bool(git("status", "--porcelain", "--", "src")),
-        "src_sha256": src_sha256(),
-        "host_reference": host_reference(),
+        "src_sha256": _src_digest(),
         "workloads": {w: record(w, args.seeds, args.seconds) for w in args.workloads},
         "tier1": tier1(),
     }

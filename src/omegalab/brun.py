@@ -62,13 +62,13 @@ class PrimeInterval:
             raise ResourceError(f"interval endpoint {self.hi} beyond supported {_MAX_INTERVAL_HI}")
 
     def primes(self) -> list[int]:
-        """The primes of (lo, hi], sieved over that window alone by the primes up to sqrt(hi)."""
+        """The primes of (lo, hi] outside ``excluded``, sieved over that
+        window alone by the primes up to sqrt(hi)."""
         lo, hi = math.floor(self.lo), math.floor(self.hi)
         _reserve(16 * _pi_bound(hi, lo), f"primes in ({self.lo}, {self.hi}]")  # the sieve's arrays, then their join
-        ps = np.concatenate([np.zeros(0, dtype=np.int64), *_prime_blocks(hi, lo)])
+        ps = np.concatenate([np.zeros(0, dtype=np.int64), *_prime_blocks(hi, lo, self.excluded)])
         _reserve(_PRIME_BYTES * len(ps), f"list of the primes in ({self.lo}, {self.hi}]")
-        dropped = [x for x in self.excluded if self.lo < x <= self.hi]
-        return (ps[~np.isin(ps, dropped)] if dropped else ps).tolist()
+        return ps.tolist()
 
 
 def brun_truncated_divisor_sum(m: int, V: int) -> int:

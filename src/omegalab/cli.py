@@ -233,7 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lo", type=float, required=True)
     sp.add_argument("--hi", type=float, required=True)
     sp.add_argument("--excluded", default=None, help="comma-separated primes to drop")
-    sp.add_argument("--V", type=int, default=None, help="also bound the depth-V truncation")
+    sp.add_argument(
+        "--V", type=int, default=None,
+        help="also bound the depth-V truncation by S^(V+1)/(V+1)!, printed exactly: its time grows "
+        "like (V * bits of S)^1.58, with no cap",
+    )
 
     sp = sub.add_parser("shiu-mean", parents=[common])
     sp.add_argument("--lambda", dest="lam", required=True, help="e.g. 1/2 (exact) or 0.5")

@@ -215,15 +215,12 @@ def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
     lists no prime: every factor (1 - 1/p)(1 - 1/p)^(-1) is exactly 1."""
     if K == 1:
         return 1.0, 0.0
-    top = max(exceptional, default=0)
     block = _block_primes(P)
     step = sieve._CHUNK_BYTES // _TERM_BYTES  # primes per chunk of log terms
     _reserve(_PRIME_BYTES * block + _TERM_BYTES * min(block, step), f"Euler product over the primes up to {P}")
 
     def logs():
-        for ps in _prime_blocks(P):
-            if ps.size and ps[0] <= top:
-                ps = ps[~np.isin(ps, exceptional)]
+        for ps in _prime_blocks(P, drop=exceptional):
             for i in range(0, ps.size, step):
                 q = ps[i : i + step].astype(np.float64)
                 yield np.log1p(-K / q) - K * np.log1p(-1.0 / q)

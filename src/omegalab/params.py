@@ -7,7 +7,8 @@
 
 plus the scaled-divisor form family L_k(n) = (Q/k) n + 1, certified lower
 bounds for its singular series split at K and 2K, and the exponent
-optimisation lambda + (1/10) log(1/lambda).
+optimisation lambda + (1/10) log(1/lambda).  The floors K, L and
+V / 2 = floor((log log x)^2) are certified by error bounds on the logs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import asdict, dataclass
 from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
+from functools import partial
 
 from .errors import DomainError, PrecisionError, PreconditionError
 from .linforms import LinearFormSystem, _generic_product, _local_factor_exact
@@ -32,6 +34,7 @@ __all__ = [
 
 #: x must exceed this for K >= 1 (triple log above 1/5).
 MIN_SCALE = math.exp(math.exp(math.exp(0.2)))
+_PRECS = (60, 120, 240, 480, 960)  # digits of the logs, doubled until every floor is certified
 
 
 def _scale(xs: str) -> tuple[float, Decimal, int]:
@@ -56,26 +59,43 @@ def _scale(xs: str) -> tuple[float, Decimal, int]:
     return xf, Decimal((0, digits, 1 - len(digits))), k
 
 
-def _stable_floors(c: Decimal, k: int):
+def _half_ulp(r: Decimal, prec: int) -> Fraction:
+    """Half a unit in the last of the prec digits of r."""
+    return Fraction(10) ** (r.adjusted() - prec + 1) / 2
+
+
+def _certified_floors(c: Decimal, k: int):
     """The floors of 5 log log log x, 2 log log x and (log log x)^2 for
     x = c * 10**k, with the 60-digit (log x, log log x, log log log x).
 
-    log x = log c + k log 10 is taken at 60, 120 and 240 digits until two
-    consecutive precisions give the same three floors, so a value
-    microscopically below an integer cannot round up.
+    At p digits, log x = log c + k log 10.  decimal rounds each ln,
+    product and sum correctly, so each result r is within half a unit in
+    its last place, h(r), and ln 10's error is multiplied by k.  An error
+    e in y > e becomes at most e / (y - e) + h in ln y; above MIN_SCALE,
+    log x > 3.39 and log log x > 1.22, so y - e > 0.  A floor is taken
+    only when its value lies farther than its bound from every integer,
+    in exact arithmetic; otherwise p doubles through _PRECS, past whose
+    last PrecisionError is raised.
     """
-    prev = logs60 = None
-    for prec in (60, 120, 240):
+    logs60 = None
+    for prec in _PRECS:
         with localcontext(Context(prec=prec)):
-            lx = c.ln() + k * Decimal(10).ln()
+            lc, l10 = c.ln(), Decimal(10).ln()
+            kl = k * l10
+            lx = lc + kl
             ll = lx.ln()
             lll = ll.ln()
-            cur = (math.floor(5 * lll), math.floor(2 * ll), math.floor(ll * ll))
         logs60 = logs60 or (lx, ll, lll)
-        if cur == prev:
-            return cur, logs60
-        prev = cur
-    raise PrecisionError("floor did not stabilise under precision doubling")
+        h = partial(_half_ulp, prec=prec)
+        ex = h(lc) + k * h(l10) + h(kl) + h(lx)
+        ell = ex / (Fraction(lx) - ex) + h(ll)
+        elll = ell / (Fraction(ll) - ell) + h(lll)
+        y = Fraction(ll)
+        bounded = ((5 * Fraction(lll), 5 * elll), (2 * y, 2 * ell), (y * y, ell * (2 * y + ell)))
+        floors = tuple(math.floor(v - e) for v, e in bounded)
+        if floors == tuple(math.floor(v + e) for v, e in bounded):
+            return floors, logs60
+    raise PrecisionError(f"the floors at x = {c}e{k} are not certified at {_PRECS[-1]} digits")
 
 
 def _min_power_at_least(p: int, bound: int) -> int:
@@ -115,15 +135,15 @@ def derive_params(x) -> ParamSet:
     x may be an int, float, or numeric string (useful for 10**100 and
     beyond, with any exponent); the logs are taken in the standard
     library's decimal arithmetic, whose ln and exp are correctly rounded,
-    and the floors at guarded precision so near-integer arguments cannot
-    flip.  X and q_growth_exponent come from the 60-digit logs, and an X
-    past the largest double is inf.  The q_growth_exponent field reports
-    log Q / logloglog x with the drift past [10, 20] alongside; the
-    window holds for x >= 1e50 and is advisory below that, where the
-    o(1) terms are still large.
+    and each floor is taken only once an error bound on its value keeps
+    it off every integer (``_certified_floors``).  X and q_growth_exponent
+    come from the 60-digit logs, and an X past the largest double is inf.
+    The q_growth_exponent field reports log Q / logloglog x with the
+    drift past [10, 20] alongside; the window holds for x >= 1e50 and is
+    advisory below that, where the o(1) terms are still large.
     """
     xf, c, k = _scale(str(x))
-    (K, L, half_V), (lx, ll, lll) = _stable_floors(c, k)
+    (K, L, half_V), (lx, ll, lll) = _certified_floors(c, k)
 
     Q = 1
     for p in primes_up_to(K):

@@ -2,9 +2,11 @@
 omega/tau/phi range tables, one block sieve over n for the values of
 linear forms a*n + b (behind the primes themselves, as the odd numbers
 2i + 1, and omegalab.tuples), and certified scalar factorization.  The
-primes come block by block from ``_prime_blocks``: ``primes_up_to`` joins
-the blocks, and the Euler products of omegalab.linforms read them one at
-a time, in O(block) memory, so only this module lists primes.  omega
+primes come block by block from ``_prime_blocks``, less any primes the
+caller drops: ``primes_up_to`` joins the blocks, omegalab.brun's prime
+intervals drop their exclusions there, and the Euler products of
+omegalab.linforms drop their exceptional primes and read the blocks one
+at a time, in O(block) memory, so only this module lists primes.  omega
 over a run of integers streams the same way, from ``_omega_blocks``: one
 omega table of the kernel per block up to 2**50, and ``factorize`` past
 it.  The series numerators and the omega histogram read it block by
@@ -22,7 +24,8 @@ wheel of period 30030 for the primes up to 13), finds each exponent by
 one pass over the multiples of p**2, and steps in the one prime factor
 above the square root of the block end by one contiguous pass: phi as a
 float64 quotient of n, omega and tau from a uint16 sum of rounded logs,
-exactly up to 2**50 (both proved there).  Every allocation is first
+exactly up to 2**50 (both proved there).  ``is_prime`` runs as many
+Miller-Rabin bases as the size of n calls for.  Every allocation is first
 reserved by ``_reserve`` against OMEGALAB_MEMORY_BUDGET, read anew at
 each call.
 
@@ -104,17 +107,20 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.concatenate(list(_prime_blocks(n)))
 
 
-def _prime_blocks(n: int, lo: int = 0):
-    """The primes in (lo, n] as ascending int64 arrays: [2] if lo < 2, then
-    the odd primes 2i + 1 > lo of each block, sieved over i by
-    primes_up_to(isqrt(n)) (2 divides no value, so only the odd numbers
-    are ever struck).  No array holds more than _block_primes(n) primes."""
+def _prime_blocks(n: int, lo: int = 0, drop=()):
+    """The primes in (lo, n] outside ``drop`` as ascending int64 arrays: [2]
+    if lo < 2, then the odd primes 2i + 1 > lo of each block, sieved over i
+    by primes_up_to(isqrt(n)) (2 divides no value, so only the odd numbers
+    are ever struck).  ``drop`` may hold any ints; only those in (lo, n]
+    reach numpy.  No array holds more than _block_primes(n) primes."""
     if n < 2:
         return
-    if lo < 2:
+    drop = [x for x in drop if lo < x <= n]
+    if lo < 2 and 2 not in drop:
         yield np.array([2], dtype=np.int64)
     for i, mask in _form_blocks([(2, 1)], math.isqrt(n), (n - 1) // 2, max(1, (lo + 1) // 2)):
-        yield 2 * (np.flatnonzero(mask) + i) + 1
+        ps = 2 * (np.flatnonzero(mask) + i) + 1
+        yield ps[~np.isin(ps, drop)] if drop else ps
 
 
 def _block_primes(n: int) -> int:
@@ -326,12 +332,6 @@ def _log_marks(ps: np.ndarray) -> np.ndarray:
     return np.rint(x, out=x).astype(np.uint16) * np.uint16(16)
 
 
-def _marks_at(ps: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """The log marks of ps[which], from no more logs than the fewer of the
-    primes and their hits."""
-    return _log_marks(ps[which]) if which.size < ps.size else _log_marks(ps)[which]
-
-
 def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
     """The table of omega, tau or phi (``kind``) over the sieve window.
 
@@ -348,7 +348,8 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
     scratch is allocated once per call and reused by every block.  Each
     pass strikes the prefix of primes that ``_dense`` counts by strided
     slices, and the rest by the plans of ``_strikes``, cut by
-    ``_plan_chunks`` to _CHUNK_BYTES.
+    ``_plan_chunks`` to _CHUNK_BYTES; the log marks of those gathered
+    hits are the chunk's marks, indexed by each hit's prime.
 
     - Level 1 strikes the multiples of each prime p once through one
       routine, ``level1``.  It runs first over the wheel primes
@@ -366,9 +367,10 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
       further power of p, whose multiples lie at least 2**33 apart, is
       struck straight into f and g); for the gathered hits, by a
       vectorised valuation loop over n / p**2, whose powers are int64
-      from 2**32 on and wrap into f.  Each x then takes one
-      write-back: omega adds 16 * l_p * (e - 1) to the log sum; tau adds
-      16 * l_p * (e - 1) - 1, taking level 1's unit back, and multiplies
+      and are cast on their one write into f and g: exactly below 2**32,
+      where each divides n / p, and wrapping into f from 2**32 on.  Each
+      x then takes one write-back: omega adds 16 * l_p * (e - 1) to the
+      log sum; tau adds 16 * l_p * (e - 1) - 1, taking level 1's unit back, and multiplies
       its table by e + 1; phi multiplies f and g by p**(e - 1).
     - At most one prime factor q of n is above sqrt(block end); it is
       stepped in by one contiguous pass over the block.  phi reads (f, g)
@@ -429,7 +431,6 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
     logs = not phi  # omega and tau count primes; phi multiplies them out
     dtype = np.dtype(np.int64 if phi else np.int32 if tau else np.uint8)
     pairs = phi and hi >> 32 == 0  # phi's product and phi-part fit its own 8 bytes per n
-    part = np.dtype(np.uint32 if pairs else np.int64)  # of the gathered powers
     step = min(width, max(1, _CHUNK_BYTES // 64))  # 16 bytes per n: a whole cap beside exps would lift phi's peak
     if logs:  # the log sum; e - 1 over one p**2 progression, or tau's block; its log operand
         scratch = 2 * width + (width if tau else span) + 2 * span
@@ -462,7 +463,7 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
             offsets, which = _strikes(cp, (-a) % cp, n)
             # ufunc.at, since two primes may hit one n; its operands take
             # their array's dtype, as a cast leaves numpy's fast loop
-            x = _marks_at(cp, which) + 1 if logs else cp[which].astype(f.dtype)
+            x = _log_marks(cp)[which] + 1 if logs else cp[which].astype(f.dtype)
             mark.at(f, offsets, x)
             if phi:
                 x -= 1
@@ -524,7 +525,7 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
             ph = cp[which]
             q = offsets + a
             q //= cm[which]  # n / p**2
-            ups = ph.astype(part, copy=False) if phi else np.ones(ph.size, dtype=np.uint8)
+            ups = ph if phi else np.ones(ph.size, dtype=np.uint8)
             x = ups.copy()
             k = np.flatnonzero(q % ph == 0)
             while k.size:
@@ -534,11 +535,11 @@ def _sieve_table(sieve: FactorSieve, kind: str) -> np.ndarray:
                 q[k] = qk
                 k = k[qk % pk == 0]
             del q, k, ups
-            y = _marks_at(cp, which) * x if logs else x
+            y = _log_marks(cp)[which] * x if logs else x
             if tau:
                 y -= 1
                 x += 2
-            mark.at(f, offsets, y.astype(f.dtype, copy=False))  # phi's f wraps from 2**32 on
+            mark.at(f, offsets, y.astype(f.dtype, copy=False))  # exact below 2**32; phi's f wraps from 2**32 on
             if g is not None:
                 np.multiply.at(g, offsets, x.astype(g.dtype, copy=False))
             del offsets, which
@@ -606,10 +607,17 @@ def phi_range(sieve: FactorSieve) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # scalar primality and factorization
 
-# Deterministic Miller-Rabin witness set: the first 13 primes are complete
-# below psi_13, the least strong pseudoprime to all of them (Sorenson &
-# Webster, Math. Comp. 86 (2017)).  The first 12 are not: psi_12 < psi_13.
+# Deterministic Miller-Rabin witness sets: the first k primes are complete
+# below psi_k, the least strong pseudoprime to all of them (OEIS A014233;
+# Jaeschke, Math. Comp. 61 (1993); Sorenson & Webster, Math. Comp. 86
+# (2017)), so n takes one base more than the number of psi_k <= n: from
+# psi_12 on all 13, which are complete below psi_13 = _MR_LIMIT.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (  # psi_1 ... psi_12
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
@@ -622,8 +630,9 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    """False when one of the bases proves n >= 0 composite.  True proves n
-    prime only below _MR_LIMIT; any n it rejects is certainly composite."""
+    """False when one of the bases that n's size calls for proves n >= 0
+    composite.  True proves n prime only below _MR_LIMIT; any n it rejects
+    is certainly composite."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -633,7 +642,7 @@ def _miller_rabin(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect.bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -10,8 +10,30 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import omegalab as ol
-from omegalab.errors import DomainError, PreconditionError
+from omegalab.errors import DomainError, PrecisionError, PreconditionError
 from omegalab.params import MIN_SCALE, _bounded_brent
+
+
+def _near_boundary(y, sign: int, offset: int) -> str:
+    """e^(e^y) * (1 + sign * 10**-offset) in 260 significant digits."""
+    with mpmath.workdps(600):
+        return mpmath.nstr(mpmath.exp(mpmath.exp(y)) * (1 + sign * mpmath.mpf(10) ** -offset), 260)
+
+
+def _mpmath_floors(x: str):
+    """(K, L, V) of x from mpmath at 600 digits."""
+    with mpmath.workdps(600):
+        ll = mpmath.log(mpmath.log(mpmath.mpf(x)))
+        return int(mpmath.floor(5 * mpmath.log(ll))), int(mpmath.floor(2 * ll)), 2 * int(mpmath.floor(ll**2))
+
+
+def _floors_or_none(x: str):
+    """(K, L, V) of derive_params(x), or None where it raises PrecisionError."""
+    try:
+        ps = ol.derive_params(x)
+    except PrecisionError:
+        return None
+    return ps.K, ps.L, ps.V
 
 
 class TestDeriveParams:
@@ -110,6 +132,41 @@ class TestDeriveParams:
                 2 * int(mpmath.floor(ll**2)),
             )
         assert (ps.K, ps.L, ps.V) == expect
+
+    @pytest.mark.parametrize(
+        "kind, below, above",
+        [("K", (7, 9, 48), (8, 9, 48)), ("L", (7, 8, 40), (7, 9, 40)), ("V", (7, 8, 38), (7, 8, 40))],
+    )
+    def test_floors_certified_a_hair_from_a_boundary(self, kind, below, above):
+        # x = e^(e^y)(1 -+ 1e-170) in 260 digits, for log log x = y on a boundary
+        # of K (5 log y = 8), L (2y = 9) or V (y^2 = 20); agreement of two
+        # precisions took the floor above it on both sides
+        with mpmath.workdps(600):
+            y = {"K": mpmath.exp(mpmath.mpf(8) / 5), "L": mpmath.mpf(9) / 2, "V": mpmath.sqrt(20)}[kind]
+        for sign, want in ((-1, below), (1, above)):
+            x = _near_boundary(y, sign, 170)
+            assert _mpmath_floors(x) == want
+            assert _floors_or_none(x) == want
+
+    def test_floor_closer_than_the_last_precision_raises(self):
+        with mpmath.workdps(1200):
+            x = mpmath.nstr(mpmath.exp(mpmath.exp(mpmath.mpf(9) / 2)) * (1 - mpmath.mpf(10) ** -1050), 1100)
+        with pytest.raises(PrecisionError):
+            ol.derive_params(x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from("KLV"), sign=st.sampled_from((-1, 1)), offset=st.integers(1, 250), data=st.data()
+    )
+    def test_floors_near_boundaries_match_mpmath(self, kind, sign, offset, data):
+        # log log x = y on a boundary of K (y = e^(m/5)), L (y = m/2) or V
+        # (y = sqrt m), then x moved off it by a relative 10**-offset and
+        # written in 260 digits
+        m = data.draw(st.integers(*{"K": (2, 12), "L": (3, 40), "V": (2, 400)}[kind]))
+        with mpmath.workdps(600):
+            y = {"K": mpmath.exp(mpmath.mpf(m) / 5), "L": mpmath.mpf(m) / 2, "V": mpmath.sqrt(m)}[kind]
+        x = _near_boundary(y, sign, offset)
+        assert _floors_or_none(x) in (_mpmath_floors(x), None)
 
     def test_min_scale_is_the_triple_exponential(self):
         with mpmath.workdps(50):

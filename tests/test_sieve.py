@@ -22,7 +22,9 @@ from hypothesis import example, given, settings, strategies as st
 import omegalab as ol
 from omegalab.cli import main
 from omegalab.errors import DomainError, ResourceError
-from omegalab.sieve import _DEFAULT_BLOCK, _DENSE_HITS, _iroot, _omega_blocks, _strikes, _thresholds
+from omegalab.sieve import (
+    _DEFAULT_BLOCK, _DENSE_HITS, _MR_LIMIT, _MR_PSI, _iroot, _omega_blocks, _strikes, _thresholds,
+)
 
 
 def _trial_omega(n: int) -> int:
@@ -53,6 +55,15 @@ def _trial_primes(limit: int) -> list:
 
 
 _PRIMES_TO_3000 = _trial_primes(3000)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the strong test to base a, written out here."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
 
 
 class TestOmegaRange:
@@ -920,6 +931,33 @@ class TestPrimality:
     def test_pinned_cases(self, n, expect):
         assert ol.is_prime(n) is expect
         assert sympy.isprime(n) is expect
+
+    def test_bases_graded_by_psi(self):
+        # psi_k (OEIS A014233) fools the first k bases, so the graded test
+        # must run base k + 1 there; the largest prime below it passes
+        assert _MR_PSI == (
+            2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+            341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+            318665857834031151167461,
+        )
+        bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+        for k, psi in enumerate(_MR_PSI, 1):
+            assert not sympy.isprime(psi)
+            assert all(_strong_probable_prime(psi, a) for a in bases[:k])
+            assert ol.is_prime(psi) is False
+            assert ol.is_prime(sympy.prevprime(psi)) is True
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.integers(2, 82), data=st.data())
+    def test_matches_sympy_across_bit_lengths(self, bits, data):
+        n = data.draw(st.integers(1 << (bits - 1), min((1 << bits) - 1, _MR_LIMIT - 1)))
+        assert ol.is_prime(n) is sympy.isprime(n)
+        p = sympy.nextprime(n)
+        if p < _MR_LIMIT:
+            assert ol.is_prime(p) is True
+        q = sympy.nextprime(data.draw(st.integers(2, max(2, _MR_LIMIT // p))))
+        if p * q < _MR_LIMIT:
+            assert ol.is_prime(p * q) is False
 
     def test_primes_up_to_agrees(self):
         assert ol.primes_up_to(5000).tolist() == _trial_primes(5000)
