@@ -23,10 +23,12 @@ as ``window.decay_profile_s``, counts and rates, each with its unit) under
 result is recorded and fails the script as above.
 
 Before and after each workload's runs it times, five times each, a fixed
-pure-Python loop and a fixed numpy pass, and stores their quartiles as
-that workload's ``host_reference`` (``before`` and ``after``): the host
-runs at more than one speed, and these let files recorded on different
-days be compared, and show a change of speed during a file.
+pure-Python loop, a fixed numpy pass and a fixed strided pass over an
+array several times the L3, shaped like the phi kernel of ``tables``, and
+stores their quartiles as that workload's ``host_reference`` (``before``
+and ``after``): the host runs at more than one speed, and these let files
+recorded on different days be compared, and show a change of speed
+during a file.
 
 It then runs the Tier-1 suite (ROADMAP.md's command) once and records its
 wall time and its counts of passed and failed tests; it exits 1 too when
@@ -34,10 +36,11 @@ the suite does not pass.
 
 ``--compare`` prints, per workload and end-to-end metric of BENCHMARK.json,
 the two medians, their ratio (new / old), that ratio divided by the ratio
-of each host reference (loop and numpy, for metrics in seconds), and
-whether the two quartile ranges overlap.  A workload's host reference is
-the mean of the medians timed before and after it, or, in files recorded
-before those existed, the one reference timed before every workload.
+of each host reference (loop, numpy and stream, for metrics in seconds;
+``-`` where a file lacks that reference), and whether the two quartile
+ranges overlap.  A workload's host reference is the mean of the medians
+timed before and after it, or, in files recorded before those existed,
+the one reference timed before every workload.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ ROOT = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, ROOT)
 from perfbench.run import _src_digest, quartiles  # noqa: E402  (its import runs nothing)
 
-REFERENCES = ("python_loop_s", "numpy_pass_s")
+REFERENCES = ("python_loop_s", "numpy_pass_s", "stream_pass_s")
+ODD_PRIMES_BELOW_100 = [p for p in range(3, 100, 2) if all(p % q for q in range(3, p, 2))]
 
 
 def git(*args: str) -> str:
@@ -67,7 +71,10 @@ def git(*args: str) -> str:
 
 def host_reference(repeats: int = 5) -> dict:
     """Quartiles of the seconds taken by a fixed pure-Python loop (10**6
-    integer steps) and a fixed numpy pass (four passes over 4*10**6 int64)."""
+    integer steps), a fixed numpy pass (four passes over 4*10**6 int64) and
+    a fixed stream pass: strided in-place multiplies by the odd primes below
+    100 over blocks of 2**20 entries of 2*10**7 int64, as phi_range strikes
+    its base primes block by block."""
     def python_loop() -> int:
         total = 0
         for i in range(10**6):
@@ -78,8 +85,16 @@ def host_reference(repeats: int = 5) -> dict:
         x = np.arange(4 * 10**6, dtype=np.int64)
         return int((x * x % 7).sum())
 
+    def stream_pass() -> int:
+        x = np.ones(2 * 10**7, dtype=np.int64)
+        for lo in range(0, x.size, 1 << 20):
+            block = x[lo : lo + (1 << 20)]
+            for p in ODD_PRIMES_BELOW_100:
+                block[-lo % p :: p] *= p
+        return int(x[-1])
+
     out = {}
-    for name, fn in (("python_loop_s", python_loop), ("numpy_pass_s", numpy_pass)):
+    for name, fn in zip(REFERENCES, (python_loop, numpy_pass, stream_pass)):
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
@@ -125,14 +140,14 @@ def record(workload: str, seeds: list[int], seconds: float) -> dict:
     return out
 
 
-def host_speed(doc: dict, workload: str) -> dict | None:
-    """Per host reference, the mean of its medians before and after the
-    workload's runs, or the file's one reference, or None without one."""
+def host_speed(doc: dict, workload: str) -> dict:
+    """Per host reference that the file holds, the mean of its medians
+    before and after the workload's runs, or the file's one reference."""
     w = doc["workloads"][workload]
     refs = list(w["host_reference"].values()) if "host_reference" in w else [doc.get("host_reference")]
     if None in refs:
-        return None
-    return {name: statistics.mean(r[name]["median"] for r in refs) for name in REFERENCES}
+        return {}
+    return {name: statistics.mean(r[name]["median"] for r in refs) for name in REFERENCES if name in refs[0]}
 
 
 def compare(old_path: str, new_path: str) -> str:
@@ -145,20 +160,20 @@ def compare(old_path: str, new_path: str) -> str:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         names = [m["name"] for m in json.load(fh)["end_to_end"]]
     lines = [f"old: {old_path}", f"new: {new_path}"]
-    rows = [("workload", "metric", "old", "new", "ratio", "/loop", "/numpy", "quartiles")]
+    rows = [("workload", "metric", "old", "new", "ratio", "/loop", "/numpy", "/stream", "quartiles")]
     for w in (w for w in docs[0]["workloads"] if w in docs[1]["workloads"]):
-        old, new = refs = [host_speed(d, w) for d in docs]
-        if None not in refs:
+        old, new = (host_speed(d, w) for d in docs)
+        both = [r for r in REFERENCES if r in old and r in new]
+        if both:
             lines.append(f"{w} host: " + ", ".join(
-                f"{r} {old[r]:.4f} -> {new[r]:.4f} s (x{new[r] / old[r]:.3f})" for r in REFERENCES))
+                f"{r} {old[r]:.4f} -> {new[r]:.4f} s (x{new[r] / old[r]:.3f})" for r in both))
         for name in names:
             a, b = (d["workloads"][w]["metrics"].get(name) for d in docs)
             if a is None or b is None:
                 continue
             ratio = b["median"] / a["median"] if a["median"] else math.nan
-            host = ["-", "-"]
-            if a["unit"] == "s" and None not in refs:
-                host = [f"{ratio / (new[r] / old[r]):.3f}" for r in REFERENCES]
+            host = [f"{ratio / (new[r] / old[r]):.3f}" if a["unit"] == "s" and r in both else "-"
+                    for r in REFERENCES]
             overlap = a["q1"] <= b["q3"] and b["q1"] <= a["q3"]
             rows.append((w, name, f"{a['median']:.4g}", f"{b['median']:.4g}", f"{ratio:.3f}", *host,
                          "overlap" if overlap else "apart"))

@@ -170,49 +170,46 @@ def _local_factor_exact(p: int, nroots: int, K: int) -> Fraction:
 
 
 _PRIME_BYTES = 16  # per prime a block may hold: its int64 and the arrays that make it (14 measured)
-_TERM_BYTES = 64  # per prime of a chunk: its log term and _exact_sum's scratch (29 measured, masks included)
+_TERM_BYTES = 64  # per prime of a chunk: its log term, the arrays that make it and _exact_sum's scratch (40 measured)
 
 
 def _exact_sum(chunks) -> float:
-    """The exact sum of the finite float64 arrays in chunks, each under 2**26
-    terms, rounded once: the float math.fsum returns for their concatenation
-    (Shewchuk, Discrete Comput. Geom. 18 (1997)) wherever fsum does not
-    overflow.
+    """The exact sum of the finite float64 arrays in chunks, rounded once:
+    the float math.fsum returns for their concatenation (Shewchuk, Discrete
+    Comput. Geom. 18 (1997)) wherever fsum does not overflow.
 
-    Each term is (-1)**s * m * 2**(e - 1075) for its biased exponent e and
-    53-bit mantissa m (subnormals and zeros: no implicit bit, e = 1).  Per
-    chunk, np.bincount sums the two 26-bit halves of m by exponent, signed,
-    in float64, exact below 2**53; int64 buckets then hold every chunk,
-    exact for fewer than 2**36 terms.  The 2048 buckets are joined into one
-    Python int, and the one division by 2**1074 is correctly rounded; it
-    raises OverflowError when the sum rounds beyond the largest float.
+    Each chunk of n terms x is split by error-free extraction (Rump, Ogita
+    & Oishi, SIAM J. Sci. Comput. 31 (2008), sec. 3) until x is zero: for
+    2**e > max|x| and sigma = 2**(e + bitlen(n + 1)), q = (sigma + x) - sigma
+    and x - q are exact, and each q is a multiple of sigma * 2**-53 of at
+    most 2**e, so the n of them sum exactly in float64, in any order.  A
+    chunk whose sigma would pass 2**1023 is kept term by term.  The parts are
+    summed as Fractions and rounded once, which raises OverflowError when
+    the sum rounds beyond the largest float.
     """
-    hi = np.zeros(2048, dtype=np.int64)
-    lo = np.zeros(2048, dtype=np.int64)
-    u = np.uint64
+    parts = []
     for chunk in chunks:
-        b = np.ascontiguousarray(chunk, dtype=np.float64).view(u)
-        e = (b >> u(52)) & u(0x7FF)
-        m = (b & u((1 << 52) - 1)) | ((e != 0).astype(u) << u(52))
-        e = np.maximum(e, u(1)).astype(np.intp)
-        sign = 1.0 - 2.0 * (b >> u(63)).astype(np.float64)
-        hi += np.bincount(e, weights=(m >> u(26)) * sign, minlength=2048).astype(np.int64)
-        lo += np.bincount(e, weights=(m & u((1 << 26) - 1)) * sign, minlength=2048).astype(np.int64)
-    total = sum(
-        ((h << 26) + l) << (e - 1)
-        for e, (h, l) in enumerate(zip(hi.tolist(), lo.tolist()))
-        if h or l
-    )
-    return total / (1 << 1074)
+        x = np.array(chunk, dtype=np.float64)
+        k = (x.size + 1).bit_length()
+        while x.any():
+            e = math.frexp(np.abs(x).max())[1] + k
+            if e > 1023:
+                parts += x.tolist()
+                break
+            sigma = math.ldexp(1.0, e)
+            q = (sigma + x) - sigma
+            x -= q
+            parts.append(float(q.sum()))
+    return float(sum(map(Fraction, parts)))
 
 
 def _generic_product(K: int, P: int, exceptional) -> tuple[float, float]:
     """prod (1 - K/p)(1 - 1/p)^(-K) over the primes p <= P outside
     exceptional, and the tail bound 2 K^2 / P for the primes beyond P (see
     singular_series).  The primes come a block at a time, and their log
-    terms in chunks of the sieve's scratch cap, _CHUNK_BYTES, with the
-    scratch of one block and one chunk reserved before the first.  K = 1
-    lists no prime: every factor (1 - 1/p)(1 - 1/p)^(-1) is exactly 1."""
+    terms, summed by _exact_sum, in chunks of the sieve's scratch cap,
+    _CHUNK_BYTES, with the scratch of one block and one chunk reserved before
+    the first.  K = 1 lists no prime: (1 - 1/p)(1 - 1/p)^(-1) is exactly 1."""
     if K == 1:
         return 1.0, 0.0
     block = _block_primes(P)
@@ -233,8 +230,8 @@ def singular_series(system: LinearFormSystem, truncation_prime: int) -> Singular
 
     Exceptional primes (p <= K, p | a_k, or p dividing a pairwise
     resultant) get exact rational local factors; for every other prime
-    omega_L(p) = K, and those logs are summed exactly in numpy buckets and
-    rounded once (the float math.fsum returns).
+    omega_L(p) = K, and those logs are summed exactly by error-free
+    extraction and rounded once (the float math.fsum returns).
     For p >= 2K the local log is bounded by K^2/p^2, giving the certified
     tail bound 2 K^2 / P; for K = 1 every generic factor is identically 1
     and the bound is 0, with no prime listed (_generic_product).

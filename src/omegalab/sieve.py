@@ -111,16 +111,17 @@ def _prime_blocks(n: int, lo: int = 0, drop=()):
     """The primes in (lo, n] outside ``drop`` as ascending int64 arrays: [2]
     if lo < 2, then the odd primes 2i + 1 > lo of each block, sieved over i
     by primes_up_to(isqrt(n)) (2 divides no value, so only the odd numbers
-    are ever struck).  ``drop`` may hold any ints; only those in (lo, n]
-    reach numpy.  No array holds more than _block_primes(n) primes."""
+    are ever struck).  ``drop`` may hold any ints; only its odd x in (lo, n]
+    reach numpy, as the indices x // 2 that the blocks' masks clear.  No
+    array holds more than _block_primes(n) primes."""
     if n < 2:
         return
-    drop = [x for x in drop if lo < x <= n]
     if lo < 2 and 2 not in drop:
         yield np.array([2], dtype=np.int64)
+    gone = np.array([x // 2 for x in drop if lo < x <= n and x % 2], dtype=np.int64)
     for i, mask in _form_blocks([(2, 1)], math.isqrt(n), (n - 1) // 2, max(1, (lo + 1) // 2)):
-        ps = 2 * (np.flatnonzero(mask) + i) + 1
-        yield ps[~np.isin(ps, drop)] if drop else ps
+        mask[gone[(gone >= i) & (gone < i + mask.size)] - i] = False
+        yield 2 * (np.flatnonzero(mask) + i) + 1
 
 
 def _block_primes(n: int) -> int:

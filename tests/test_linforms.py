@@ -241,6 +241,16 @@ class TestExactSum:
         for chunks in ([], [np.array([])], [np.array([-0.0, -0.0])], [np.array([1.5]), np.array([-1.5])]):
             assert _exact_sum(chunks).hex() == "0x0.0p+0"
 
+    @pytest.mark.parametrize("n", [2**16 - 2, 2**16 - 1, 2**16, 2**16 + 1, 2**17 - 2, 2**17 - 1, 2**17, 2**17 + 1])
+    def test_one_chunk_fills_its_headroom(self, n):
+        # n - 25 terms just below -1 take the extracted parts' sum to nearly
+        # n * 2**e, which sigma's bitlen(n + 1) bits of headroom keep exact;
+        # the -2**-j set each of its low bits, and 1/2 mixes the signs
+        small = [-math.ldexp(1.0, -j) for j in range(30, 54)] + [0.5]
+        terms = [-(1 - 2**-53)] * (n - len(small)) + small
+        want = sum(map(Fraction, terms), Fraction(0))
+        assert _exact_sum([np.array(terms)]).hex() == float(want).hex()
+
     def test_euler_terms_match_fsum(self):
         q = ol.primes_up_to(10**6).astype(np.float64)
         for K in (2, 3, 8):

@@ -23,7 +23,8 @@ import omegalab as ol
 from omegalab.cli import main
 from omegalab.errors import DomainError, ResourceError
 from omegalab.sieve import (
-    _DEFAULT_BLOCK, _DENSE_HITS, _MR_LIMIT, _MR_PSI, _iroot, _omega_blocks, _strikes, _thresholds,
+    _DEFAULT_BLOCK, _DENSE_HITS, _MR_LIMIT, _MR_PSI, _iroot, _omega_blocks, _prime_blocks, _strikes,
+    _thresholds,
 )
 
 
@@ -55,6 +56,17 @@ def _trial_primes(limit: int) -> list:
 
 
 _PRIMES_TO_3000 = _trial_primes(3000)
+
+
+def _eratosthenes(n: int) -> list[int]:
+    if n < 2:
+        return []
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, f in enumerate(flags) if f]
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -972,6 +984,27 @@ class TestPrimality:
             mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
             got = ol.primes_up_to(n)
         assert got.dtype == np.int64 and got.tolist() == literal
+
+    @pytest.mark.parametrize("block", [61, 1000])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_prime_blocks_less_drop(self, block, data):
+        # blocks of 61 or 1000 odd numbers spread the dropped primes over
+        # several blocks; 2 lies in none of them, and the least odd prime
+        # above lo may open the first
+        n = data.draw(st.integers(-2, 20_000))
+        lo = data.draw(st.integers(-2, max(-2, n)))
+        primes = _eratosthenes(n)
+        inside = [p for p in primes if p > lo] or [2]
+        some = st.one_of(
+            st.sampled_from(inside), st.sampled_from(inside[:2]), st.just(2),
+            st.integers(-2, n + 50), st.integers(n + 1, 2**70),
+        )
+        drop = data.draw(st.lists(some, max_size=12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("omegalab.sieve._DEFAULT_BLOCK", block)
+            got = np.concatenate([np.zeros(0, dtype=np.int64), *_prime_blocks(n, lo, drop)])
+        assert got.dtype == np.int64 and got.tolist() == [p for p in primes if p > lo and p not in drop]
 
     def test_small_primes_exhaustive(self):
         # up to 1000 the primes are a copy of a slice of one import-time list
